@@ -50,10 +50,12 @@ from .errors import (
     InvalidInitializationError,
     InvalidInstanceError,
     InvariantError,
+    MassOverflowError,
     NotStronglyConnectedError,
     ProtocolError,
     QcsError,
     RoutingError,
+    TrialError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -96,6 +98,7 @@ __all__ = [
     "InvalidInitializationError",
     "InvalidInstanceError",
     "InvariantError",
+    "MassOverflowError",
     "NodeState",
     "NotStronglyConnectedError",
     "OutboundMessage",
@@ -108,6 +111,7 @@ __all__ = [
     "SyncEngine",
     "TrajectoryRecord",
     "TransmissionDistribution",
+    "TrialError",
     "TrialStats",
     "VoteMessage",
     "absorb",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -107,6 +107,41 @@ class InFlightEntry:
     ready_step: int
 
 
+class EmissionLog:
+    """Every message batch a run transmitted, stored per completing node.
+
+    A completing node appends one record: its id, the step its cycle
+    began, the step its messages become ready, and the arrays of
+    destinations and per-destination (c_y, c_z) totals it sent.  The log
+    sizes and iterates per message: len() counts messages, and iteration
+    yields one InFlightEntry per message in emission order (by step, then
+    by sender, then by the sender's out-neighbor order).
+    """
+
+    def __init__(self) -> None:
+        self._records: list[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._messages = 0
+
+    def append(
+        self, src: int, emit_step: int, ready_step: int,
+        dst: np.ndarray, c_y: np.ndarray, c_z: np.ndarray,
+    ) -> None:
+        self._records.append((src, emit_step, ready_step, dst, c_y, c_z))
+        self._messages += len(dst)
+
+    def __len__(self) -> int:
+        return self._messages
+
+    def __iter__(self) -> Iterator[InFlightEntry]:
+        for src, emit_step, ready_step, dst, c_y, c_z in self._records:
+            for d, cy, cz in zip(dst.tolist(), c_y.tolist(), c_z.tolist()):
+                yield InFlightEntry(
+                    message=OutboundMessage(src=src, dst=d, c_y=cy, c_z=cz),
+                    emit_step=emit_step,
+                    ready_step=ready_step,
+                )
+
+
 class AsyncEngine:
     """Mutable run state for the bounded-delay protocol."""
 
@@ -155,11 +190,11 @@ class AsyncEngine:
         self.flag_step: Optional[int] = None
         self._window_start_max: Optional[np.ndarray] = None
         self._window_start_min: Optional[np.ndarray] = None
-        self.emission_log: Optional[list[InFlightEntry]] = None
+        self.emission_log: Optional[EmissionLog] = None
         self.trajectory: Optional[list[TrajectoryRecord]] = None
         if cfg.record_trajectory:
             self.trajectory = [self._snapshot(0)]
-            self.emission_log = []
+            self.emission_log = EmissionLog()
 
     def total_y(self) -> np.ndarray:
         return self.hold_y + self.pend_y
@@ -242,21 +277,14 @@ class AsyncEngine:
             sent = c_z > 0
             if sent.any():
                 dst = self.out_nbrs[j][sent]
-                recv_y[dst] += c_y[sent]
-                recv_z[dst] += c_z[sent]
+                sent_y = c_y[sent]
+                sent_z = c_z[sent]
+                recv_y[dst] += sent_y
+                recv_z[dst] += sent_z
                 if self.emission_log is not None:
-                    start = int(self.cycle_start[j])
-                    for i in range(len(dst)):
-                        self.emission_log.append(
-                            InFlightEntry(
-                                message=OutboundMessage(
-                                    src=int(j), dst=int(dst[i]),
-                                    c_y=int(c_y[sent][i]), c_z=int(c_z[sent][i]),
-                                ),
-                                emit_step=start,
-                                ready_step=k + 1,
-                            )
-                        )
+                    self.emission_log.append(
+                        int(j), int(self.cycle_start[j]), k + 1, dst, sent_y, sent_z
+                    )
         if self.cfg.check_invariants and self.flag.any():
             if recv_y[self.flag].any() or recv_z[self.flag].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")

@@ -43,3 +43,24 @@ class InvalidInstanceError(QcsError):
 
 class ConfigError(QcsError):
     """An experiment configuration is malformed; message names the field."""
+
+
+class MassOverflowError(QcsError):
+    """Initial values whose doubled totals do not fit the int64 ledger."""
+
+
+class TrialError(QcsError):
+    """One trial of an experiment raised; names the trial and its seed.
+
+    The arguments are kept as exception args so the error survives the
+    pickling that carries it back from a worker process.
+    """
+
+    def __init__(self, trial: int, seed: int, reason: str):
+        super().__init__(trial, seed, reason)
+        self.trial = trial
+        self.seed = seed
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"trial {self.trial} (seed {self.seed}) failed: {self.reason}"

@@ -24,7 +24,7 @@ import numpy as np
 from . import applications, bounds, metrics
 from .async_engine import DelayModel, run_async
 from .digraph import Digraph, generate_random_digraph
-from .errors import ConfigError
+from .errors import ConfigError, TrialError
 from .sync_engine import RunConfig, run_sync
 
 logger = logging.getLogger(__name__)
@@ -138,6 +138,13 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct'")
+        if isinstance(self.initial, ExplicitInitial) and isinstance(self.graph, RandomGraphSpec):
+            n = self.graph.n
+            if len(self.initial.y0) != n or len(self.initial.z0) != n:
+                raise ConfigError(
+                    f"initial.explicit: {len(self.initial.y0)} y0 and "
+                    f"{len(self.initial.z0)} z0 values for a graph with {n} nodes"
+                )
 
     def records_trajectory(self) -> bool:
         if self.record_trajectory is not None:
@@ -290,8 +297,15 @@ def parse_config(source: Union[str, Path, dict]) -> ExperimentConfig:
     )
 
 
+# spec field -> config-file key, where the two differ
+_INITIAL_KEYS = {"alphas": "alpha", "rhos": "rho"}
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-ready echo of a config (for the summary artifact)."""
+    """JSON-ready echo of a config (for the summary artifact).
+
+    Lossless: parse_config(config_to_dict(cfg)) == cfg.
+    """
 
     def initial_dict(spec: InitialSpec) -> dict:
         name = {
@@ -303,11 +317,20 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             SchedulingUniformInitial: "scheduling_uniform",
             FederatedUniformInitial: "federated_uniform",
         }[type(spec)]
-        body = {k: (list(v) if isinstance(v, tuple) else v) for k, v in spec.__dict__.items()}
+        body = {
+            _INITIAL_KEYS.get(k, k): (list(v) if isinstance(v, tuple) else v)
+            for k, v in spec.__dict__.items()
+        }
         return {name: body}
 
     if isinstance(cfg.graph, RandomGraphSpec):
-        graph = {"random": {"n": cfg.graph.n, "edge_prob": cfg.graph.edge_prob}}
+        graph = {
+            "random": {
+                "n": cfg.graph.n,
+                "edge_prob": cfg.graph.edge_prob,
+                "max_retries": cfg.graph.max_retries,
+            }
+        }
     else:
         graph = {"file": cfg.graph.path}
     out = {
@@ -321,11 +344,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "epsilon": cfg.epsilon,
         "record_trajectory": cfg.record_trajectory,
         "error_mode": cfg.error_mode,
+        "check_invariants": cfg.check_invariants,
     }
     if cfg.delay is not None:
+        per_node = cfg.delay.per_node_pmf
         out["delay"] = {
             "max_delay": cfg.delay.max_delay,
             "pmf": None if cfg.delay.pmf is None else list(cfg.delay.pmf),
+            "per_node_pmf": None if per_node is None else [list(row) for row in per_node],
         }
     return out
 
@@ -500,16 +526,24 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
 
 
 def _trial_worker(payload: tuple[ExperimentConfig, int]) -> TrialResult:
+    """run_one_trial, with any failure re-raised as a TrialError naming it."""
     cfg, trial = payload
-    return run_one_trial(cfg, trial)
+    try:
+        return run_one_trial(cfg, trial)
+    except Exception as exc:
+        raise TrialError(trial, cfg.seed + trial, f"{type(exc).__name__}: {exc}") from exc
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     """Run all trials; results are ordered by trial index regardless of
-    worker scheduling, so output artifacts do not depend on workers."""
+    worker scheduling, so output artifacts do not depend on workers.
+
+    A trial that raises fails the whole run with a TrialError naming the
+    trial index and seed, on the serial and the pool path alike.
+    """
     payloads = [(cfg, t) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
-        return [run_one_trial(cfg, t) for t in range(cfg.trials)]
+        return [_trial_worker(p) for p in payloads]
     chunk = max(1, cfg.trials // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_worker, payloads, chunksize=chunk))

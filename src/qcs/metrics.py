@@ -16,8 +16,9 @@ class TrajectoryRecord:
     """Per-step snapshot of the whole network.
 
     Taken at the end of each simulated step: node mass/token arrays, the
-    vote pair, estimates and flags, plus totals over messages still in
-    flight so the conservation ledger can be audited offline.
+    vote pair, estimates and flags.  The engines deliver every message
+    into a node's state (or its arrival queue) by the end of the step, so
+    y and z alone carry the whole conservation ledger.
     """
 
     step: int
@@ -27,16 +28,10 @@ class TrajectoryRecord:
     vote_max: np.ndarray
     vote_min: np.ndarray
     flag: np.ndarray
-    inflight_y: int = 0
-    inflight_z: int = 0
-    inflight_count: int = 0
 
     def mass_totals(self) -> tuple[int, int]:
-        """(total y, total z) over nodes and in-flight messages."""
-        return (
-            int(self.y.sum()) + self.inflight_y,
-            int(self.z.sum()) + self.inflight_z,
-        )
+        """(total y, total z) over all nodes."""
+        return int(self.y.sum()), int(self.z.sum())
 
 
 @dataclass(frozen=True)

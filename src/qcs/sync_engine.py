@@ -16,11 +16,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .digraph import Digraph
-from .errors import ConservationError, InvariantError
+from .errors import ConservationError, InvariantError, MassOverflowError
 from .metrics import TrajectoryRecord
 from .protocol import ceil_div, floor_div, split_pieces
 
 logger = logging.getLogger(__name__)
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Sub-stream tags keep routing and delay draws on independent per-node
 # generators seeded by (seed, node_id, tag).
@@ -75,6 +77,15 @@ def _validate_config(cfg: RunConfig) -> int:
             raise ValueError(f"z0[{j}]={cfg.z0[j]} < 1: every node needs a token")
         if cfg.y0[j] < 0:
             raise ValueError(f"y0[{j}]={cfg.y0[j]} < 0: negative masses unsupported")
+    # every per-node and in-transit quantity of a run is bounded by the
+    # doubled totals, so they alone must fit the int64 state arrays
+    for name, values in (("y0", cfg.y0), ("z0", cfg.z0)):
+        doubled = 2 * sum(int(v) for v in values)
+        if doubled > INT64_MAX:
+            raise MassOverflowError(
+                f"2*sum({name})={doubled} exceeds the int64 maximum {INT64_MAX}; "
+                f"scale the initial values down"
+            )
     d_used = cfg.graph.diameter if cfg.diameter_bound is None else cfg.diameter_bound
     if d_used < cfg.graph.diameter:
         raise ValueError(

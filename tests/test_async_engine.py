@@ -182,6 +182,69 @@ class TestEmissionBookkeeping:
             assert (ra.y == rb.y).all() and (ra.z == rb.z).all()
 
 
+class TestBatchedEmissionLog:
+    """The log stores one record per completing node and reads per message."""
+
+    SEEDS = (600, 601, 602, 333)
+
+    def _engine(self, seed, b=4, record=True):
+        g, y0, z0 = random_instance(seed)
+        return AsyncEngine(
+            cfg_for(g, y0, z0, seed=seed % 7, record_trajectory=record),
+            DelayModel(max_delay=b),
+        )
+
+    def test_length_counts_iterated_messages(self):
+        for seed in self.SEEDS:
+            eng = self._engine(seed)
+            assert not eng.emission_log  # empty before the first step
+            eng.run()
+            entries = list(eng.emission_log)
+            assert len(eng.emission_log) == len(entries) > 0
+            assert entries == list(eng.emission_log)  # iterates repeatably
+
+    def test_logged_mass_matches_arrivals_per_step(self):
+        for seed in self.SEEDS:
+            eng = self._engine(seed)
+            arrived_y, arrived_z = {}, {}
+            while not eng.all_flagged():
+                k = eng.steps_done + 1
+                pend_y, pend_z = eng.pend_y.copy(), eng.pend_z.copy()
+                step_async(eng)
+                # nodes that began a cycle this step folded their queue in
+                started = eng.cycle_start == k
+                pend_y[started] = 0
+                pend_z[started] = 0
+                arrived_y[k + 1] = eng.pend_y - pend_y
+                arrived_z[k + 1] = eng.pend_z - pend_z
+            logged_y = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_y}
+            logged_z = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_z}
+            for e in eng.emission_log:
+                logged_y[e.ready_step][e.message.dst] += e.message.c_y
+                logged_z[e.ready_step][e.message.dst] += e.message.c_z
+            for r in arrived_y:
+                assert (logged_y[r] == arrived_y[r]).all()
+                assert (logged_z[r] == arrived_z[r]).all()
+
+    def test_entries_are_nonempty_and_delayed_within_bound(self):
+        for seed in self.SEEDS:
+            b = 2 + seed % 4
+            eng = self._engine(seed, b=b)
+            eng.run()
+            for e in eng.emission_log:
+                assert e.message.c_z >= 1
+                assert 1 <= e.ready_step - e.emit_step <= b
+                assert e.message.dst in eng.out_nbrs[e.message.src]
+
+    def test_recording_does_not_change_the_run(self):
+        for seed in self.SEEDS:
+            on = self._engine(seed, record=True).run()
+            off = self._engine(seed, record=False).run()
+            assert (on.final_estimate == off.final_estimate).all()
+            assert on.termination_step == off.termination_step
+            assert on.steps_run == off.steps_run
+
+
 class TestMonotoneContractionAsync:
     def test_extreme_ratios_contract(self):
         g, y0, z0 = random_instance(603)

@@ -5,13 +5,28 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcs import ConfigError, generate_random_digraph, parse_config, run_experiment, run_one_trial
+from qcs import (
+    ConfigError,
+    DelayModel,
+    TrialError,
+    generate_random_digraph,
+    parse_config,
+    run_experiment,
+    run_one_trial,
+)
 from qcs.experiments import (
     ExperimentConfig,
+    ExplicitInitial,
+    FederatedInitial,
+    FederatedUniformInitial,
     FileGraphSpec,
+    GenericInitial,
     RandomGraphSpec,
     SchedulingInitial,
+    SchedulingUniformInitial,
     UniformInitial,
     build_trial_instance,
     config_to_dict,
@@ -86,6 +101,89 @@ class TestParseConfig:
         assert again.epsilon == 0.05
 
 
+def _pairs():
+    return st.tuples(st.integers(0, 50), st.integers(0, 50)).map(lambda p: (min(p), max(p)))
+
+
+def _initials(n: int):
+    """Every initial-value kind, with per-node kinds sized for n nodes."""
+    ints = st.lists(st.integers(1, 10**6), min_size=n, max_size=n).map(tuple)
+    return st.one_of(
+        st.builds(ExplicitInitial, y0=ints, z0=ints),
+        st.builds(UniformInitial, y0_range=_pairs(), z0_range=_pairs()),
+        st.builds(GenericInitial, alphas=ints, rhos=ints, literal=st.booleans()),
+        st.builds(SchedulingInitial, workloads=ints, occupied=ints, capacity=ints),
+        st.builds(FederatedInitial, dataset_sizes=ints, local_params=ints, literal=st.booleans()),
+        st.builds(
+            SchedulingUniformInitial,
+            load_range=_pairs(),
+            capacity_pattern=st.lists(st.integers(1, 500), min_size=1, max_size=4).map(tuple),
+            occupied=st.integers(0, 20),
+        ),
+        st.builds(FederatedUniformInitial, size_range=_pairs(), param_range=_pairs()),
+    )
+
+
+def _pmf(b: int):
+    weights = st.lists(st.integers(1, 9), min_size=b, max_size=b)
+    return weights.map(lambda w: tuple(v / sum(w) for v in w))
+
+
+def _delays(n: int):
+    """No delay, and every delay form: uniform, shared pmf, per-node table."""
+    return st.integers(1, 4).flatmap(
+        lambda b: st.one_of(
+            st.none(),
+            st.builds(DelayModel, max_delay=st.just(b)),
+            st.builds(DelayModel, max_delay=st.just(b), pmf=_pmf(b)),
+            st.builds(
+                DelayModel,
+                max_delay=st.just(b),
+                per_node_pmf=st.lists(_pmf(b), min_size=n, max_size=n).map(tuple),
+            ),
+        )
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    n = draw(st.integers(2, 6))
+    graph = draw(
+        st.one_of(
+            st.builds(
+                RandomGraphSpec,
+                n=st.just(n),
+                edge_prob=st.floats(0.01, 1.0),
+                max_retries=st.integers(1, 500),
+            ),
+            st.builds(FileGraphSpec, path=st.text("abc/._", min_size=1, max_size=12)),
+        )
+    )
+    delay = draw(_delays(n))
+    return ExperimentConfig(
+        mode="sync" if delay is None else draw(st.sampled_from(["sync", "async"])),
+        graph=graph,
+        initial=draw(_initials(n)),
+        delay=delay,
+        diameter_bound=draw(st.none() | st.integers(1, 10)),
+        trials=draw(st.integers(1, 50)),
+        seed=draw(st.integers(0, 2**40)),
+        max_steps=draw(st.none() | st.integers(1, 10**6)),
+        epsilon=draw(st.none() | st.floats(0.001, 0.999)),
+        record_trajectory=draw(st.none() | st.booleans()),
+        error_mode=draw(st.sampled_from(["reciprocal", "direct"])),
+        check_invariants=draw(st.booleans()),
+    )
+
+
+class TestConfigEcho:
+    @given(experiment_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_echo_round_trips_through_json(self, cfg):
+        echoed = json.loads(json.dumps(config_to_dict(cfg)))
+        assert parse_config(echoed) == cfg
+
+
 class TestTrialBuilding:
     def test_uniform_initials_are_seed_deterministic(self):
         cfg = parse_config(
@@ -130,10 +228,21 @@ class TestTrialBuilding:
             with pytest.raises(ValueError, match="diameter_bound=1"):
                 run_one_trial(cfg, 0)
 
-    def test_initial_length_must_match_graph(self):
-        cfg = parse_config(
-            {**MINIMAL, "initial": {"explicit": {"y0": [1, 2], "z0": [1, 1]}}}
-        )
+    def test_initial_length_must_match_graph(self, tmp_path):
+        # a random graph's n is known when the config is built
+        short = {"explicit": {"y0": [1, 2], "z0": [1, 1]}}
+        with pytest.raises(ConfigError, match="initial"):
+            parse_config({**MINIMAL, "initial": short})
+        with pytest.raises(ConfigError, match="initial"):
+            ExperimentConfig(
+                mode="sync",
+                graph=RandomGraphSpec(n=10, edge_prob=0.5),
+                initial=ExplicitInitial(y0=(3,) * 10, z0=(1,) * 9),
+            )
+        # a graph file's n is only known once the trial loads it
+        path = tmp_path / "g.txt"
+        generate_random_digraph(5, 0.6, seed=1).save(path)
+        cfg = parse_config({**MINIMAL, "graph": {"file": str(path)}, "initial": short})
         with pytest.raises(ConfigError, match="initial"):
             build_trial_instance(cfg, 0)
 
@@ -177,6 +286,42 @@ class TestRunners:
         assert _trial_max_steps(with_eps, inst) == 100 * _trial_bound(with_eps, inst)
         pinned = parse_config({**MINIMAL, "max_steps": 321})
         assert _trial_max_steps(pinned, inst) == 321
+
+
+class TestTrialFailures:
+    # seeds 10 and 11 draw diameter-3 graphs, seed 12 a diameter-4 one,
+    # so trial 2 is the one whose diameter bound is too small
+    BAD_TRIAL = {
+        **MINIMAL,
+        "graph": {"random": {"n": 8, "edge_prob": 0.4}},
+        "initial": {"uniform": {"y0_range": [0, 50], "z0_range": [1, 5]}},
+        "diameter_bound": 3,
+        "trials": 3,
+        "seed": 10,
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_trial_is_named(self, workers):
+        cfg = parse_config(self.BAD_TRIAL)
+        with pytest.raises(TrialError, match=r"trial 2 \(seed 12\).*diameter_bound=3") as info:
+            run_trials(cfg, workers=workers)
+        assert (info.value.trial, info.value.seed) == (2, 12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_explicit_on_a_graph_file_is_named(self, tmp_path, workers):
+        path = tmp_path / "g.txt"
+        generate_random_digraph(5, 0.6, seed=1).save(path)
+        cfg = parse_config(
+            {
+                **MINIMAL,
+                "graph": {"file": str(path)},
+                "initial": {"explicit": {"y0": [1, 2, 3], "z0": [1, 1, 1]}},
+                "trials": 2,
+                "seed": 40,
+            }
+        )
+        with pytest.raises(TrialError, match=r"trial 0 \(seed 40\).*ConfigError.*3 values"):
+            run_experiment(cfg, workers=workers)
 
 
 class TestArtifacts:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qcs import RunConfig, SyncEngine, run_sync, step_sync
+from qcs import DelayModel, MassOverflowError, RunConfig, SyncEngine, run_async, run_sync, step_sync
 
 from conftest import complete, quotient_floor_ceil, random_instance, ring
 
@@ -39,6 +39,39 @@ class TestValidation:
     def test_max_steps_below_window(self):
         with pytest.raises(ValueError, match="max_steps"):
             SyncEngine(cfg_for(ring(4), [1] * 4, [1] * 4, max_steps=2))
+
+
+ENGINES = {
+    "sync": run_sync,
+    "async": lambda cfg: run_async(cfg, DelayModel(max_delay=3)),
+}
+
+
+class TestInt64Headroom:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_doubled_total_past_int64_refused(self, engine):
+        # 2*sum = 2**64: the ledger used to wrap to 0 and still converge
+        with pytest.raises(MassOverflowError, match=r"2\*sum\(y0\)"):
+            ENGINES[engine](cfg_for(complete(4), [2**61] * 4, [1] * 4))
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_doubling_past_int64_refused(self, engine):
+        # each 2*y0[j] = 2**63 wraps negative; this used to surface as a
+        # ProtocolError from the first split
+        with pytest.raises(MassOverflowError, match=r"2\*sum\(y0\)"):
+            ENGINES[engine](cfg_for(complete(4), [2**62] * 4, [1] * 4))
+
+    def test_token_total_checked_too(self):
+        with pytest.raises(MassOverflowError, match=r"2\*sum\(z0\)"):
+            SyncEngine(cfg_for(complete(4), [1] * 4, [2**61] * 4))
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_largest_total_that_fits_runs_exactly(self, engine):
+        y0 = [2**62 - 4, 1, 1, 1]  # 2*sum = 2**63 - 2, the largest even value that fits
+        out = ENGINES[engine](cfg_for(complete(4), y0, [1] * 4, seed=1, record_trajectory=True))
+        assert out.converged
+        assert (out.final_estimate == (2**62 - 1) // 4).all()
+        assert out.trajectory[-1].mass_totals() == (2**63 - 2, 8)
 
 
 class TestTermination:
