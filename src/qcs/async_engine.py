@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConservationError, InvariantError
 from .metrics import TrajectoryRecord
-from .protocol import OutboundMessage, ceil_div, floor_div, split_pieces
+from .protocol import OutboundMessage, ceil_div, flood_votes, floor_div, route_pieces
 from .sync_engine import DELAY_STREAM, ROUTE_STREAM, RunConfig, RunOutcome, _validate_config
 
 logger = logging.getLogger(__name__)
@@ -73,11 +73,17 @@ class DelayModel:
     def row_index(self, node: int) -> int:
         return node if self.per_node_pmf is not None else 0
 
+    def draw_batch(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Delays in {1..max_delay} by inverse CDF: nodes[i] draws with u[i]."""
+        if self.per_node_pmf is None:
+            idx = np.searchsorted(self._cdf[0], u, side="right")
+        else:
+            idx = (self._cdf[nodes] <= u[:, None]).sum(axis=1)
+        return np.minimum(idx + 1, self.max_delay)
+
     def draw(self, rng: np.random.Generator, node: int) -> int:
         """One delay draw in {1..max_delay} (consumes one uniform)."""
-        u = rng.random()
-        idx = int(np.searchsorted(self._cdf[self.row_index(node)], u, side="right"))
-        return min(idx + 1, self.max_delay)
+        return int(self.draw_batch(np.array([rng.random()]), np.array([node]))[0])
 
     def max_delay_prob(self, node: int) -> float:
         return self._rows()[self.row_index(node)][self.max_delay - 1]
@@ -108,33 +114,36 @@ class InFlightEntry:
 
 
 class EmissionLog:
-    """Every message batch a run transmitted, stored per completing node.
+    """Every message batch a run transmitted, stored one record per step.
 
-    A completing node appends one record: its id, the step its cycle
-    began, the step its messages become ready, and the arrays of
-    destinations and per-destination (c_y, c_z) totals it sent.  The log
-    sizes and iterates per message: len() counts messages, and iteration
-    yields one InFlightEntry per message in emission order (by step, then
-    by sender, then by the sender's out-neighbor order).
+    A step that transmitted appends one record: the step its messages
+    become ready; per splitting node, its id, the step its cycle began
+    and its message count; and per message, its destination and
+    (c_y, c_z) totals.  The log sizes and iterates per message: len()
+    counts messages, and iteration yields one InFlightEntry per message
+    in emission order (by step, then by sender, then by the sender's
+    out-neighbor order).
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (ready_step, senders, emit_steps, counts, dst, c_y, c_z)
+        self._records: list[tuple] = []
         self._messages = 0
 
     def append(
-        self, src: int, emit_step: int, ready_step: int,
+        self, ready_step: int, senders: np.ndarray, emit_steps: np.ndarray, counts: np.ndarray,
         dst: np.ndarray, c_y: np.ndarray, c_z: np.ndarray,
     ) -> None:
-        self._records.append((src, emit_step, ready_step, dst, c_y, c_z))
+        self._records.append((ready_step, senders, emit_steps, counts, dst, c_y, c_z))
         self._messages += len(dst)
 
     def __len__(self) -> int:
         return self._messages
 
     def __iter__(self) -> Iterator[InFlightEntry]:
-        for src, emit_step, ready_step, dst, c_y, c_z in self._records:
-            for d, cy, cz in zip(dst.tolist(), c_y.tolist(), c_z.tolist()):
+        for ready_step, senders, emit_steps, counts, dst, c_y, c_z in self._records:
+            columns = (np.repeat(senders, counts), np.repeat(emit_steps, counts), dst, c_y, c_z)
+            for src, emit_step, d, cy, cz in zip(*(c.tolist() for c in columns)):
                 yield InFlightEntry(
                     message=OutboundMessage(src=src, dst=d, c_y=cy, c_z=cz),
                     emit_step=emit_step,
@@ -157,9 +166,8 @@ class AsyncEngine:
         g = cfg.graph
         self.n = g.n
         delay_model.min_max_delay_prob(self.n)  # validates per-node table size
-        self.out_nbrs = g.out_neighbor_arrays()
-        self.in_nbrs = g.in_neighbor_arrays()
-        self.degrees = np.array(g.out_degrees, dtype=np.int64)
+        self.out_csr = g.out_csr
+        self.in_csr = g.in_csr
         # hold = the locked processing batch (post-split: the kept part);
         # pend = arrivals queued for the node's next cycle
         self.hold_y = 2 * np.asarray(cfg.y0, dtype=np.int64)
@@ -167,23 +175,15 @@ class AsyncEngine:
         self.pend_y = np.zeros(self.n, dtype=np.int64)
         self.pend_z = np.zeros(self.n, dtype=np.int64)
         self.y_initial = self.hold_y.copy()
-        self.estimate = np.array(
-            [ceil_div(int(y), int(z)) for y, z in zip(self.hold_y, self.hold_z)]
-        )
+        self.estimate = ceil_div(self.hold_y, self.hold_z)
         self.vote_max = self.estimate.copy()
-        self.vote_min = np.array(
-            [floor_div(int(y), int(z)) for y, z in zip(self.hold_y, self.hold_z)]
-        )
+        self.vote_min = floor_div(self.hold_y, self.hold_z)
         self.flag = np.zeros(self.n, dtype=bool)
         self.cycle_start = np.zeros(self.n, dtype=np.int64)
         self.next_start = np.ones(self.n, dtype=np.int64)
         self.busy_until = np.zeros(self.n, dtype=np.int64)
-        self.route_rngs = [
-            np.random.default_rng([cfg.seed, j, ROUTE_STREAM]) for j in range(self.n)
-        ]
-        self.delay_rngs = [
-            np.random.default_rng([cfg.seed, j, DELAY_STREAM]) for j in range(self.n)
-        ]
+        self.route_rng = np.random.default_rng([cfg.seed, ROUTE_STREAM])
+        self.delay_rng = np.random.default_rng([cfg.seed, DELAY_STREAM])
         self.expected_y_total = int(self.hold_y.sum())
         self.expected_z_total = int(self.hold_z.sum())
         self.steps_done = 0
@@ -195,6 +195,12 @@ class AsyncEngine:
         if cfg.record_trajectory:
             self.trajectory = [self._snapshot(0)]
             self.emission_log = EmissionLog()
+
+    @property
+    def out_nbrs(self) -> list[np.ndarray]:
+        """Per-node out-neighbor arrays (views into the out-edge CSR)."""
+        indptr, targets = self.out_csr
+        return [targets[indptr[j]:indptr[j + 1]] for j in range(self.n)]
 
     def total_y(self) -> np.ndarray:
         return self.hold_y + self.pend_y
@@ -225,71 +231,51 @@ class AsyncEngine:
         # window-start refresh is clock-synchronized bookkeeping: every
         # active node resets its votes from its full visible holdings
         if (k - 1) % self.window == 0:
-            for j in np.flatnonzero(~self.flag):
-                ty = int(self.hold_y[j] + self.pend_y[j])
-                tz = int(self.hold_z[j] + self.pend_z[j])
-                self.vote_max[j] = ceil_div(ty, tz)
-                self.vote_min[j] = floor_div(ty, tz)
+            active = np.flatnonzero(~self.flag)
+            ty = self.hold_y[active] + self.pend_y[active]
+            tz = self.hold_z[active] + self.pend_z[active]
+            self.vote_max[active] = ceil_div(ty, tz)
+            self.vote_min[active] = floor_div(ty, tz)
             if self.cfg.check_invariants:
                 self._window_start_max = self.vote_max.copy()
                 self._window_start_min = self.vote_min.copy()
 
         # cycle starts: fold queued arrivals in, lock the batch, draw the delay
-        for j in np.flatnonzero((self.next_start == k) & ~self.flag):
-            self.hold_y[j] += self.pend_y[j]
-            self.hold_z[j] += self.pend_z[j]
-            self.pend_y[j] = 0
-            self.pend_z[j] = 0
-            lam = self.delay_model.draw(self.delay_rngs[j], int(j))
-            self.cycle_start[j] = k
-            self.busy_until[j] = k + lam - 1
-            self.next_start[j] = k + lam
+        starting = np.flatnonzero((self.next_start == k) & ~self.flag)
+        if starting.size:
+            self.hold_y[starting] += self.pend_y[starting]
+            self.hold_z[starting] += self.pend_z[starting]
+            self.pend_y[starting] = 0
+            self.pend_z[starting] = 0
+            lam = self.delay_model.draw_batch(self.delay_rng.random(starting.size), starting)
+            self.cycle_start[starting] = k
+            self.busy_until[starting] = k + lam - 1
+            self.next_start[starting] = k + lam
 
-        completing = (self.busy_until == k) & ~self.flag
+        completing = np.flatnonzero((self.busy_until == k) & ~self.flag)
 
         # asynchronous vote rule: completing nodes read their neighbors'
         # exposed values as of this instant and fold them in; terminated
         # nodes expose nothing
-        snap_max = self.vote_max.copy()
-        snap_min = self.vote_min.copy()
-        if self.flag.any():
-            snap_max[self.flag] = np.iinfo(np.int64).min
-            snap_min[self.flag] = np.iinfo(np.int64).max
-        for j in np.flatnonzero(completing):
-            nb = self.in_nbrs[j]
-            if nb.size:
-                self.vote_max[j] = max(snap_max[j], int(snap_max[nb].max()))
-                self.vote_min[j] = min(snap_min[j], int(snap_min[nb].min()))
+        flood_votes(self.vote_max, self.vote_min, self.flag, completing, self.in_csr)
 
         # processing completes: split the locked batch and transmit; the
-        # pieces land in the receivers' queues at this step's end
-        recv_y = np.zeros(self.n, dtype=np.int64)
-        recv_z = np.zeros(self.n, dtype=np.int64)
-        for j in np.flatnonzero(completing):
-            zj = int(self.hold_z[j])
-            if zj <= 1:
-                continue  # hold: nothing to split this cycle
-            yj = int(self.hold_y[j])
-            self.estimate[j] = ceil_div(yj, zj)
-            kept_y, kept_z, c_y, c_z = split_pieces(yj, zj, int(self.degrees[j]), self.route_rngs[j])
-            self.hold_y[j] = kept_y
-            self.hold_z[j] = kept_z
-            sent = c_z > 0
-            if sent.any():
-                dst = self.out_nbrs[j][sent]
-                sent_y = c_y[sent]
-                sent_z = c_z[sent]
-                recv_y[dst] += sent_y
-                recv_z[dst] += sent_z
-                if self.emission_log is not None:
-                    self.emission_log.append(
-                        int(j), int(self.cycle_start[j]), k + 1, dst, sent_y, sent_z
-                    )
-        if self.cfg.check_invariants and self.flag.any():
-            if recv_y[self.flag].any() or recv_z[self.flag].any():
+        # pieces land in the receivers' queues at this step's end.  A node
+        # holding a single token has nothing to split this cycle.
+        splitting = completing[self.hold_z[completing] > 1]
+        if splitting.size:
+            self.estimate[splitting] = ceil_div(self.hold_y[splitting], self.hold_z[splitting])
+            sent, dst, c_y, c_z = route_pieces(
+                self.hold_y, self.hold_z, splitting, self.out_csr, self.route_rng
+            )
+            if self.cfg.check_invariants and self.flag[dst].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
-        self.pend_y += recv_y
-        self.pend_z += recv_z
+            np.add.at(self.pend_y, dst, c_y)
+            np.add.at(self.pend_z, dst, c_z)
+            if self.emission_log is not None and dst.size:
+                self.emission_log.append(
+                    k + 1, splitting, self.cycle_start[splitting], sent, dst, c_y, c_z
+                )
 
         # stretched-window termination check
         if k % self.window == 0:

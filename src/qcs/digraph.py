@@ -90,6 +90,30 @@ class Digraph:
     def in_neighbor_arrays(self) -> list[np.ndarray]:
         return [np.asarray(nbrs, dtype=np.int64) for nbrs in self.in_neighbors]
 
+    @cached_property
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-edges as read-only (indptr, targets) int64 arrays.
+
+        Node j's out-neighbors are targets[indptr[j]:indptr[j + 1]], in
+        ascending order, so edge positions follow out-neighbor order.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.out_degrees, out=indptr[1:])
+        targets = np.fromiter(
+            (l for nbrs in self.out_neighbors for l in nbrs), dtype=np.int64, count=int(indptr[-1])
+        )
+        return _frozen(indptr), _frozen(targets)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-edges as read-only (indptr, sources) int64 arrays, sources ascending."""
+        out_ptr, targets = self.out_csr
+        senders = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(out_ptr))
+        order = np.argsort(targets, kind="stable")  # keeps senders ascending per target
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=self.n), out=indptr[1:])
+        return _frozen(indptr), _frozen(senders[order])
+
     def to_edge_list_text(self) -> str:
         """Serialize as 'n m' header plus one 'src dst' line per edge."""
         lines = [f"{self.n} {self.edge_count}"]
@@ -125,6 +149,11 @@ class Digraph:
     @classmethod
     def load(cls, path: str | Path) -> "Digraph":
         return cls.from_edge_list_text(Path(path).read_text(encoding="utf-8"))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _reachable_from(adj: Sequence[Sequence[int]], src: int) -> list[bool]:

@@ -29,8 +29,8 @@ from .sync_engine import RunConfig, run_sync
 
 logger = logging.getLogger(__name__)
 
-# distinct entropy tag for initial-value sampling (engine node streams
-# use three-element keys, so two-element keys can never collide)
+# entropy tag for initial-value sampling, distinct from the engine's
+# ROUTE_STREAM (0) and DELAY_STREAM (1) tags under the same trial seed
 _INIT_STREAM = 2
 
 DEFAULT_MAX_STEPS = 100_000
@@ -112,6 +112,15 @@ InitialSpec = Union[
 ]
 
 
+# initial kinds whose tuple fields list one value per node
+_PER_NODE_KINDS = {
+    ExplicitInitial: "explicit",
+    GenericInitial: "generic",
+    SchedulingInitial: "scheduling",
+    FederatedInitial: "federated",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -138,13 +147,23 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct'")
-        if isinstance(self.initial, ExplicitInitial) and isinstance(self.graph, RandomGraphSpec):
-            n = self.graph.n
-            if len(self.initial.y0) != n or len(self.initial.z0) != n:
-                raise ConfigError(
-                    f"initial.explicit: {len(self.initial.y0)} y0 and "
-                    f"{len(self.initial.z0)} z0 values for a graph with {n} nodes"
-                )
+        if isinstance(self.graph, RandomGraphSpec):
+            self._check_lengths(self.graph.n)
+
+    def _check_lengths(self, n: int) -> None:
+        """Per-node tables must have one entry per node of an n-node graph."""
+        kind = _PER_NODE_KINDS.get(type(self.initial))
+        if kind is not None:
+            for attr, values in vars(self.initial).items():
+                if isinstance(values, tuple) and len(values) != n:
+                    raise ConfigError(
+                        f"initial.{kind}.{_INITIAL_KEYS.get(attr, attr)}: "
+                        f"{len(values)} values for a graph with {n} nodes"
+                    )
+        if self.delay is not None and self.delay.per_node_pmf is not None:
+            rows = len(self.delay.per_node_pmf)
+            if rows != n:
+                raise ConfigError(f"delay.per_node_pmf: {rows} rows for a graph with {n} nodes")
 
     def records_trajectory(self) -> bool:
         if self.record_trajectory is not None:

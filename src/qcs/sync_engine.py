@@ -1,10 +1,10 @@
 """Lockstep driver: vote exchange, mass splitting, synchronous delivery.
 
-Every step runs, for each active node, the same ordered phases the
-per-node state machine prescribes: window-start vote refresh, one-hop
-vote flooding, mass splitting with same-step delivery, and the
-window-boundary termination check.  All nodes flip their flags at one
-window boundary; afterwards the engine is quiescent.
+Every step runs the same ordered phases at all active nodes at once,
+as array operations: window-start vote refresh, one-hop vote flooding,
+mass splitting with same-step delivery, and the window-boundary
+termination check.  All nodes flip their flags at one window boundary;
+afterwards the engine is quiescent.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ import numpy as np
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
 from .metrics import TrajectoryRecord
-from .protocol import ceil_div, floor_div, split_pieces
+from .protocol import ceil_div, flood_votes, floor_div, route_pieces
 
 logger = logging.getLogger(__name__)
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Sub-stream tags keep routing and delay draws on independent per-node
-# generators seeded by (seed, node_id, tag).
+# Sub-stream tags: a run draws all its routing from one generator seeded
+# by (seed, ROUTE_STREAM) and all its delays from one seeded by
+# (seed, DELAY_STREAM).
 ROUTE_STREAM = 0
 DELAY_STREAM = 1
 
@@ -108,20 +109,17 @@ class SyncEngine:
             )
         g = cfg.graph
         self.n = g.n
-        self.out_nbrs = g.out_neighbor_arrays()
-        self.in_nbrs = g.in_neighbor_arrays()
-        self.degrees = np.array(g.out_degrees, dtype=np.int64)
+        self.out_csr = g.out_csr
+        self.in_csr = g.in_csr
         # initialization doubles both values so z >= 2 everywhere
         self.y = 2 * np.asarray(cfg.y0, dtype=np.int64)
         self.z = 2 * np.asarray(cfg.z0, dtype=np.int64)
         self.y_initial = self.y.copy()
-        self.estimate = np.array([ceil_div(int(y), int(z)) for y, z in zip(self.y, self.z)])
+        self.estimate = ceil_div(self.y, self.z)
         self.vote_max = self.estimate.copy()
-        self.vote_min = np.array([floor_div(int(y), int(z)) for y, z in zip(self.y, self.z)])
+        self.vote_min = floor_div(self.y, self.z)
         self.flag = np.zeros(self.n, dtype=bool)
-        self.route_rngs = [
-            np.random.default_rng([cfg.seed, j, ROUTE_STREAM]) for j in range(self.n)
-        ]
+        self.route_rng = np.random.default_rng([cfg.seed, ROUTE_STREAM])
         self.expected_y_total = int(self.y.sum())
         self.expected_z_total = int(self.z.sum())
         self.steps_done = 0
@@ -155,50 +153,27 @@ class SyncEngine:
 
         # window-start vote refresh ((k-1) mod D == 0 covers D == 1 too)
         if (k - 1) % self.window == 0:
-            for j in active:
-                self.vote_max[j] = ceil_div(int(self.y[j]), int(self.z[j]))
-                self.vote_min[j] = floor_div(int(self.y[j]), int(self.z[j]))
+            y, z = self.y[active], self.z[active]
+            self.vote_max[active] = ceil_div(y, z)
+            self.vote_min[active] = floor_div(y, z)
             if self.cfg.check_invariants:
                 self._window_start_max = self.vote_max.copy()
                 self._window_start_min = self.vote_min.copy()
 
         # one flooding hop: everyone broadcasts, then merges simultaneously;
-        # terminated nodes no longer broadcast, so their values are masked
-        snap_max = self.vote_max.copy()
-        snap_min = self.vote_min.copy()
-        if self.flag.any():
-            snap_max[self.flag] = np.iinfo(np.int64).min
-            snap_min[self.flag] = np.iinfo(np.int64).max
-        for j in active:
-            nb = self.in_nbrs[j]
-            if nb.size:
-                self.vote_max[j] = max(snap_max[j], int(snap_max[nb].max()))
-                self.vote_min[j] = min(snap_min[j], int(snap_min[nb].min()))
+        # terminated nodes no longer broadcast
+        flood_votes(self.vote_max, self.vote_min, self.flag, active, self.in_csr)
 
-        # mass splitting with same-step delivery
-        recv_y = np.zeros(self.n, dtype=np.int64)
-        recv_z = np.zeros(self.n, dtype=np.int64)
-        for j in active:
-            zj = int(self.z[j])
-            if zj <= 1:
-                continue  # hold: the node keeps its single token this step
-            yj = int(self.y[j])
-            self.estimate[j] = ceil_div(yj, zj)
-            kept_y, kept_z, c_y, c_z = split_pieces(yj, zj, int(self.degrees[j]), self.route_rngs[j])
-            self.y[j] = kept_y
-            self.z[j] = kept_z
-            nb = self.out_nbrs[j]
-            sent = c_z > 0
-            if sent.any():
-                dst = nb[sent]
-                recv_y[dst] += c_y[sent]
-                recv_z[dst] += c_z[sent]
-
-        if self.cfg.check_invariants and self.flag.any():
-            if recv_y[self.flag].any() or recv_z[self.flag].any():
+        # mass splitting with same-step delivery; a node holding a single
+        # token keeps it this step
+        splitting = active[self.z[active] > 1]
+        if splitting.size:
+            self.estimate[splitting] = ceil_div(self.y[splitting], self.z[splitting])
+            _, dst, c_y, c_z = route_pieces(self.y, self.z, splitting, self.out_csr, self.route_rng)
+            if self.cfg.check_invariants and self.flag[dst].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
-        self.y += recv_y
-        self.z += recv_z
+            np.add.at(self.y, dst, c_y)
+            np.add.at(self.z, dst, c_z)
 
         # window-boundary termination check
         if k % self.window == 0:

@@ -12,6 +12,7 @@ from qcs import (
     RunConfig,
     merge_votes,
     run_async,
+    generate_random_digraph,
     run_sync,
     step_async,
     VoteMessage,
@@ -55,10 +56,50 @@ class TestDelayModel:
             dm.min_max_delay_prob(3)
 
 
+class FixedUniforms:
+    """Stands in for a Generator whose random() yields the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestBatchedDelayDraw:
+    MODELS = {
+        "uniform": DelayModel(max_delay=4),
+        "pmf": DelayModel(max_delay=3, pmf=(0.2, 0.3, 0.5)),
+        "per_node": DelayModel(
+            max_delay=3,
+            per_node_pmf=((1.0, 0.0, 0.0), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5), (0.1, 0.1, 0.8)),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_equals_one_node_draws(self, kind):
+        dm = self.MODELS[kind]
+        nodes = np.tile(np.arange(4), 60)
+        u = np.random.default_rng(8).random(nodes.size)
+        # the CDF breakpoints themselves, and the ends of [0, 1)
+        u[:12] = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 0.5, 0.25, 1 - 2**-53]
+        batched = dm.draw_batch(u, nodes)
+        one_by_one = [dm.draw(FixedUniforms([v]), int(j)) for v, j in zip(u.tolist(), nodes)]
+        assert batched.tolist() == one_by_one
+        assert set(one_by_one) <= set(range(1, dm.max_delay + 1))
+
+    def test_per_node_rows_are_honoured(self):
+        dm = self.MODELS["per_node"]
+        u = np.full(4, 0.3)
+        assert dm.draw_batch(u, np.arange(4)).tolist() == [1, 2, 2, 3]
+
+
 class TestUnitDelayGolden:
     def test_b1_reproduces_sync_bit_for_bit(self):
-        # same per-node route streams, same windows: the whole trajectory
-        # must match, which cross-validates the two engine loops
+        # with B = 1 the async engine splits the same nodes in the same
+        # order each step and so consumes the run's one route stream
+        # exactly as sync does: the whole trajectory must match, which
+        # cross-validates the two engine loops
         for seed in range(12):
             g, y0, z0 = random_instance(seed + 100)
             cfg = cfg_for(g, y0, z0, seed=seed, record_trajectory=True)
@@ -245,13 +286,106 @@ class TestBatchedEmissionLog:
             assert on.steps_run == off.steps_run
 
 
+class TestBenchmarkScale:
+    """n = 100, p = 0.5: the scale of the curves-async-n100 benchmark workload."""
+
+    SEEDS = (0, 1, 2)
+    B = 10
+
+    @staticmethod
+    def _cfg(seed):
+        g = generate_random_digraph(100, 0.5, seed=seed)
+        rng = np.random.default_rng([seed, 99])
+        y0 = [int(v) for v in rng.integers(0, 10_000, g.n)]
+        z0 = [int(v) for v in rng.integers(1, 20, g.n)]
+        return cfg_for(g, y0, z0, seed=seed, record_trajectory=True)
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        """Per seed: a delayed run stepped to the end, with the arrivals of each step."""
+        runs = {}
+        for seed in self.SEEDS:
+            eng = AsyncEngine(self._cfg(seed), DelayModel(max_delay=self.B))
+            arrived = {}
+            while not eng.all_flagged():
+                k = eng.steps_done + 1
+                pend_y, pend_z = eng.pend_y.copy(), eng.pend_z.copy()
+                step_async(eng)
+                started = eng.cycle_start == k  # these folded their queue in
+                pend_y[started] = 0
+                pend_z[started] = 0
+                arrived[k + 1] = (eng.pend_y - pend_y, eng.pend_z - pend_z)
+            runs[seed] = (eng, arrived)
+        return runs
+
+    def test_unit_delay_matches_sync_snapshot_by_snapshot(self):
+        for seed in self.SEEDS:
+            s = run_sync(self._cfg(seed))
+            a = run_async(self._cfg(seed), DelayModel(max_delay=1))
+            assert s.converged and s.termination_step == a.termination_step
+            assert len(s.trajectory) == len(a.trajectory)
+            for rs, ra in zip(s.trajectory, a.trajectory):
+                for name in ("y", "z", "estimate", "vote_max", "vote_min", "flag"):
+                    assert (getattr(rs, name) == getattr(ra, name)).all(), (seed, rs.step, name)
+
+    def test_rerun_is_bit_identical(self, stepped):
+        for seed in self.SEEDS:
+            first = stepped[seed][0]
+            again = AsyncEngine(self._cfg(seed), DelayModel(max_delay=self.B))
+            again.run()
+            assert first.flag_step == again.flag_step
+            assert len(first.trajectory) == len(again.trajectory)
+            for ra, rb in zip(first.trajectory, again.trajectory):
+                assert (ra.y == rb.y).all() and (ra.z == rb.z).all()
+                assert (ra.vote_max == rb.vote_max).all() and (ra.vote_min == rb.vote_min).all()
+            assert list(first.emission_log) == list(again.emission_log)
+
+    def test_log_iterates_by_step_then_sender_then_out_neighbor(self, stepped):
+        for seed in self.SEEDS:
+            eng = stepped[seed][0]
+            out = eng.cfg.graph.out_neighbors
+            keys = [
+                (e.ready_step, e.message.src, out[e.message.src].index(e.message.dst))
+                for e in eng.emission_log
+            ]
+            assert len(keys) == len(eng.emission_log) > 0
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_log_sums_to_arrivals_per_ready_step(self, stepped):
+        for seed in self.SEEDS:
+            eng, arrived = stepped[seed]
+            logged = {r: (np.zeros(eng.n, dtype=np.int64), np.zeros(eng.n, dtype=np.int64)) for r in arrived}
+            for e in eng.emission_log:
+                assert 1 <= e.ready_step - e.emit_step <= self.B
+                logged[e.ready_step][0][e.message.dst] += e.message.c_y
+                logged[e.ready_step][1][e.message.dst] += e.message.c_z
+            for r, (ay, az) in arrived.items():
+                assert (logged[r][0] == ay).all() and (logged[r][1] == az).all(), (seed, r)
+
+
 class TestMonotoneContractionAsync:
     def test_extreme_ratios_contract(self):
-        g, y0, z0 = random_instance(603)
-        out = run_async(
-            cfg_for(g, y0, z0, seed=9, record_trajectory=True), DelayModel(max_delay=4)
-        )
-        tops = [int(np.max(-(-rec.y // rec.z))) for rec in out.trajectory]
-        bots = [int(np.min(rec.y // rec.z)) for rec in out.trajectory]
-        assert all(a >= b for a, b in zip(tops, tops[1:]))
-        assert all(a <= b for a, b in zip(bots, bots[1:]))
+        # The visible state (hold + pend) does not contract monotonically:
+        # arrivals can queue at a node whose locked batch is about to split
+        # away.  What holds is the per-buffer envelope: the min of the
+        # floors of hold_y/hold_z and of pend_y/pend_z (over nonempty
+        # queues) never falls, and the max of the ceilings never rises.
+        def envelope(eng):
+            lo = int((eng.hold_y // eng.hold_z).min())
+            hi = int((-(-eng.hold_y // eng.hold_z)).max())
+            queued = eng.pend_z > 0
+            if queued.any():
+                lo = min(lo, int((eng.pend_y[queued] // eng.pend_z[queued]).min()))
+                hi = max(hi, int((-(-eng.pend_y[queued] // eng.pend_z[queued])).max()))
+            return lo, hi
+
+        for inst in range(600, 620):
+            g, y0, z0 = random_instance(inst)
+            for seed in (inst % 7, 7 + inst % 5):
+                eng = AsyncEngine(cfg_for(g, y0, z0, seed=seed), DelayModel(max_delay=4))
+                lo, hi = envelope(eng)
+                while not eng.all_flagged():
+                    step_async(eng)
+                    new_lo, new_hi = envelope(eng)
+                    assert new_lo >= lo and new_hi <= hi, (inst, seed, eng.steps_done)
+                    lo, hi = new_lo, new_hi

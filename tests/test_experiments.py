@@ -247,6 +247,34 @@ class TestTrialBuilding:
             build_trial_instance(cfg, 0)
 
 
+class TestParseTimeLengths:
+    """With a random graph, n is known at parse time, so per-node tables are checked there."""
+
+    ASYNC = {**MINIMAL, "mode": "async", "delay": {"max_delay": 2}}
+
+    def test_per_node_pmf_row_count(self):
+        delay = {"max_delay": 2, "per_node_pmf": [[0.5, 0.5]] * 2}
+        with pytest.raises(ConfigError, match=r"delay.per_node_pmf: 2 rows for a graph with 10 nodes"):
+            parse_config({**self.ASYNC, "delay": delay})
+        ok = parse_config({**self.ASYNC, "delay": {**delay, "per_node_pmf": [[0.5, 0.5]] * 10}})
+        assert len(ok.delay.per_node_pmf) == 10
+
+    def test_generic_length(self):
+        initial = {"generic": {"alpha": [1, 2, 3], "rho": [1, 1, 1]}}
+        with pytest.raises(ConfigError, match=r"initial.generic.alpha: 3 values for a graph with 10 nodes"):
+            parse_config({**MINIMAL, "initial": initial})
+
+    def test_scheduling_length(self):
+        initial = {"scheduling": {"workloads": [5] * 10, "occupied": [0] * 10, "capacity": [9] * 4}}
+        with pytest.raises(ConfigError, match=r"initial.scheduling.capacity: 4 values"):
+            parse_config({**MINIMAL, "initial": initial})
+
+    def test_federated_length(self):
+        initial = {"federated": {"dataset_sizes": [4, 5, 6], "local_params": [1, 2, 3]}}
+        with pytest.raises(ConfigError, match=r"initial.federated.dataset_sizes: 3 values"):
+            parse_config({**self.ASYNC, "initial": initial})
+
+
 class TestRunners:
     def test_run_one_trial_contract(self):
         cfg = parse_config({**MINIMAL, "seed": 4})

@@ -23,6 +23,9 @@ from qcs import (
     split_mass,
     split_pieces,
 )
+from qcs.protocol import flood_votes, route_pieces, split_batch
+
+from conftest import random_instance
 
 
 def exhaustive_near_equal_partitions(y: int, z: int) -> set[tuple[int, ...]]:
@@ -139,6 +142,128 @@ class TestSplit:
         # the node keeps for itself is a minimum-value one
         assert big_out + kept_big == large
         assert kept_big <= kept_z - 1
+
+
+node_batches = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10**6),  # y
+        st.integers(min_value=2, max_value=60),  # z
+        st.integers(min_value=0, max_value=8),  # out-degree
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSplitBatch:
+    @given(nodes=node_batches, seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_properties(self, nodes, seed):
+        y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
+        kept_y, kept_z, c_y, c_z = split_batch(y, z, deg, np.random.default_rng(seed))
+        assert len(c_y) == len(c_z) == deg.sum()
+        first = np.cumsum(deg) - deg
+        for i, (yi, zi, di) in enumerate(nodes):
+            cy = c_y[first[i]:first[i] + di].tolist()
+            cz = c_z[first[i]:first[i] + di].tolist()
+            delta, large = divmod(yi, zi)
+            # kept plus sent is the node's whole pair
+            assert int(kept_y[i]) + sum(cy) == yi
+            assert int(kept_z[i]) + sum(cz) == zi
+            assert kept_z[i] >= 1
+            big_out = 0
+            for v, t in zip(cy, cz):
+                assert t >= 0
+                if t == 0:
+                    assert v == 0  # no zero-token message carries mass
+                else:
+                    assert delta * t <= v <= (delta + 1) * t
+                    big_out += v - delta * t
+            kept_big = int(kept_y[i]) - delta * int(kept_z[i])
+            # the large pieces, kept and sent, number exactly y mod z
+            assert 0 <= kept_big <= kept_z[i] - 1
+            assert big_out + kept_big == large
+
+    @given(nodes=node_batches, seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_is_the_per_node_rule_on_one_stream(self, nodes, seed):
+        y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
+        kept_y, kept_z, c_y, c_z = split_batch(y, z, deg, np.random.default_rng(seed))
+        # a one-node batch is split_pieces for the same generator state
+        one = split_batch(y[:1], z[:1], deg[:1], np.random.default_rng(seed))
+        single = split_pieces(int(y[0]), int(z[0]), int(deg[0]), np.random.default_rng(seed))
+        assert (int(one[0][0]), int(one[1][0])) == single[:2]
+        assert (one[2] == single[2]).all() and (one[3] == single[3]).all()
+        # and the whole batch takes its pieces node by node from the stream
+        rng = np.random.default_rng(seed)
+        first = np.cumsum(deg) - deg
+        for i, (yi, zi, di) in enumerate(nodes):
+            ky, kz, cy, cz = split_pieces(yi, zi, di, rng)
+            assert (ky, kz) == (kept_y[i], kept_z[i])
+            assert (cy == c_y[first[i]:first[i] + di]).all()
+            assert (cz == c_z[first[i]:first[i] + di]).all()
+
+    def test_rejects_a_single_token_or_negative_mass_anywhere(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ProtocolError, match="z > 1"):
+            split_batch([4, 4], [3, 1], [1, 1], rng)
+        with pytest.raises(ProtocolError, match="y >= 0"):
+            split_batch([4, -1], [3, 3], [1, 1], rng)
+
+    def test_masses_near_int64_stay_exact(self):
+        y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
+        z = np.array([7, 3], dtype=np.int64)
+        kept_y, kept_z, c_y, c_z = split_batch(y, z, [3, 2], np.random.default_rng(4))
+        assert int(kept_y[0]) + int(c_y[:3].sum()) == 2**62 + 5
+        assert int(kept_y[1]) + int(c_y[3:].sum()) == 2**61 + 3
+
+
+class TestRouteAndFlood:
+    def test_routed_messages_follow_the_out_edges(self):
+        for seed in range(10):
+            g, y0, z0 = random_instance(seed + 700)
+            y = 2 * np.array(y0, dtype=np.int64)
+            z = 2 * np.array(z0, dtype=np.int64)
+            total = (int(y.sum()), int(z.sum()))
+            nodes = np.flatnonzero(np.arange(g.n) % 3 != 1)
+            before_y, before_z = y.copy(), z.copy()
+            sent, dst, c_y, c_z = route_pieces(y, z, nodes, g.out_csr, np.random.default_rng(seed))
+            src = np.repeat(nodes, sent)
+            assert len(sent) == len(nodes) and sent.sum() == len(dst)
+            assert (c_z >= 1).all()
+            assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
+            # ordered by sender, then by out-neighbor order
+            keys = [(s, g.out_neighbors[s].index(d)) for s, d in zip(src.tolist(), dst.tolist())]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            untouched = np.setdiff1d(np.arange(g.n), nodes)
+            assert (y[untouched] == before_y[untouched]).all()
+            np.add.at(y, dst, c_y)
+            np.add.at(z, dst, c_z)
+            assert (int(y.sum()), int(z.sum())) == total
+
+    def test_flood_matches_the_per_node_merge(self):
+        for seed in range(10):
+            g, y0, z0 = random_instance(seed + 720)
+            rng = np.random.default_rng(seed)
+            hi = rng.integers(0, 100, g.n)
+            lo = hi - rng.integers(0, 5, g.n)
+            if seed % 2:  # a subset of nodes, some senders terminated
+                flag = rng.random(g.n) < 0.2
+                nodes = np.flatnonzero(~flag & (rng.random(g.n) < 0.7))
+            else:  # every node, none terminated
+                flag = np.zeros(g.n, dtype=bool)
+                nodes = np.arange(g.n)
+            want = []
+            for j in nodes.tolist():
+                s = NodeState(j, 1, 1, 1, vote_max=int(hi[j]), vote_min=int(lo[j]), estimate=0)
+                shown = [VoteMessage(i, int(hi[i]), int(lo[i])) for i in g.in_neighbors[j] if not flag[i]]
+                merge_votes(s, shown)
+                want.append((s.vote_max, s.vote_min))
+            vote_max, vote_min = hi.copy(), lo.copy()
+            flood_votes(vote_max, vote_min, flag, nodes, g.in_csr)
+            assert list(zip(vote_max[nodes].tolist(), vote_min[nodes].tolist())) == want
+            rest = np.setdiff1d(np.arange(g.n), nodes)
+            assert (vote_max[rest] == hi[rest]).all() and (vote_min[rest] == lo[rest]).all()
 
 
 class TestAbsorb:
