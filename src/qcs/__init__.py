@@ -37,7 +37,6 @@ from .bounds import (
 from .digraph import (
     Digraph,
     TransmissionDistribution,
-    diameter,
     generate_random_digraph,
     is_strongly_connected,
     transmission_distribution,
@@ -119,7 +118,6 @@ __all__ = [
     "ceil_div",
     "completion_step_bound",
     "completion_step_bound_delayed",
-    "diameter",
     "federated_init",
     "federated_recover",
     "finalize_if_converged",

@@ -177,11 +177,11 @@ def token_walk_probability(
                         nxt[l] += mass * p
             dist = nxt
         return dist[target]
-    trans = np.zeros((g.n, g.n), dtype=np.float64)
-    for j in range(g.n):
-        p = 1.0 / (1 + g.out_degrees[j])
-        trans[j, j] = p
-        trans[j, list(g.out_neighbors[j])] = p
+    indptr, targets = g.out_csr
+    degrees = np.diff(indptr)
+    p = 1.0 / (1 + degrees)
+    trans = np.diag(p)
+    trans[np.repeat(np.arange(g.n), degrees), targets] = np.repeat(p, degrees)
     dist_f = np.zeros(g.n)
     dist_f[start] = 1.0
     for _ in range(steps):

@@ -4,14 +4,17 @@ Construction and validation of the digraphs every other module consumes:
 seeded random generation with rejection sampling, strong-connectivity
 checks, exact diameter computation, the per-node uniform transmission
 distribution, and a plain-text edge-list serialization.
+
+A graph is stored as CSR arrays (one offset array plus one flat neighbor
+array); its checks, transpose and diameter are array operations on them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -19,61 +22,97 @@ import numpy as np
 
 from .errors import GraphGenerationError, NotStronglyConnectedError
 
-# Above this size, all-pairs distances switch from per-source BFS to
-# dense frontier expansion (float32 matmul, exact for 0/1 values).
-_DENSE_DIAMETER_THRESHOLD = 64
 
-
-@dataclass(frozen=True)
 class Digraph:
     """Immutable directed graph over dense node ids 0..n-1.
 
-    Neighbor lists are sorted ascending so that iteration order is
-    deterministic and independent of hash/set internals.  Construction
-    validates shape (no self-loops, distinct sorted ids) and strong
-    connectivity; the diameter is computed exactly on first access.
+    Edges live in read-only int64 CSR arrays, `out_csr = (indptr,
+    targets)`: node j's out-neighbors are targets[indptr[j]:indptr[j + 1]],
+    sorted ascending so that iteration order is deterministic.
+    Construction validates shape (no self-loops, distinct sorted ids in
+    range) and strong connectivity; the diameter is computed exactly on
+    first access.  Two graphs are equal when they have the same nodes and
+    the same edge set.
     """
 
-    n: int
-    out_neighbors: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, out_neighbors: Sequence[Sequence[int]]):
+        try:
+            degrees, targets = _flatten(out_neighbors)
+        except OverflowError:
+            raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}") from None
+        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        self._set_edges(n, indptr, targets)
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"digraph needs at least 2 nodes, got n={self.n}")
-        if len(self.out_neighbors) != self.n:
-            raise ValueError(
-                f"out_neighbors has {len(self.out_neighbors)} rows for n={self.n}"
-            )
-        for j, nbrs in enumerate(self.out_neighbors):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"neighbors of node {j} must be sorted and distinct")
-            for l in nbrs:
-                if l == j:
-                    raise ValueError(f"self-loop at node {j} is not allowed")
-                if not 0 <= l < self.n:
-                    raise ValueError(f"node {j} has out-neighbor {l} outside 0..{self.n - 1}")
-        if not is_strongly_connected(self.out_neighbors):
+    @classmethod
+    def _from_csr(
+        cls, n: int, indptr: np.ndarray, targets: np.ndarray, strongly_connected: bool = False
+    ) -> "Digraph":
+        """Build from CSR arrays; `strongly_connected=True` skips a check already made."""
+        g = cls.__new__(cls)
+        g._set_edges(n, indptr, targets, strongly_connected)
+        return g
+
+    def _set_edges(
+        self, n: int, indptr: np.ndarray, targets: np.ndarray, strongly_connected: bool = False
+    ) -> None:
+        """The one construction path: validate the CSR arrays and store them."""
+        if n < 2:
+            raise ValueError(f"digraph needs at least 2 nodes, got n={n}")
+        if len(indptr) != n + 1:
+            raise ValueError(f"out_neighbors has {len(indptr) - 1} rows for n={n}")
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        _check_edges(n, sources, targets)
+        if not strongly_connected and not _strongly_connected(n, sources, targets):
             raise NotStronglyConnectedError(
                 "digraph is not strongly connected; every ordered pair must be reachable"
             )
+        self.__dict__.update(n=n, out_csr=(_frozen(indptr), _frozen(targets)), _sources=_frozen(sources))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Digraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self.out_csr, other.out_csr))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.out_csr[1].tobytes(), self.out_csr[0].tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n}, edges={self.edge_count})"
+
+    @cached_property
+    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Out-neighbor lists as tuples of ints, ascending."""
+        return _csr_rows(*self.out_csr)
 
     @cached_property
     def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Exact transpose of the out-neighbor lists."""
-        inv: list[list[int]] = [[] for _ in range(self.n)]
-        for j, nbrs in enumerate(self.out_neighbors):
-            for l in nbrs:
-                inv[l].append(j)
-        return tuple(tuple(sorted(row)) for row in inv)
+        """In-neighbor lists as tuples of ints, ascending (the exact transpose)."""
+        return _csr_rows(*self.in_csr)
 
     @cached_property
     def diameter(self) -> int:
-        """Longest shortest directed path over all ordered node pairs."""
-        return int(_all_pairs_distances(self.out_neighbors).max())
+        """Longest shortest directed path over all ordered node pairs.
+
+        Frontier expansion from every source at once: after `level`
+        products with (I + A), row s of `reach` marks the nodes within
+        `level` hops of s.  float32 products of 0/1 matrices are exact
+        counts below 2**24; strong connectivity bounds the loop by n - 1.
+        """
+        step = np.eye(self.n, dtype=np.float32)
+        step[self._sources, self.out_csr[1]] = 1.0
+        reach, level = step, 1
+        while not reach.all():
+            reach = (reach @ step > 0.0).astype(np.float32)
+            level += 1
+        return level
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.out_neighbors)
+        return tuple(np.diff(self.out_csr[0]).tolist())
 
     @property
     def max_out_degree(self) -> int:
@@ -81,67 +120,59 @@ class Digraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.out_degrees)
+        return len(self.out_csr[1])
 
     def out_neighbor_arrays(self) -> list[np.ndarray]:
-        """Out-neighbor lists as int64 arrays (engine hot path)."""
-        return [np.asarray(nbrs, dtype=np.int64) for nbrs in self.out_neighbors]
+        """Out-neighbor lists as read-only int64 views into `out_csr`."""
+        indptr, targets = self.out_csr
+        return np.split(targets, indptr[1:-1])
 
     def in_neighbor_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(nbrs, dtype=np.int64) for nbrs in self.in_neighbors]
-
-    @cached_property
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Out-edges as read-only (indptr, targets) int64 arrays.
-
-        Node j's out-neighbors are targets[indptr[j]:indptr[j + 1]], in
-        ascending order, so edge positions follow out-neighbor order.
-        """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.out_degrees, out=indptr[1:])
-        targets = np.fromiter(
-            (l for nbrs in self.out_neighbors for l in nbrs), dtype=np.int64, count=int(indptr[-1])
-        )
-        return _frozen(indptr), _frozen(targets)
+        indptr, sources = self.in_csr
+        return np.split(sources, indptr[1:-1])
 
     @cached_property
     def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """In-edges as read-only (indptr, sources) int64 arrays, sources ascending."""
-        out_ptr, targets = self.out_csr
-        senders = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(out_ptr))
-        order = np.argsort(targets, kind="stable")  # keeps senders ascending per target
+        targets = self.out_csr[1]
+        # stable keeps sources ascending per target; in the narrowest dtype
+        # that holds the ids, numpy radix-sorts 8- and 16-bit keys
+        order = np.argsort(targets.astype(np.min_scalar_type(self.n - 1)), kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=self.n), out=indptr[1:])
-        return _frozen(indptr), _frozen(senders[order])
+        return _frozen(indptr), _frozen(self._sources[order])
 
     def to_edge_list_text(self) -> str:
         """Serialize as 'n m' header plus one 'src dst' line per edge."""
         lines = [f"{self.n} {self.edge_count}"]
-        for j, nbrs in enumerate(self.out_neighbors):
-            for l in nbrs:
-                lines.append(f"{j} {l}")
+        lines += [f"{j} {l}" for j, l in zip(self._sources.tolist(), self.out_csr[1].tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Digraph":
-        """Parse the 'n m' / 'src dst' edge-list format."""
+        """Parse the 'n m' / 'src dst' edge-list format (edges in any order)."""
         rows = [line.split() for line in text.splitlines() if line.strip()]
         if not rows or len(rows[0]) != 2:
             raise ValueError("edge-list must start with a 'n m' header line")
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-        adj: list[set[int]] = [set() for _ in range(n)]
         for row in rows[1:]:
             if len(row) != 2:
                 raise ValueError(f"malformed edge line: {' '.join(row)!r}")
-            src, dst = int(row[0]), int(row[1])
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {dst}) outside node range 0..{n - 1}")
-            if dst in adj[src]:
-                raise ValueError(f"duplicate edge ({src}, {dst})")
-            adj[src].add(dst)
-        return cls(n=n, out_neighbors=tuple(tuple(sorted(s)) for s in adj))
+        edges = np.array([[int(v) for v in row] for row in rows[1:]], dtype=np.int64).reshape(m, 2)
+        outside = ((edges < 0) | (edges >= n)).any(axis=1)
+        if outside.any():
+            src, dst = edges[np.argmax(outside)].tolist()
+            raise ValueError(f"edge ({src}, {dst}) outside node range 0..{n - 1}")
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        repeated = (np.diff(edges, axis=0) == 0).all(axis=1)
+        if repeated.any():
+            src, dst = edges[np.argmax(repeated)].tolist()
+            raise ValueError(f"duplicate edge ({src}, {dst})")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges[:, 0], minlength=n), out=indptr[1:])
+        return cls._from_csr(n, indptr, np.ascontiguousarray(edges[:, 1]))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_edge_list_text(), encoding="utf-8")
@@ -156,93 +187,66 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _reachable_from(adj: Sequence[Sequence[int]], src: int) -> list[bool]:
-    seen = [False] * len(adj)
-    seen[src] = True
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
+def _flatten(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and the concatenated rows of adjacency lists, as int64 arrays."""
+    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum()))
+    return degrees, targets
+
+
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def _check_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> None:
+    """Raise ValueError unless every row is sorted, distinct, in range and loop-free."""
+    outside = (targets < 0) | (targets >= n)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"node {sources[k]} has out-neighbor {targets[k]} outside 0..{n - 1}")
+    loops = targets == sources
+    if loops.any():
+        raise ValueError(f"self-loop at node {sources[np.argmax(loops)]} is not allowed")
+    unsorted = (np.diff(targets) <= 0) & (sources[1:] == sources[:-1])
+    if unsorted.any():
+        raise ValueError(f"neighbors of node {sources[np.argmax(unsorted)]} must be sorted and distinct")
+
+
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """True iff node 0 reaches every node along the edges tails[k] -> heads[k]."""
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while not reached.all():
+        hit = np.zeros(n, dtype=bool)
+        hit[heads[frontier[tails]]] = True
+        frontier = hit & ~reached
+        if not frontier.any():
+            return False
+        reached |= frontier
+    return True
+
+
+def _strongly_connected(n: int, sources: np.ndarray, targets: np.ndarray) -> bool:
+    # node 0 reaches everyone, and everyone reaches node 0 (0 reaches all on the transpose)
+    return _reaches_all(n, sources, targets) and _reaches_all(n, targets, sources)
 
 
 def is_strongly_connected(out_neighbors: Sequence[Sequence[int]] | Digraph) -> bool:
     """True iff every node reaches every other along directed paths.
 
     Accepts raw adjacency lists (a candidate graph) or a Digraph.  Two
-    traversals suffice: forward from node 0 and forward from node 0 on
+    frontier expansions suffice: from node 0 forward and from node 0 on
     the transpose.
     """
     if isinstance(out_neighbors, Digraph):
-        out_neighbors = out_neighbors.out_neighbors
+        return _strongly_connected(out_neighbors.n, out_neighbors._sources, out_neighbors.out_csr[1])
     n = len(out_neighbors)
     if n == 0:
         return False
-    if not all(_reachable_from(out_neighbors, 0)):
-        return False
-    inv: list[list[int]] = [[] for _ in range(n)]
-    for j, nbrs in enumerate(out_neighbors):
-        for l in nbrs:
-            inv[l].append(j)
-    return all(_reachable_from(inv, 0))
-
-
-def _all_pairs_distances(out_neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Exact all-pairs shortest directed path lengths (BFS layering).
-
-    Raises NotStronglyConnectedError when some ordered pair is unreachable.
-    """
-    n = len(out_neighbors)
-    if n > _DENSE_DIAMETER_THRESHOLD:
-        return _all_pairs_distances_dense(out_neighbors)
-    dist = np.zeros((n, n), dtype=np.int64)
-    for src in range(n):
-        d = [-1] * n
-        d[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in out_neighbors[u]:
-                if d[v] < 0:
-                    d[v] = d[u] + 1
-                    queue.append(v)
-        if min(d) < 0:
-            raise NotStronglyConnectedError(
-                f"node {d.index(-1)} is unreachable from node {src}"
-            )
-        dist[src] = d
-    return dist
-
-
-def _all_pairs_distances_dense(out_neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    n = len(out_neighbors)
-    adj = np.zeros((n, n), dtype=np.float32)
-    for j, nbrs in enumerate(out_neighbors):
-        adj[j, list(nbrs)] = 1.0
-    dist = np.zeros((n, n), dtype=np.int64)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.astype(np.float32)
-    level = 0
-    while True:
-        level += 1
-        new = (frontier @ adj > 0.0) & ~reached
-        if not new.any():
-            break
-        dist[new] = level
-        reached |= new
-        frontier = new.astype(np.float32)
-    if not reached.all():
-        src, dst = np.argwhere(~reached)[0]
-        raise NotStronglyConnectedError(f"node {dst} is unreachable from node {src}")
-    return dist
-
-
-def diameter(g: Digraph) -> int:
-    """The graph's exact diameter (validated positive integer)."""
-    return g.diameter
+    degrees, targets = _flatten(out_neighbors)
+    return _strongly_connected(n, np.repeat(np.arange(n, dtype=np.int64), degrees), targets)
 
 
 def generate_random_digraph(
@@ -270,30 +274,16 @@ def generate_random_digraph(
     for _ in range(max_retries):
         mat = rng.random((n, n)) < edge_prob
         np.fill_diagonal(mat, False)
-        if _matrix_strongly_connected(mat):
-            nbrs = tuple(tuple(int(v) for v in np.flatnonzero(mat[j])) for j in range(n))
-            return Digraph(n=n, out_neighbors=nbrs)
+        # row-major order: sources ascending, targets ascending within a row
+        sources, targets = np.divmod(np.flatnonzero(mat), n)
+        if _strongly_connected(n, sources, targets):
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.count_nonzero(mat, axis=1), out=indptr[1:])
+            return Digraph._from_csr(n, indptr, targets, strongly_connected=True)
     raise GraphGenerationError(
         f"no strongly connected digraph with n={n}, edge_prob={edge_prob} "
         f"after max_retries={max_retries} draws"
     )
-
-
-def _matrix_strongly_connected(mat: np.ndarray) -> bool:
-    return _matrix_reaches_all(mat, 0) and _matrix_reaches_all(mat.T, 0)
-
-
-def _matrix_reaches_all(mat: np.ndarray, src: int) -> bool:
-    n = mat.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[src] = True
-    frontier = reached
-    while True:
-        new = mat[frontier].any(axis=0) & ~reached
-        if not new.any():
-            return bool(reached.all())
-        reached = reached | new
-        frontier = new
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,9 @@ logger = logging.getLogger(__name__)
 # ROUTE_STREAM (0) and DELAY_STREAM (1) tags under the same trial seed
 _INIT_STREAM = 2
 
+# the run length when max_steps is unset, and the ceiling on 100x the
+# completion bound when epsilon is set: those bounds reach 1e9-1e15 steps,
+# so without it a stuck trial would never be censored
 DEFAULT_MAX_STEPS = 100_000
 
 
@@ -472,7 +475,7 @@ def _trial_max_steps(cfg: ExperimentConfig, inst: TrialInstance) -> int:
     if cfg.max_steps is not None:
         return cfg.max_steps
     if cfg.epsilon is not None:
-        return 100 * _trial_bound(cfg, inst)
+        return min(100 * _trial_bound(cfg, inst), DEFAULT_MAX_STEPS)
     return DEFAULT_MAX_STEPS
 
 

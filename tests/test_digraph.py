@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcs import (
     Digraph,
     GraphGenerationError,
     NotStronglyConnectedError,
-    diameter,
     generate_random_digraph,
     is_strongly_connected,
     transmission_distribution,
@@ -69,17 +71,17 @@ class TestStrongConnectivity:
 class TestDiameter:
     def test_complete_graph_diameter_is_one(self):
         for n in (2, 3, 5, 9):
-            assert diameter(complete(n)) == 1
+            assert complete(n).diameter == 1
 
     def test_three_ring_diameter(self):
-        assert diameter(ring(3)) == 2
+        assert ring(3).diameter == 2
 
     def test_five_ring_matches_floyd_warshall(self):
         g = ring(5)
         fw = floyd_warshall(g.out_neighbors)
         expect = max(fw[i][j] for i in range(5) for j in range(5))
         assert expect == 4
-        assert diameter(g) == expect
+        assert g.diameter == expect
 
     def test_random_graph_diameter_matches_both_oracles(self):
         for seed in range(60):
@@ -92,11 +94,13 @@ class TestDiameter:
             assert g.diameter == want
             assert g.diameter <= n - 1
 
-    def test_dense_path_agrees_with_bfs_path(self):
-        # above the dense threshold the matmul layering must stay exact
+    def test_sparse_eighty_nodes_matches_floyd_warshall(self):
+        # a sparse draw has a long diameter, so the frontier runs many levels
         g = generate_random_digraph(80, 0.08, seed=5)
-        fw_max = int(matrix_power_distances(g.out_neighbors).max())
-        assert g.diameter == fw_max
+        fw = floyd_warshall(g.out_neighbors)
+        want = max(max(row) for row in fw)
+        assert want >= 4
+        assert g.diameter == want
 
 
 class TestGeneration:
@@ -209,3 +213,172 @@ class TestEdgeListFormat:
             Digraph.from_edge_list_text("3 2\n0 1\n")
         with pytest.raises(ValueError):
             Digraph.from_edge_list_text("2 2\n0 1\n0 1\n")
+
+
+# sha256 of the little-endian int64 bytes of out_csr (indptr, then targets),
+# recorded from the tuple-based generator the CSR one replaced
+PINNED_EDGE_SETS = {
+    (20, 0.3, 0): "034c4cf403865d1faaf72dd86831bb3b311f3b4d3065e9ed4233b747ff1baa71",
+    (20, 0.3, 1): "5dc036162cbeaad7cd71f0a82796eb5ebd27bcba30f58af65924137b49aa772f",
+    (20, 0.3, 2): "c572f72460848c424a9e800befc2732fb939565a1d86809f362587bde797059d",
+    (20, 0.5, 0): "f369ab25afb0240a96c84e38d2b0d9438bbaae0ab21359720631e64fa063a214",
+    (20, 0.5, 1): "885d41d8c42b4e0a5722875bd46770fabf7afdbcbc512eeac9aacb93dbf8a259",
+    (20, 0.5, 2): "08d2029a029971a4613786b2e16b7396b54889e8e72b6be1b45e6d8dbeaac8de",
+    (100, 0.3, 0): "0e0047dcfa4b596f185fd87985a9ce4ef0a86c2fdca7f56d7ec4da758b5b4d70",
+    (100, 0.3, 1): "d58a4ad81039179c1791a0eb8fb64c6039dadfe4e6f2507d1b00c9cc012901bf",
+    (100, 0.3, 2): "975e658e4188e82e11abeb4f536655231b5c2ef2c41c75c6dae1612b11cfdafb",
+    (100, 0.5, 0): "e37b0d5cc50b57d93f38555681fb2c0b41f6ab64bf5d6a4f536b513532217f1b",
+    (100, 0.5, 1): "470ff3d9083008fdb7b70f7cca7be0e06ec61308a2516e4c379b5f4054c65bc1",
+    (100, 0.5, 2): "e62e83233a899bd67bb3e95e3bdecd435ae201e28bee21bb0715111e46992dc1",
+    (300, 0.3, 0): "fdbd003055bbf645b0c699e945ecc78360904bf3cdc9d39d233601a4d2eb187c",
+    (300, 0.3, 1): "58e3dd6c99e38536432abfc749bfb3162ed4d2e8802e9918fee4dd10b0913512",
+    (300, 0.3, 2): "48d3b42c9a9ba06a6a26883990c8af1f3b219724207a9fb4d595b7a699386525",
+    (300, 0.5, 0): "1fa6d3b347c1584e455f47f287302a93e6bdf2cfae0bc5a393dbfda33be7ee78",
+    (300, 0.5, 1): "e7c301236c1687726e74f285d62ea532cb833a196dc86def62fc6011190ad26e",
+    (300, 0.5, 2): "1d46b2cb8c3782c896ec85ee2e9b9f5c9e3b30a94f2d6adf31be16f4539ab01a",
+}
+
+
+class TestPinnedEdgeSets:
+    @pytest.mark.parametrize("key", sorted(PINNED_EDGE_SETS))
+    def test_generated_edge_set_is_unchanged(self, key):
+        indptr, targets = generate_random_digraph(*key).out_csr
+        raw = indptr.astype("<i8").tobytes() + targets.astype("<i8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == PINNED_EDGE_SETS[key]
+
+
+def reference_rows(n, edges):
+    """Sorted out- and in-neighbor tuples of an edge set, built with plain Python."""
+    out = tuple(tuple(sorted(d for s, d in edges if s == j)) for j in range(n))
+    inn = tuple(tuple(sorted(s for s, d in edges if d == j)) for j in range(n))
+    return out, inn
+
+
+def reference_csr(rows):
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [v for row in rows for v in row]
+
+
+def reference_strongly_connected(rows):
+    n = len(rows)
+    for src in range(n):
+        seen, stack = {src}, [src]
+        while stack:
+            for v in rows[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < n:
+            return False
+    return n > 0
+
+
+@st.composite
+def edge_sets(draw, connected=True, min_n=2, max_n=12):
+    """(n, edge set) without self-loops; `connected` adds a random Hamiltonian cycle."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = set(draw(st.lists(pairs, max_size=3 * n)))
+    if connected:
+        order = draw(st.permutations(range(n)))
+        edges |= {(order[k], order[(k + 1) % n]) for k in range(n)}
+    return n, edges
+
+
+class TestCsrMatchesReference:
+    @given(edge_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_rows_and_diameter(self, case):
+        n, edges = case
+        out_rows, in_rows = reference_rows(n, edges)
+        g = Digraph(n=n, out_neighbors=out_rows)
+        assert [a.tolist() for a in g.out_csr] == list(reference_csr(out_rows))
+        assert [a.tolist() for a in g.in_csr] == list(reference_csr(in_rows))
+        assert g.out_neighbors == out_rows
+        assert g.in_neighbors == in_rows
+        assert [a.tolist() for a in g.out_neighbor_arrays()] == [list(r) for r in out_rows]
+        assert [a.tolist() for a in g.in_neighbor_arrays()] == [list(r) for r in in_rows]
+        assert g.out_degrees == tuple(len(r) for r in out_rows)
+        assert g.edge_count == len(edges)
+        fw = floyd_warshall(out_rows)
+        assert g.diameter == max(max(row) for row in fw)
+
+    @given(edge_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_every_construction_path_gives_an_equal_graph(self, case, rnd):
+        n, edges = case
+        out_rows, _ = reference_rows(n, edges)
+        g = Digraph(n=n, out_neighbors=out_rows)
+        lines = [f"{s} {d}" for s, d in edges]
+        rnd.shuffle(lines)
+        parsed = Digraph.from_edge_list_text("\n".join([f"{n} {len(edges)}", *lines]))
+        listed = Digraph(n=n, out_neighbors=[list(r) for r in out_rows])
+        assert parsed == g and listed == g and hash(parsed) == hash(g)
+        assert Digraph.from_edge_list_text(g.to_edge_list_text()) == g
+
+    @given(edge_sets(connected=False, min_n=1))
+    @settings(max_examples=200, deadline=None)
+    def test_is_strongly_connected_on_raw_lists(self, case):
+        n, edges = case
+        out_rows, _ = reference_rows(n, edges)
+        want = reference_strongly_connected(out_rows)
+        assert is_strongly_connected(out_rows) == want
+        assert is_strongly_connected([list(r) for r in out_rows]) == want
+        if n >= 2 and want:
+            assert is_strongly_connected(Digraph(n=n, out_neighbors=out_rows))
+
+    def test_graphs_with_different_edges_differ(self):
+        assert ring(4) != complete(4)
+        assert ring(3) != ring(4)
+        assert ring(4) == Digraph(n=4, out_neighbors=[[1], [2], [3], [0]])
+
+    def test_graph_is_immutable(self):
+        g = ring(3)
+        with pytest.raises(AttributeError):
+            g.n = 4
+        with pytest.raises(ValueError):
+            g.out_csr[1][0] = 2
+
+
+class TestMalformedInputs:
+    """Each malformed input raises the same exception type as the tuple-based class."""
+
+    @staticmethod
+    def rejects(exc_type, n, rows):
+        with pytest.raises(exc_type) as info:
+            Digraph(n=n, out_neighbors=rows)
+        assert info.type is exc_type
+
+    @given(edge_sets(min_n=3))
+    @settings(max_examples=100, deadline=None)
+    def test_each_malformation_is_refused(self, case):
+        n, edges = case
+        rows = [list(r) for r in reference_rows(n, edges)[0]]
+        self.rejects(ValueError, n, rows[:-1])
+        self.rejects(ValueError, n, rows + [[0]])
+        j = max(range(n), key=lambda k: len(rows[k]))
+        if len(rows[j]) >= 2:
+            self.rejects(ValueError, n, rows[:j] + [rows[j][::-1]] + rows[j + 1:])
+        self.rejects(ValueError, n, rows[:j] + [sorted(rows[j] + [rows[j][0]])] + rows[j + 1:])
+        self.rejects(ValueError, n, rows[:j] + [sorted(rows[j] + [j])] + rows[j + 1:])
+        self.rejects(ValueError, n, rows[:j] + [rows[j] + [n]] + rows[j + 1:])
+        self.rejects(ValueError, n, rows[:j] + [[-1] + rows[j]] + rows[j + 1:])
+        no_way_in = [[v for v in row if v != j] for row in rows]
+        self.rejects(NotStronglyConnectedError, n, no_way_in)
+
+    def test_too_few_nodes(self):
+        self.rejects(ValueError, 1, [[]])
+        self.rejects(ValueError, 0, [])
+
+    def test_id_beyond_int64_is_a_value_error(self):
+        self.rejects(ValueError, 2, [[2**70], [0]])
+
+    def test_edge_list_rejects_self_loop_and_out_of_range(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Digraph.from_edge_list_text("2 3\n0 1\n1 0\n1 1\n")
+        with pytest.raises(ValueError, match="outside node range"):
+            Digraph.from_edge_list_text("2 2\n0 1\n1 2\n")
+        with pytest.raises(NotStronglyConnectedError):
+            Digraph.from_edge_list_text("2 1\n0 1\n")

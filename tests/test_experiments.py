@@ -311,9 +311,28 @@ class TestRunners:
         inst = build_trial_instance(plain, 0)
         assert _trial_max_steps(plain, inst) == 100_000
         with_eps = parse_config({**MINIMAL, "epsilon": 0.1})
-        assert _trial_max_steps(with_eps, inst) == 100 * _trial_bound(with_eps, inst)
+        assert _trial_max_steps(with_eps, inst) == min(100 * _trial_bound(with_eps, inst), 100_000)
         pinned = parse_config({**MINIMAL, "max_steps": 321})
         assert _trial_max_steps(pinned, inst) == 321
+
+    def test_epsilon_step_limit_is_capped(self, monkeypatch):
+        from qcs import experiments
+        from qcs.experiments import _trial_bound, _trial_max_steps
+
+        cfg = parse_config({**MINIMAL, "epsilon": 0.1})
+        inst = build_trial_instance(cfg, 0)
+        assert 100 * _trial_bound(cfg, inst) > experiments.DEFAULT_MAX_STEPS
+        assert _trial_max_steps(cfg, inst) == experiments.DEFAULT_MAX_STEPS
+        # a trial that cannot finish under the ceiling is censored, not run on
+        y0 = [100] + [1] * 9
+        spread = {**MINIMAL, "initial": {"explicit": {"y0": y0, "z0": [1] * 10}}, "epsilon": 0.1}
+        full = run_one_trial(parse_config(spread), 0)
+        assert full.converged and full.termination_step > inst.graph.diameter
+        monkeypatch.setattr(experiments, "DEFAULT_MAX_STEPS", full.termination_step - 1)
+        capped = run_one_trial(parse_config(spread), 0)
+        assert capped.censored and not capped.converged
+        assert capped.steps_run == full.termination_step - 1
+        assert capped.within_bound is False
 
 
 class TestTrialFailures:
