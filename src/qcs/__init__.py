@@ -3,10 +3,10 @@
 Nodes holding integer mass/token pairs repeatedly split and randomly
 route their mass, certify quantized agreement through max/min vote
 flooding, and terminate on their own in finitely many steps.  The
-package provides the synchronous and bounded-delay engines, the
-closed-form completion bounds with an exact walk oracle, the task
-scheduling and federated aggregation mappings, evaluation metrics, and
-a reproducible experiment harness with a CLI.
+package provides one engine for the synchronous and bounded-delay
+protocols, the closed-form completion bounds with an exact walk oracle,
+the task scheduling and federated aggregation mappings, evaluation
+metrics, and a reproducible experiment harness with a CLI.
 """
 
 from .applications import (
@@ -18,10 +18,9 @@ from .applications import (
     generic_optimum,
     make_scheduling_recovery,
     scheduling_init,
-    scheduling_recover,
     scheduling_utilizations,
 )
-from .async_engine import AsyncEngine, DelayModel, InFlightEntry, run_async, step_async
+from .async_engine import AsyncEngine, run_async, step_async
 from .bounds import (
     bounds_report,
     completion_step_bound,
@@ -41,19 +40,18 @@ from .digraph import (
     is_strongly_connected,
     transmission_distribution,
 )
+from .engine import DelayModel, InFlightEntry, RunConfig, RunOutcome
 from .errors import (
     CapacityExceededError,
     ConfigError,
     ConservationError,
     GraphGenerationError,
-    InvalidInitializationError,
     InvalidInstanceError,
     InvariantError,
     MassOverflowError,
     NotStronglyConnectedError,
     ProtocolError,
     QcsError,
-    RoutingError,
     TrialError,
 )
 from .experiments import (
@@ -64,21 +62,8 @@ from .experiments import (
     run_trials,
 )
 from .metrics import ErrorSeries, TrajectoryRecord, TrialStats, normalized_error, trial_stats
-from .protocol import (
-    NodeState,
-    OutboundMessage,
-    VoteMessage,
-    absorb,
-    ceil_div,
-    finalize_if_converged,
-    floor_div,
-    init_node,
-    merge_votes,
-    refresh_votes,
-    split_mass,
-    split_pieces,
-)
-from .sync_engine import RunConfig, RunOutcome, SyncEngine, run_sync, step_sync
+from .protocol import ceil_div, floor_div, split_pieces
+from .sync_engine import SyncEngine, run_sync, step_sync
 
 __version__ = "0.1.0"
 
@@ -94,16 +79,12 @@ __all__ = [
     "FederatedInstance",
     "GraphGenerationError",
     "InFlightEntry",
-    "InvalidInitializationError",
     "InvalidInstanceError",
     "InvariantError",
     "MassOverflowError",
-    "NodeState",
     "NotStronglyConnectedError",
-    "OutboundMessage",
     "ProtocolError",
     "QcsError",
-    "RoutingError",
     "RunConfig",
     "RunOutcome",
     "SchedulingInstance",
@@ -112,36 +93,28 @@ __all__ = [
     "TransmissionDistribution",
     "TrialError",
     "TrialStats",
-    "VoteMessage",
-    "absorb",
     "bounds_report",
     "ceil_div",
     "completion_step_bound",
     "completion_step_bound_delayed",
     "federated_init",
     "federated_recover",
-    "finalize_if_converged",
     "floor_div",
     "generate_random_digraph",
     "generic_init",
     "generic_optimum",
-    "init_node",
     "initial_state_error",
     "is_strongly_connected",
     "make_scheduling_recovery",
-    "merge_votes",
     "normalized_error",
     "parse_config",
-    "refresh_votes",
     "run_async",
     "run_experiment",
     "run_one_trial",
     "run_sync",
     "run_trials",
     "scheduling_init",
-    "scheduling_recover",
     "scheduling_utilizations",
-    "split_mass",
     "split_pieces",
     "step_async",
     "step_sync",

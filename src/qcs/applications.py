@@ -88,24 +88,14 @@ def scheduling_init(inst: SchedulingInstance) -> tuple[tuple[int, ...], tuple[in
     return y0, tuple(z0)
 
 
-def scheduling_recover(inst: SchedulingInstance, estimate: int) -> list[int]:
-    """Optimal workloads to add, from the converged quotient.
-
-    The quotient approximates capacity-per-utilized-cycle, so each node
-    targets round(capacity / quotient) utilized cycles and receives the
-    difference to what it already runs.  Over-utilized nodes get a
-    negative value: load they should shed.
-    """
-    if estimate <= 0:
-        raise InvalidInstanceError(f"converged estimate {estimate} is not positive")
-    return [
-        _round_half_to_zero(c, estimate) - u
-        for c, u in zip(inst.capacity, inst.occupied)
-    ]
-
-
 def make_scheduling_recovery(inst: SchedulingInstance) -> Callable[[int, int], int]:
-    """Per-node recovery hook for the engines."""
+    """Per-node recovery hook: the workload to add, from the converged quotient.
+
+    The quotient approximates capacity-per-utilized-cycle, so node j
+    targets round(capacity[j] / quotient) utilized cycles and receives
+    the difference to what it already runs.  An over-utilized node gets
+    a negative value: load it should shed.
+    """
 
     def recover(node_id: int, estimate: int) -> int:
         if estimate <= 0:

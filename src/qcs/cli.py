@@ -31,9 +31,10 @@ from .applications import (
     federated_init,
     scheduling_utilizations,
 )
-from .async_engine import DelayModel, run_async
+from .async_engine import run_async
 from .bounds import bounds_report
 from .digraph import Digraph, generate_random_digraph
+from .engine import DelayModel, RunConfig
 from .errors import QcsError
 from .experiments import (
     ExperimentConfig,
@@ -41,7 +42,7 @@ from .experiments import (
     parse_config,
     run_experiment,
 )
-from .sync_engine import RunConfig, run_sync
+from .sync_engine import run_sync
 
 logger = logging.getLogger(__name__)
 
@@ -139,24 +140,10 @@ def _cmd_run(args, debug: bool) -> int:
     return 0
 
 
-def _cmd_sweep(args, debug: bool) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
-    delays = [int(v) for v in args.delays.split(",")]
-    cells = []
-    for n in sizes:
-        for b in delays:
-            cfg = ExperimentConfig(
-                mode="async",
-                graph=experiments.RandomGraphSpec(n=n, edge_prob=args.edge_prob),
-                initial=experiments.SchedulingUniformInitial(
-                    load_range=(1, 100), capacity_pattern=(100, 300), occupied=0
-                ),
-                delay=DelayModel(max_delay=b),
-                trials=args.trials if args.trials is not None else 50,
-                seed=(args.seed or 0) + (n * 1000 + b) * 100_000,
-                check_invariants=True,
-            )
-            cells.append((n, b, cfg))
+def _run_sweep(args, **grid) -> int:
+    cells = experiments.fig2_grid(
+        trials=args.trials if args.trials is not None else 50, seed=args.seed or 0, **grid
+    )
     rows = experiments.run_sweep(cells, out_dir=args.out, workers=_workers(args))
     for row in rows:
         print(
@@ -164,6 +151,15 @@ def _cmd_sweep(args, debug: bool) -> int:
             f"({row['converged']}/{row['trials']} converged)"
         )
     return 0
+
+
+def _cmd_sweep(args, debug: bool) -> int:
+    return _run_sweep(
+        args,
+        sizes=[int(v) for v in args.sizes.split(",")],
+        delays=[int(v) for v in args.delays.split(",")],
+        edge_prob=args.edge_prob,
+    )
 
 
 def _cmd_bounds(args, debug: bool) -> int:
@@ -202,18 +198,11 @@ def _cmd_fig1(args, debug: bool) -> int:
 
 
 def _cmd_fig2_desk(args, debug: bool) -> int:
-    cells = experiments.fig2_grid(
-        trials=args.trials if args.trials is not None else 50,
-        seed=args.seed or 0,
-        full_scale=args.full_scale,
-    )
-    rows = experiments.run_sweep(cells, out_dir=args.out, workers=_workers(args))
-    for row in rows:
-        print(
-            f"n={row['n']} B={row['max_delay']}: mean={row['mean_steps']:.1f} "
-            f"({row['converged']}/{row['trials']} converged)"
-        )
-    return 0
+    if not args.full_scale:
+        return _run_sweep(args)
+    sizes, delays = experiments.FIG2_FULL_SIZES, experiments.FIG2_FULL_DELAYS
+    logger.warning("full-scale sweep: %d cells; expect hours of runtime", len(sizes) * len(delays))
+    return _run_sweep(args, sizes=sizes, delays=delays)
 
 
 def _cmd_fig3(args, debug: bool) -> int:

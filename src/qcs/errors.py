@@ -17,14 +17,6 @@ class ProtocolError(QcsError):
     """A protocol-level contract was violated (caller bug)."""
 
 
-class InvalidInitializationError(ProtocolError):
-    """A node was initialized with values the protocol cannot accept."""
-
-
-class RoutingError(ProtocolError):
-    """A message reached a node it was not addressed to (harness bug)."""
-
-
 class ConservationError(QcsError):
     """The mass-conservation ledger failed to balance."""
 

@@ -22,10 +22,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import applications, bounds, metrics
-from .async_engine import DelayModel, run_async
+from .async_engine import run_async
 from .digraph import Digraph, generate_random_digraph
+from .engine import DelayModel, RunConfig
 from .errors import ConfigError, TrialError
-from .sync_engine import RunConfig, run_sync
+from .sync_engine import run_sync
 
 logger = logging.getLogger(__name__)
 
@@ -734,21 +735,16 @@ FIG2_FULL_DELAYS = (5, 10, 15, 20, 25, 30)
 def fig2_grid(
     trials: int = 50,
     seed: int = 0,
-    full_scale: bool = False,
+    sizes: Sequence[int] = FIG2_DESK_SIZES,
+    delays: Sequence[int] = FIG2_DESK_DELAYS,
+    edge_prob: float = 0.5,
 ) -> list[tuple[int, int, ExperimentConfig]]:
     """(n, max_delay, config) cells of the delayed-convergence sweep.
 
-    Desk scale trims the published grid to 4 sizes x 3 delay bounds at
-    `trials` trials per cell; --full-scale restores the whole grid and
-    is expected to run for a long time.
+    The defaults trim the published grid (FIG2_FULL_SIZES x
+    FIG2_FULL_DELAYS) to desk scale: 4 sizes x 3 delay bounds at
+    `trials` trials per cell.
     """
-    sizes = FIG2_FULL_SIZES if full_scale else FIG2_DESK_SIZES
-    delays = FIG2_FULL_DELAYS if full_scale else FIG2_DESK_DELAYS
-    if full_scale:
-        logger.warning(
-            "full-scale sweep: %d cells x %d trials; expect hours of runtime",
-            len(sizes) * len(delays), trials,
-        )
     cells = []
     for n in sizes:
         for b in delays:
@@ -758,7 +754,7 @@ def fig2_grid(
                     b,
                     ExperimentConfig(
                         mode="async",
-                        graph=RandomGraphSpec(n=n, edge_prob=0.5),
+                        graph=RandomGraphSpec(n=n, edge_prob=edge_prob),
                         initial=SchedulingUniformInitial(
                             load_range=(1, 100), capacity_pattern=(100, 300), occupied=0
                         ),

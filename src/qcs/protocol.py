@@ -1,4 +1,4 @@
-"""The protocol rules shared by both engines, plus a per-node state machine.
+"""The protocol rules, over arrays of nodes.
 
 A node holds an integer mass y and an integer token count z.  Each
 round it partitions y into z near-equal integer pieces (values differ
@@ -6,17 +6,16 @@ by at most one), keeps one minimum-value piece, and routes the rest
 uniformly at random over its out-neighbors and itself.  A parallel
 max/min vote exchange certifies global agreement: when the flooded
 extrema differ by at most one after a full window, the node freezes
-its estimate and terminates.
+its estimate and terminates.  This module holds the splitting and
+flooding rules; `qcs.engine` applies them and owns the vote refresh,
+delays and the flip rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
-from .errors import InvalidInitializationError, ProtocolError, RoutingError
+from .errors import ProtocolError
 
 
 def floor_div(y, z):
@@ -31,83 +30,6 @@ def ceil_div(y, z):
     if np.min(z) <= 0:
         raise ProtocolError(f"division by token count {np.min(z)} <= 0")
     return -(-y // z)
-
-
-@dataclass(slots=True)
-class NodeState:
-    """One node's protocol variables.
-
-    y and z are the current mass/token pair; y_initial keeps the value
-    of y right after the initialization doubling (needed by recovery
-    rules at termination).  vote_max/vote_min carry the flooded window
-    extrema, estimate the node's current quantized state, and flag is 1
-    once the node has certified convergence and gone quiet.
-    """
-
-    node_id: int
-    y: int
-    z: int
-    y_initial: int
-    vote_max: int
-    vote_min: int
-    estimate: int
-    flag: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class OutboundMessage:
-    """A coalesced batch of mass pieces addressed to one out-neighbor."""
-
-    src: int
-    dst: int
-    c_y: int
-    c_z: int
-
-    def __post_init__(self) -> None:
-        if self.c_z < 1:
-            raise ProtocolError(f"message with c_z={self.c_z} < 1 must never be emitted")
-
-
-@dataclass(frozen=True, slots=True)
-class VoteMessage:
-    """One node's current max/min vote pair."""
-
-    src: int
-    vote_max: int
-    vote_min: int
-
-    def __post_init__(self) -> None:
-        if self.vote_max < self.vote_min:
-            raise ProtocolError(
-                f"vote pair max={self.vote_max} < min={self.vote_min} is malformed"
-            )
-
-
-def init_node(node_id: int, y0: int, z0: int) -> NodeState:
-    """Initialize a node, doubling both initial values.
-
-    The doubling guarantees z >= 2, so every node can split at least
-    once and keeps one token forever after.
-    """
-    if z0 <= 0:
-        raise InvalidInitializationError(
-            f"node {node_id}: z0={z0} <= 0, a node with no tokens cannot participate"
-        )
-    if y0 < 0:
-        raise InvalidInitializationError(
-            f"node {node_id}: negative initial mass y0={y0} is not supported"
-        )
-    y = 2 * y0
-    z = 2 * z0
-    return NodeState(
-        node_id=node_id,
-        y=y,
-        z=z,
-        y_initial=y,
-        vote_max=ceil_div(y, z),
-        vote_min=floor_div(y, z),
-        estimate=ceil_div(y, z),
-    )
 
 
 def split_batch(
@@ -233,79 +155,3 @@ def flood_votes(
         senders = sources[np.arange(int(degrees.sum())) + np.repeat(first - starts, degrees)]
     vote_max[nodes] = np.maximum(shown_max[nodes], np.maximum.reduceat(shown_max[senders], starts))
     vote_min[nodes] = np.minimum(shown_min[nodes], np.minimum.reduceat(shown_min[senders], starts))
-
-
-def split_mass(
-    state: NodeState,
-    out_neighbors: Sequence[int],
-    rng: np.random.Generator,
-) -> tuple[tuple[int, int], list[OutboundMessage]]:
-    """Split the node's mass; returns the kept pair and outbound messages.
-
-    Updates state.estimate to ceil(y/z) before splitting.  The caller
-    owns delivery and must afterwards rebuild the node state with
-    absorb(); this function does not touch state.y/state.z.
-    """
-    for l in out_neighbors:
-        if l == state.node_id:
-            raise ProtocolError(f"node {state.node_id} lists itself as an out-neighbor")
-    state.estimate = ceil_div(state.y, state.z)
-    kept_y, kept_z, c_y, c_z = split_pieces(state.y, state.z, len(out_neighbors), rng)
-    outbound = [
-        OutboundMessage(src=state.node_id, dst=int(out_neighbors[i]), c_y=int(c_y[i]), c_z=int(c_z[i]))
-        for i in np.flatnonzero(c_z)
-    ]
-    return (kept_y, kept_z), outbound
-
-
-def absorb(
-    state: NodeState,
-    kept: tuple[int, int],
-    received: Iterable[OutboundMessage],
-) -> NodeState:
-    """Fold the kept pair and all arrived messages into the node state."""
-    y, z = kept
-    for msg in received:
-        if msg.dst != state.node_id:
-            raise RoutingError(
-                f"message for node {msg.dst} delivered to node {state.node_id}"
-            )
-        y += msg.c_y
-        z += msg.c_z
-    state.y = y
-    state.z = z
-    return state
-
-
-def refresh_votes(state: NodeState) -> NodeState:
-    """Reset the vote pair from the node's current mass ratio."""
-    state.vote_max = ceil_div(state.y, state.z)
-    state.vote_min = floor_div(state.y, state.z)
-    return state
-
-
-def merge_votes(state: NodeState, incoming: Iterable[VoteMessage]) -> NodeState:
-    """Fold arrived votes: max over maxima, min over minima."""
-    vote_max = state.vote_max
-    vote_min = state.vote_min
-    for msg in incoming:
-        if msg.vote_max > vote_max:
-            vote_max = msg.vote_max
-        if msg.vote_min < vote_min:
-            vote_min = msg.vote_min
-    state.vote_max = vote_max
-    state.vote_min = vote_min
-    return state
-
-
-def finalize_if_converged(state: NodeState) -> NodeState:
-    """Window-boundary termination check.
-
-    When the flooded extrema differ by at most one, the node freezes
-    its estimate at the minimum and raises its flag; the engine's
-    recovery rule turns frozen estimates into reported solutions.
-    """
-    if state.vote_max - state.vote_min <= 1:
-        state.estimate = state.vote_min
-        state.flag = 1
-    return state

@@ -24,7 +24,6 @@ from qcs import (
     run_async,
     run_sync,
     scheduling_init,
-    scheduling_recover,
     scheduling_utilizations,
     target_quotient,
 )
@@ -33,6 +32,12 @@ from conftest import bidirectional_pair
 
 
 TWO_SERVER = SchedulingInstance(workloads=(40, 40), occupied=(0, 0), capacity=(100, 300))
+
+
+def recover_all(inst: SchedulingInstance, estimate: int) -> list[int]:
+    """The per-node recovery hook applied at every node."""
+    hook = make_scheduling_recovery(inst)
+    return [hook(j, estimate) for j in range(inst.n)]
 
 
 class TestSchedulingInit:
@@ -64,7 +69,7 @@ class TestSchedulingRecovery:
     def test_exact_two_server_case(self):
         # exact optimum: utilization 80/400 = 0.2, so 20 and 60 cycles
         assert TWO_SERVER.exact_ratio() == 5
-        assert scheduling_recover(TWO_SERVER, 5) == [20, 60]
+        assert recover_all(TWO_SERVER, 5) == [20, 60]
 
     def test_full_protocol_run_recovers_exactly(self):
         y0, z0 = scheduling_init(TWO_SERVER)
@@ -82,17 +87,16 @@ class TestSchedulingRecovery:
 
     def test_fully_occupied_node_without_demand(self):
         inst = SchedulingInstance(workloads=(0, 0), occupied=(100, 50), capacity=(100, 100))
-        w = scheduling_recover(inst, estimate=int(inst.exact_ratio()))
+        hook = make_scheduling_recovery(inst)
         # exact ratio 200/150 -> estimate 1: the saturated node sheds nothing it can use
-        assert w[0] == scheduling_recover(inst, 1)[0]
+        assert hook(0, int(inst.exact_ratio())) == hook(0, 1)
         inst2 = SchedulingInstance(workloads=(0, 40), occupied=(100, 0), capacity=(100, 300))
         est = 5  # 400 / 140 is not integral; pick the balanced level directly
-        w2 = scheduling_recover(inst2, est)
-        assert w2[0] == 100 // 5 - 100  # negative: shed load, never clamped
+        assert make_scheduling_recovery(inst2)(0, est) == 100 // 5 - 100  # negative: shed load, never clamped
 
     def test_zero_estimate_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            scheduling_recover(TWO_SERVER, 0)
+            make_scheduling_recovery(TWO_SERVER)(1, 0)
 
     def test_utilization_spread_within_quantization(self):
         # realistic demand: spread of (w*+u)/pi stays within 2/q_s
@@ -119,7 +123,7 @@ class TestSchedulingRecovery:
         # |sum w* - demand| <= n; otherwise the floor-of-quotient skew adds
         # at most total tokens / q_s
         inst = SchedulingInstance(workloads=(40, 40), occupied=(0, 0), capacity=(100, 300))
-        w = scheduling_recover(inst, int(inst.exact_ratio()))
+        w = recover_all(inst, int(inst.exact_ratio()))
         assert abs(sum(w) - inst.total_demand) <= inst.n
         for seed in range(8):
             rng = np.random.default_rng(seed + 50)
@@ -131,7 +135,7 @@ class TestSchedulingRecovery:
             )
             q = inst.exact_ratio()
             q_s = q.numerator // q.denominator
-            w = scheduling_recover(inst, q_s)
+            w = recover_all(inst, q_s)
             tokens = sum(l + u for l, u in zip(inst.workloads, inst.occupied))
             slack = n / 2 + tokens * float(abs(q - q_s)) / q_s
             assert abs(sum(w) - inst.total_demand) <= slack + 1e-9

@@ -8,14 +8,11 @@ import pytest
 from qcs import (
     AsyncEngine,
     DelayModel,
-    NodeState,
     RunConfig,
-    merge_votes,
     run_async,
     generate_random_digraph,
     run_sync,
     step_async,
-    VoteMessage,
 )
 
 from conftest import quotient_floor_ceil, random_instance, ring
@@ -96,10 +93,8 @@ class TestBatchedDelayDraw:
 
 class TestUnitDelayGolden:
     def test_b1_reproduces_sync_bit_for_bit(self):
-        # with B = 1 the async engine splits the same nodes in the same
-        # order each step and so consumes the run's one route stream
-        # exactly as sync does: the whole trajectory must match, which
-        # cross-validates the two engine loops
+        # B = 1 through AsyncEngine and SyncEngine run the same engine
+        # with unit delays; the whole trajectory must match
         for seed in range(12):
             g, y0, z0 = random_instance(seed + 100)
             cfg = cfg_for(g, y0, z0, seed=seed, record_trajectory=True)
@@ -115,6 +110,24 @@ class TestUnitDelayGolden:
                 assert (rs.vote_min == ra.vote_min).all()
                 assert (rs.estimate == ra.estimate).all()
                 assert (rs.flag == ra.flag).all()
+
+    def test_queue_path_with_unit_delays_matches_sync(self):
+        # B = 2 with all its probability on delay 1 takes the arrival-queue and
+        # cycle path, yet every delay is 1: a node's arrivals wait in its
+        # queue one step and join its next cycle, which starts at once.
+        # So the visible state matches the unit-delay run step by step;
+        # only the doubled window moves the termination step.
+        for seed in range(12):
+            g, y0, z0 = random_instance(seed + 100)
+            cfg = cfg_for(g, y0, z0, seed=seed, record_trajectory=True)
+            unit = run_sync(cfg)
+            queued = run_async(cfg, DelayModel(max_delay=2, pmf=(1.0, 0.0)))
+            assert unit.converged and queued.converged
+            assert queued.termination_step > unit.termination_step
+            for ru, rq in zip(unit.trajectory, queued.trajectory[: unit.termination_step + 1]):
+                assert ru.step == rq.step
+                assert (ru.y == rq.y).all() and (ru.z == rq.z).all(), (seed, ru.step)
+            assert (unit.final_estimate == queued.final_estimate).all()
 
 
 class TestAgreementUnderDelay:
@@ -146,16 +159,47 @@ class TestAgreementUnderDelay:
         assert out.converged
 
 
+def vote_steps(seed, b=3):
+    """Per step of a delayed run: (engine, nodes that completed, votes before, votes after)."""
+    g, y0, z0 = random_instance(seed, n_range=(5, 15))
+    eng = AsyncEngine(cfg_for(g, y0, z0, seed=seed), DelayModel(max_delay=b))
+    while not eng.all_flagged():
+        before = (eng.vote_max.copy(), eng.vote_min.copy())
+        step_async(eng)
+        completing = np.flatnonzero(eng.busy_until == eng.steps_done)
+        yield eng, completing, before, (eng.vote_max.copy(), eng.vote_min.copy())
+
+
 class TestAsyncVoteRule:
     def test_no_arrivals_between_updates_keeps_votes(self):
-        s = NodeState(0, 1, 1, 1, vote_max=4, vote_min=4, estimate=4)
-        merge_votes(s, [])
-        assert (s.vote_max, s.vote_min) == (4, 4)
+        # a node folds in votes only when its cycle completes; outside the
+        # window-start refresh, the votes of every other node stay put
+        held = 0
+        for seed in range(6):
+            for eng, completing, before, after in vote_steps(seed + 800):
+                if (eng.steps_done - 1) % eng.window == 0:
+                    continue
+                waiting = np.setdiff1d(np.arange(eng.n), completing)
+                held += waiting.size
+                assert (after[0][waiting] == before[0][waiting]).all()
+                assert (after[1][waiting] == before[1][waiting]).all()
+        assert held > 0
 
     def test_arrived_maximum_wins(self):
-        s = NodeState(0, 1, 1, 1, vote_max=4, vote_min=2, estimate=4)
-        merge_votes(s, [VoteMessage(1, 9, 3)])
-        assert (s.vote_max, s.vote_min) == (9, 2)
+        # a completing node takes the max of the maxima and the min of the
+        # minima over itself and its in-neighbors' exposed votes
+        merged = 0
+        for seed in range(6):
+            for eng, completing, before, after in vote_steps(seed + 800):
+                if (eng.steps_done - 1) % eng.window == 0:
+                    continue
+                ins = eng.cfg.graph.in_neighbors
+                for j in completing.tolist():
+                    want_max = max([before[0][j]] + [before[0][i] for i in ins[j]])
+                    want_min = min([before[1][j]] + [before[1][i] for i in ins[j]])
+                    assert (after[0][j], after[1][j]) == (want_max, want_min)
+                    merged += 1
+        assert merged > 0
 
     def test_flooding_reaches_global_extrema_within_stretched_window(self):
         # pick values spread enough that no flip happens in window one,
@@ -197,7 +241,7 @@ class TestEmissionBookkeeping:
         assert eng.emission_log
         for entry in eng.emission_log:
             assert 1 <= entry.ready_step - entry.emit_step <= b
-            assert entry.message.c_z >= 1
+            assert entry.c_z >= 1
 
     def test_quiescence_no_emission_after_flags(self):
         g, y0, z0 = random_instance(601)
@@ -261,8 +305,8 @@ class TestBatchedEmissionLog:
             logged_y = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_y}
             logged_z = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_z}
             for e in eng.emission_log:
-                logged_y[e.ready_step][e.message.dst] += e.message.c_y
-                logged_z[e.ready_step][e.message.dst] += e.message.c_z
+                logged_y[e.ready_step][e.dst] += e.c_y
+                logged_z[e.ready_step][e.dst] += e.c_z
             for r in arrived_y:
                 assert (logged_y[r] == arrived_y[r]).all()
                 assert (logged_z[r] == arrived_z[r]).all()
@@ -273,9 +317,9 @@ class TestBatchedEmissionLog:
             eng = self._engine(seed, b=b)
             eng.run()
             for e in eng.emission_log:
-                assert e.message.c_z >= 1
+                assert e.c_z >= 1
                 assert 1 <= e.ready_step - e.emit_step <= b
-                assert e.message.dst in eng.out_nbrs[e.message.src]
+                assert e.dst in eng.cfg.graph.out_neighbors[e.src]
 
     def test_recording_does_not_change_the_run(self):
         for seed in self.SEEDS:
@@ -345,7 +389,7 @@ class TestBenchmarkScale:
             eng = stepped[seed][0]
             out = eng.cfg.graph.out_neighbors
             keys = [
-                (e.ready_step, e.message.src, out[e.message.src].index(e.message.dst))
+                (e.ready_step, e.src, out[e.src].index(e.dst))
                 for e in eng.emission_log
             ]
             assert len(keys) == len(eng.emission_log) > 0
@@ -357,22 +401,22 @@ class TestBenchmarkScale:
             logged = {r: (np.zeros(eng.n, dtype=np.int64), np.zeros(eng.n, dtype=np.int64)) for r in arrived}
             for e in eng.emission_log:
                 assert 1 <= e.ready_step - e.emit_step <= self.B
-                logged[e.ready_step][0][e.message.dst] += e.message.c_y
-                logged[e.ready_step][1][e.message.dst] += e.message.c_z
+                logged[e.ready_step][0][e.dst] += e.c_y
+                logged[e.ready_step][1][e.dst] += e.c_z
             for r, (ay, az) in arrived.items():
                 assert (logged[r][0] == ay).all() and (logged[r][1] == az).all(), (seed, r)
 
 
 class TestMonotoneContractionAsync:
     def test_extreme_ratios_contract(self):
-        # The visible state (hold + pend) does not contract monotonically:
+        # The visible state (y + pend) does not contract monotonically:
         # arrivals can queue at a node whose locked batch is about to split
         # away.  What holds is the per-buffer envelope: the min of the
-        # floors of hold_y/hold_z and of pend_y/pend_z (over nonempty
-        # queues) never falls, and the max of the ceilings never rises.
+        # floors of the locked batch y/z and of the queue pend_y/pend_z (over
+        # nonempty queues) never falls, and the max of the ceilings never rises.
         def envelope(eng):
-            lo = int((eng.hold_y // eng.hold_z).min())
-            hi = int((-(-eng.hold_y // eng.hold_z)).max())
+            lo = int((eng.y // eng.z).min())
+            hi = int((-(-eng.y // eng.z)).max())
             queued = eng.pend_z > 0
             if queued.any():
                 lo = min(lo, int((eng.pend_y[queued] // eng.pend_z[queued]).min()))

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from qcs import DelayModel, experiments
 from qcs.cli import load_federated_instance, load_scheduling_instance, main
+from qcs.experiments import ExperimentConfig, RandomGraphSpec, SchedulingUniformInitial
 
 
 MINIMAL = {
@@ -132,6 +134,47 @@ class TestPresetCommands:
         lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert "n=5 B=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, sizes, delays, edge_prob, trials, seed",
+        [
+            ([], (50, 100, 200, 300), (5, 10, 15), 0.5, 50, 0),
+            (["--sizes", "5,7", "--delays", "2", "--edge-prob", "0.4", "--trials", "3", "--seed", "9"],
+             (5, 7), (2,), 0.4, 3, 9),
+        ],
+    )
+    def test_sweep_cells_are_the_fig2_grid(self, monkeypatch, argv, sizes, delays, edge_prob, trials, seed):
+        # every (size, delay) pair is an async scheduling cell with its own seed block
+        want = [
+            (n, b, ExperimentConfig(
+                mode="async",
+                graph=RandomGraphSpec(n=n, edge_prob=edge_prob),
+                initial=SchedulingUniformInitial(
+                    load_range=(1, 100), capacity_pattern=(100, 300), occupied=0
+                ),
+                delay=DelayModel(max_delay=b),
+                trials=trials,
+                seed=seed + (n * 1000 + b) * 100_000,
+                check_invariants=True,
+            ))
+            for n in sizes
+            for b in delays
+        ]
+        got = []
+        monkeypatch.setattr(experiments, "run_sweep", lambda cells, **kw: got.extend(cells) or [])
+        assert main(["sweep", *argv]) == 0
+        assert got == want
+
+    def test_full_scale_desk_preset_covers_the_published_grid(self, monkeypatch):
+        got = []
+        monkeypatch.setattr(experiments, "run_sweep", lambda cells, **kw: got.extend(cells) or [])
+        assert main(["fig2-desk", "--full-scale", "--trials", "1"]) == 0
+        assert [(n, b) for n, b, _ in got] == [
+            (n, b) for n in experiments.FIG2_FULL_SIZES for b in experiments.FIG2_FULL_DELAYS
+        ]
+        assert got == experiments.fig2_grid(
+            trials=1, sizes=experiments.FIG2_FULL_SIZES, delays=experiments.FIG2_FULL_DELAYS
+        )
 
 
 class TestAppCommands:

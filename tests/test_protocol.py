@@ -1,4 +1,5 @@
-"""Per-node state machine: init, splitting, absorption, votes."""
+"""The protocol rules: initialization, splitting, delivery, votes and the
+flip rule, checked on the array kernels of `qcs.protocol` and on the engine."""
 
 from __future__ import annotations
 
@@ -8,24 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcs import (
-    InvalidInitializationError,
-    NodeState,
-    OutboundMessage,
+    AsyncEngine,
+    DelayModel,
+    Digraph,
+    InvariantError,
     ProtocolError,
-    VoteMessage,
-    absorb,
+    RunConfig,
+    SyncEngine,
     ceil_div,
-    finalize_if_converged,
     floor_div,
-    init_node,
-    merge_votes,
-    refresh_votes,
-    split_mass,
     split_pieces,
 )
 from qcs.protocol import flood_votes, route_pieces, split_batch
 
-from conftest import random_instance
+from conftest import bidirectional_pair, complete, random_instance, ring
+
+ENGINES = (SyncEngine, lambda cfg: AsyncEngine(cfg, DelayModel(max_delay=3)))
 
 
 def exhaustive_near_equal_partitions(y: int, z: int) -> set[tuple[int, ...]]:
@@ -52,65 +51,69 @@ class TestDivisionHelpers:
 
 class TestInit:
     def test_doubles_both_values(self):
-        s = init_node(0, y0=5, z0=1)
-        assert (s.y, s.z) == (10, 2)
-        assert s.y_initial == 10
-        assert s.flag == 0
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(3), y0=[5, 0, 7], z0=[1, 3, 2]))
+            assert eng.y.tolist() == [10, 0, 14]
+            assert eng.z.tolist() == [2, 6, 4]
+            assert (eng.y_initial == eng.y).all()
+            assert not eng.flag.any()
 
     def test_zero_mass_preserved(self):
-        s = init_node(1, y0=0, z0=3)
-        assert (s.y, s.z) == (0, 6)
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(3), y0=[0, 0, 0], z0=[3, 1, 2], seed=1))
+            assert eng.y.tolist() == [0, 0, 0] and eng.z.tolist() == [6, 2, 4]
+            out = eng.run()
+            assert out.converged and (out.final_estimate == 0).all()
+            assert out.final_y.sum() == 0 and out.final_z.sum() == 12
 
     def test_tokenless_node_rejected(self):
-        with pytest.raises(InvalidInitializationError):
-            init_node(2, y0=4, z0=0)
+        for make in ENGINES:
+            with pytest.raises(ValueError, match=r"z0\[2\]"):
+                make(RunConfig(graph=ring(3), y0=[4, 4, 4], z0=[1, 1, 0]))
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(InvalidInitializationError):
-            init_node(2, y0=-1, z0=1)
+        for make in ENGINES:
+            with pytest.raises(ValueError, match=r"y0\[1\]"):
+                make(RunConfig(graph=ring(3), y0=[4, -1, 4], z0=[1, 1, 1]))
 
 
 class TestSplit:
     def test_even_split_keeps_half(self):
-        rng = np.random.default_rng(0)
-        s = init_node(0, y0=5, z0=1)  # y=10, z=2
-        kept, out = split_mass(s, out_neighbors=[1, 2], rng=rng)
-        total_y = kept[0] + sum(m.c_y for m in out)
-        total_z = kept[1] + sum(m.c_z for m in out)
-        assert (total_y, total_z) == (10, 2)
-        # two pieces of 5: whichever is routed, piece values are equal
-        assert kept[0] == 5 * kept[1]
-        assert s.estimate == 5
+        for seed in range(20):
+            kept_y, kept_z, c_y, c_z = split_pieces(10, 2, 2, np.random.default_rng(seed))
+            assert (kept_y + int(c_y.sum()), kept_z + int(c_z.sum())) == (10, 2)
+            # two pieces of 5: whichever is routed, piece values are equal
+            assert kept_y == 5 * kept_z
 
     def test_uneven_split_matches_partition_oracle(self):
         # the only near-equal partition of 7 into 3 pieces is {3, 2, 2}
         assert exhaustive_near_equal_partitions(7, 3) == {(2, 2, 3)}
-        s = NodeState(node_id=0, y=7, z=3, y_initial=7, vote_max=3, vote_min=2, estimate=3)
-        rng = np.random.default_rng(1)
-        kept, out = split_mass(s, out_neighbors=[1], rng=rng)
-        pieces_out_y = sum(m.c_y for m in out)
-        assert kept[0] + pieces_out_y == 7
-        assert kept[1] + sum(m.c_z for m in out) == 3
-        # the kept batch contains the minimum-value piece
-        assert kept[0] - 2 * kept[1] <= kept[1] - 1 or kept[1] == 1
+        for seed in range(20):
+            kept_y, kept_z, c_y, c_z = split_pieces(7, 3, 1, np.random.default_rng(seed))
+            assert (kept_y + int(c_y.sum()), kept_z + int(c_z.sum())) == (7, 3)
+            # the kept batch contains the minimum-value piece, so at most
+            # kept_z - 1 of its pieces are the large one
+            assert 0 <= kept_y - 2 * kept_z <= kept_z - 1
 
     def test_zero_mass_split(self):
-        s = NodeState(node_id=0, y=0, z=4, y_initial=0, vote_max=0, vote_min=0, estimate=0)
-        rng = np.random.default_rng(2)
-        kept, out = split_mass(s, out_neighbors=[1, 2, 3], rng=rng)
-        assert kept[0] == 0
-        assert sum(m.c_y for m in out) == 0
-        assert kept[1] + sum(m.c_z for m in out) == 4
-        assert all(m.c_z >= 1 for m in out)
+        g = complete(4)
+        for seed in range(10):
+            y = np.zeros(4, dtype=np.int64)
+            z = np.array([4, 2, 2, 2], dtype=np.int64)
+            sent, dst, c_y, c_z = route_pieces(y, z, np.array([0]), g.out_csr, np.random.default_rng(seed))
+            assert y[0] == 0 and (c_y == 0).all()
+            assert z[0] + int(c_z.sum()) == 4
+            assert (c_z >= 1).all() and sent[0] == len(dst)
 
     def test_split_requires_plural_tokens(self):
         with pytest.raises(ProtocolError):
             split_pieces(5, 1, 2, np.random.default_rng(0))
 
     def test_self_neighbor_rejected(self):
-        s = init_node(0, y0=3, z0=2)
-        with pytest.raises(ProtocolError):
-            split_mass(s, out_neighbors=[0, 1], rng=np.random.default_rng(0))
+        # a node routes over its out-neighbors plus itself (the kept pair),
+        # so a graph that lists a node as its own out-neighbor is refused
+        with pytest.raises(ValueError, match="self-loop"):
+            Digraph(n=2, out_neighbors=((0, 1), (0,)))
 
     @given(
         y=st.integers(min_value=0, max_value=500),
@@ -255,10 +258,9 @@ class TestRouteAndFlood:
                 nodes = np.arange(g.n)
             want = []
             for j in nodes.tolist():
-                s = NodeState(j, 1, 1, 1, vote_max=int(hi[j]), vote_min=int(lo[j]), estimate=0)
-                shown = [VoteMessage(i, int(hi[i]), int(lo[i])) for i in g.in_neighbors[j] if not flag[i]]
-                merge_votes(s, shown)
-                want.append((s.vote_max, s.vote_min))
+                shown = [i for i in g.in_neighbors[j] if not flag[i]]
+                want.append((max([int(hi[j])] + [int(hi[i]) for i in shown]),
+                             min([int(lo[j])] + [int(lo[i]) for i in shown])))
             vote_max, vote_min = hi.copy(), lo.copy()
             flood_votes(vote_max, vote_min, flag, nodes, g.in_csr)
             assert list(zip(vote_max[nodes].tolist(), vote_min[nodes].tolist())) == want
@@ -266,104 +268,156 @@ class TestRouteAndFlood:
             assert (vote_max[rest] == hi[rest]).all() and (vote_min[rest] == lo[rest]).all()
 
 
+def delivery_cases(seeds=range(6)):
+    """(kept, arrivals, after) per node and step of recorded sync runs.
+
+    kept is the node's (y, z) at the step's start less what it sent, as
+    logged; arrivals are the (c_y, c_z) of the messages logged to it.
+    """
+    for seed in seeds:
+        g, y0, z0 = random_instance(seed + 900)
+        eng = SyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=True))
+        while not eng.all_flagged():
+            kept_y, kept_z = eng.y.copy(), eng.z.copy()
+            logged = len(eng.emission_log)
+            eng.step()
+            arrivals = [[] for _ in range(eng.n)]
+            for m in list(eng.emission_log)[logged:]:
+                kept_y[m.src] -= m.c_y
+                kept_z[m.src] -= m.c_z
+                arrivals[m.dst].append((m.c_y, m.c_z))
+            for j in range(eng.n):
+                yield (int(kept_y[j]), int(kept_z[j])), arrivals[j], (int(eng.y[j]), int(eng.z[j]))
+
+
+def absorbed(kept, arrivals):
+    return kept[0] + sum(a[0] for a in arrivals), kept[1] + sum(a[1] for a in arrivals)
+
+
 class TestAbsorb:
+    """A node ends a step holding its kept pair plus every message sent to it."""
+
     def test_no_arrivals(self):
-        s = init_node(0, 5, 1)
-        absorb(s, kept=(5, 1), received=[])
-        assert (s.y, s.z) == (5, 1)
+        cases = [(k, a, after) for k, a, after in delivery_cases() if not a]
+        assert cases
+        assert all(after == kept for kept, _, after in cases)
 
     def test_single_arrival(self):
-        s = init_node(0, 5, 1)
-        absorb(s, kept=(5, 1), received=[OutboundMessage(src=1, dst=0, c_y=3, c_z=1)])
-        assert (s.y, s.z) == (8, 2)
+        cases = [(k, a, after) for k, a, after in delivery_cases() if len(a) == 1]
+        assert cases
+        assert all(after == absorbed(kept, a) for kept, a, after in cases)
 
     def test_multiple_arrivals_sum(self):
-        s = init_node(0, 5, 1)
-        msgs = [OutboundMessage(1, 0, 4, 2), OutboundMessage(2, 0, 1, 1)]
-        absorb(s, kept=(2, 1), received=msgs)
-        assert (s.y, s.z) == (7, 4)
+        cases = [(k, a, after) for k, a, after in delivery_cases() if len(a) > 1]
+        assert cases
+        assert all(after == absorbed(kept, a) for kept, a, after in cases)
 
     def test_misaddressed_message_rejected(self):
-        from qcs import RoutingError
+        # mass must never reach a node that has stopped
+        eng = SyncEngine(RunConfig(graph=complete(5), y0=[50] * 5, z0=[10] * 5, seed=0))
+        eng.flag[4] = True
+        with pytest.raises(InvariantError, match="terminated node"):
+            eng.step()
 
-        s = init_node(0, 5, 1)
-        with pytest.raises(RoutingError):
-            absorb(s, kept=(5, 1), received=[OutboundMessage(1, 3, 1, 1)])
+
+def star_merge(own, votes):
+    """A node's (max, min) votes after one flood from in-neighbors holding `votes`."""
+    m = len(votes)
+    g = Digraph(n=m + 1, out_neighbors=(tuple(range(1, m + 1)),) + ((0,),) * m)
+    vote_max = np.array([own[0]] + [v[0] for v in votes], dtype=np.int64)
+    vote_min = np.array([own[1]] + [v[1] for v in votes], dtype=np.int64)
+    flood_votes(vote_max, vote_min, np.zeros(m + 1, dtype=bool), np.array([0]), g.in_csr)
+    return int(vote_max[0]), int(vote_min[0])
 
 
 class TestVotes:
     def test_refresh(self):
-        s = NodeState(0, y=7, z=3, y_initial=7, vote_max=0, vote_min=0, estimate=0)
-        refresh_votes(s)
-        assert (s.vote_max, s.vote_min) == (3, 2)
-        s.y, s.z = 6, 3
-        refresh_votes(s)
-        assert (s.vote_max, s.vote_min) == (2, 2)
-        s.y, s.z = 0, 2
-        refresh_votes(s)
-        assert (s.vote_max, s.vote_min) == (0, 0)
+        # votes start at (ceil, floor) of each node's own ratio
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(3), y0=[7, 6, 0], z0=[3, 3, 2]))
+            assert eng.vote_max.tolist() == [3, 2, 0]
+            assert eng.vote_min.tolist() == [2, 2, 0]
 
     def test_merge_takes_extrema(self):
-        s = NodeState(0, 1, 1, 1, vote_max=3, vote_min=2, estimate=3)
-        merge_votes(s, [VoteMessage(1, 5, 1)])
-        assert (s.vote_max, s.vote_min) == (5, 1)
+        assert star_merge((3, 2), [(5, 1)]) == (5, 1)
 
     def test_merge_empty_is_identity(self):
-        s = NodeState(0, 1, 1, 1, vote_max=3, vote_min=3, estimate=3)
-        merge_votes(s, [])
-        assert (s.vote_max, s.vote_min) == (3, 3)
+        # a terminated in-neighbor exposes nothing, and an empty hop is a no-op
+        in_csr = bidirectional_pair().in_csr
+        vote_max, vote_min = np.array([3, 9]), np.array([3, 0])
+        flood_votes(vote_max, vote_min, np.array([False, True]), np.array([0]), in_csr)
+        flood_votes(vote_max, vote_min, np.zeros(2, dtype=bool), np.array([], dtype=np.int64), in_csr)
+        assert vote_max.tolist() == [3, 9] and vote_min.tolist() == [3, 0]
 
     def test_merge_at_consensus(self):
-        s = NodeState(0, 1, 1, 1, vote_max=2, vote_min=2, estimate=2)
-        merge_votes(s, [VoteMessage(1, 2, 2), VoteMessage(2, 2, 2)])
-        assert (s.vote_max, s.vote_min) == (2, 2)
+        assert star_merge((2, 2), [(2, 2), (2, 2)]) == (2, 2)
 
     @given(
         own=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-        votes=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=6),
+        votes=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=6),
     )
     @settings(max_examples=200, deadline=None)
     def test_merge_is_a_semilattice(self, own, votes):
-        hi, lo = max(own), min(own)
-        msgs = [VoteMessage(i, max(v), min(v)) for i, v in enumerate(votes)]
-
-        def merged(ms):
-            s = NodeState(0, 1, 1, 1, vote_max=hi, vote_min=lo, estimate=hi)
-            merge_votes(s, ms)
-            return (s.vote_max, s.vote_min)
-
-        once = merged(msgs)
+        own = (max(own), min(own))
+        votes = [(max(v), min(v)) for v in votes]
+        once = star_merge(own, votes)
+        assert once == (max([own[0]] + [v[0] for v in votes]), min([own[1]] + [v[1] for v in votes]))
         # idempotent over multisets, commutative, associative
-        assert merged(msgs + msgs) == once
-        assert merged(list(reversed(msgs))) == once
-        s = NodeState(0, 1, 1, 1, vote_max=hi, vote_min=lo, estimate=hi)
-        for m in msgs:
-            merge_votes(s, [m])
-        assert (s.vote_max, s.vote_min) == once
+        assert star_merge(own, votes + votes) == once
+        assert star_merge(own, list(reversed(votes))) == once
+        state = own
+        for v in votes:
+            state = star_merge(state, [v])
+        assert state == once
 
 
 class TestFinalize:
+    """At a window boundary every node flips when the flooded window-start
+    votes differ by at most one, freezing its estimate at the min vote."""
+
     def test_gap_one_flips(self):
-        s = NodeState(0, 1, 1, 1, vote_max=7, vote_min=6, estimate=9)
-        finalize_if_converged(s)
-        assert (s.flag, s.estimate) == (1, 6)
+        # ratios 3 and 3.5: window-start votes max 4, min 3
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(4), y0=[6, 7, 6, 7], z0=[2] * 4, seed=1))
+            out = eng.run()
+            assert out.termination_step == eng.window
+            assert (out.final_estimate == 3).all()
 
     def test_gap_two_holds(self):
-        s = NodeState(0, 1, 1, 1, vote_max=7, vote_min=5, estimate=9)
-        finalize_if_converged(s)
-        assert (s.flag, s.estimate) == (0, 9)
+        # ratios 3 and 4.5: window-start votes max 5, min 3
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(4), y0=[6, 9, 6, 9], z0=[2] * 4, seed=1))
+            for _ in range(eng.window):
+                eng.step()
+            assert (eng.vote_max == 5).all() and (eng.vote_min == 3).all()
+            assert not eng.flag.any()
+            out = eng.run()
+            assert out.converged and out.termination_step > eng.window
 
     def test_exact_consensus_flips(self):
-        s = NodeState(0, 1, 1, 1, vote_max=4, vote_min=4, estimate=9)
-        finalize_if_converged(s)
-        assert (s.flag, s.estimate) == (1, 4)
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(4), y0=[4, 8, 12, 4], z0=[1, 2, 3, 1], seed=1))
+            out = eng.run()
+            assert out.termination_step == eng.window
+            assert (out.final_estimate == 4).all()
 
 
 class TestMessages:
     def test_empty_message_never_exists(self):
-        with pytest.raises(ProtocolError):
-            OutboundMessage(src=0, dst=1, c_y=0, c_z=0)
+        # a node with few tokens and many out-neighbors leaves most slots
+        # empty; routing returns only the nonempty ones
+        g = complete(9)
+        for seed in range(20):
+            y = np.full(9, 5, dtype=np.int64)
+            z = np.full(9, 3, dtype=np.int64)
+            sent, dst, c_y, c_z = route_pieces(y, z, np.array([0, 4]), g.out_csr, np.random.default_rng(seed))
+            assert (sent <= 2).all() and sent.sum() == len(dst)
+            assert (c_z >= 1).all()
 
     def test_vote_message_orders_pair(self):
-        with pytest.raises(ProtocolError):
-            VoteMessage(src=0, vote_max=1, vote_min=2)
+        # every node's vote pair stays ordered, max over min, at every step
+        for make in ENGINES:
+            for seed in range(5):
+                g, y0, z0 = random_instance(seed + 950)
+                out = make(RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=True)).run()
+                assert all((rec.vote_max >= rec.vote_min).all() for rec in out.trajectory)
