@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from qcs import AsyncEngine, DelayModel, Digraph, RunConfig, SyncEngine, protocol
@@ -50,3 +54,64 @@ class TestBenchmarkPatchPoints:
         sync_steps = SyncEngine(cfg).run().steps_run
         AsyncEngine(cfg, DelayModel(max_delay=2)).run()
         assert calls == ["SyncEngine"] * sync_steps
+
+
+def _digest(*parts) -> str:
+    """sha256 over scalars (by repr) and int64 arrays (by bytes), in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _outcome_parts(out):
+    return out.termination_step, out.steps_run, out.final_y, out.final_z, out.final_estimate
+
+
+class TestPinnedStreams:
+    """Exact results of fixed runs, pinned by sha256.
+
+    Every engine change that keeps the route and delay streams must
+    reproduce these bit for bit; a change that alters the streams on
+    purpose updates the pins and says so.
+    """
+
+    SEEDS = range(3000, 3012)
+    OUTCOMES = {
+        1: "4b72d4f884458e9e4aca07d7c25dba9ac47edbffa43ea9140be796e1a64f413d",
+        2: "3e4137894dabad3fad6afb973f309e505c8f26a0d7fec69fdad01a3244230c6e",
+        5: "fc3cb067a618bd54ccccf1962ec71cbe4a5769ecc361ac03cc9d938c28ce78c3",
+        10: "9b14260b855ca3e5931c84c0edf3225ccb739c29d57f7507cddc234264ba7407",
+    }
+    RECORDED = {
+        1: "45a62ee8475ecd72834b34f5b12c1f9513db888337021d9731a5bf7258fc0f6b",
+        3: "f6a196e94e7d141606e939fc04b07a31c75bf54b4934d06c7808eda83f3da8e2",
+    }
+
+    @staticmethod
+    def _engine(seed: int, max_delay: int, record: bool = False):
+        g, y0, z0 = random_instance(seed)
+        cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=record)
+        if max_delay == 1:
+            return SyncEngine(cfg)
+        return AsyncEngine(cfg, DelayModel(max_delay=max_delay))
+
+    @pytest.mark.parametrize("max_delay", sorted(OUTCOMES))
+    def test_outcomes(self, max_delay):
+        parts = [p for seed in self.SEEDS for p in _outcome_parts(self._engine(seed, max_delay).run())]
+        assert _digest(*parts) == self.OUTCOMES[max_delay]
+
+    @pytest.mark.parametrize("max_delay", sorted(RECORDED))
+    def test_emission_log_and_trajectory(self, max_delay):
+        eng = self._engine(3100 + max_delay, max_delay, record=True)
+        out = eng.run()
+        assert out.converged and len(out.trajectory) == out.steps_run + 1
+        parts = list(_outcome_parts(out))
+        for rec in out.trajectory:
+            parts += [rec.step, rec.y, rec.z, rec.estimate, rec.vote_max, rec.vote_min, rec.flag]
+        parts += [astuple(entry) for entry in eng.emission_log]
+        assert len(eng.emission_log) > 0
+        assert _digest(*parts) == self.RECORDED[max_delay]
