@@ -32,7 +32,7 @@ import numpy as np
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
 from .metrics import TrajectoryRecord
-from .protocol import ceil_div, flood_votes, floor_div, route_pieces
+from .protocol import ceil_div, flood_votes, floor_div, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +238,11 @@ class Engine:
     Under delays (B > 1) pend_y/pend_z queue the arrivals for the node's
     next cycle, busy_until is the step its current cycle completes and
     cycle_start the step it began; with B = 1 these are None and
-    arrivals land in y/z directly.
+    arrivals land in y/z directly.  y and pend_y are the rows of
+    y_rows, z and pend_z those of z_rows.
+
+    Flags flip all at once, at flag_step, and a flipped engine no longer
+    steps; so every step runs at every node.
     """
 
     def __init__(self, cfg: RunConfig, delay_model: DelayModel = UNIT_DELAY):
@@ -253,30 +257,38 @@ class Engine:
         g = cfg.graph
         self.n = g.n
         delay_model.min_max_delay_prob(self.n)  # validates per-node table size
-        self.out_csr = g.out_csr
+        self.nodes = np.arange(self.n)
+        self.slots = routing_slots(g.out_csr)
         self.in_csr = g.in_csr
+        delayed = delay_model.max_delay > 1
         # initialization doubles both values so z >= 2 everywhere
-        self.y = 2 * np.asarray(cfg.y0, dtype=np.int64)
-        self.z = 2 * np.asarray(cfg.z0, dtype=np.int64)
+        self.y_rows = np.zeros((1 + delayed, self.n), dtype=np.int64)
+        self.z_rows = np.zeros((1 + delayed, self.n), dtype=np.int64)
+        self.y, self.z = self.y_rows[0], self.z_rows[0]
+        self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
+        self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
         self.y_initial = self.y.copy()
         self.estimate = ceil_div(self.y, self.z)
         self.vote_max = self.estimate.copy()
         self.vote_min = floor_div(self.y, self.z)
         self.flag = np.zeros(self.n, dtype=bool)
         self.pend_y = self.pend_z = self.busy_until = self.cycle_start = None
-        if delay_model.max_delay > 1:
-            self.pend_y = np.zeros(self.n, dtype=np.int64)
-            self.pend_z = np.zeros(self.n, dtype=np.int64)
+        if delayed:
+            self.pend_y, self.pend_z = self.y_rows[1], self.z_rows[1]
             self.busy_until = np.zeros(self.n, dtype=np.int64)
             self.cycle_start = np.zeros(self.n, dtype=np.int64)
             self.delay_rng = np.random.default_rng([cfg.seed, DELAY_STREAM])
+            # the nodes whose cycle completed at the last step: at step 1, all
+            self._completed = self.nodes
         self.route_rng = np.random.default_rng([cfg.seed, ROUTE_STREAM])
         self.expected_y_total = int(self.y.sum())
         self.expected_z_total = int(self.z.sum())
         self.steps_done = 0
         self.flag_step: Optional[int] = None
-        self._window_start_max: Optional[np.ndarray] = None
-        self._window_start_min: Optional[np.ndarray] = None
+        # the global vote extrema of the current window, set at its start;
+        # flooding runs until every node holds both
+        self._window_max = self._window_min = 0
+        self._flooding = True
         self.emission_log: Optional[EmissionLog] = None
         self.trajectory: Optional[list[TrajectoryRecord]] = None
         if cfg.record_trajectory:
@@ -285,10 +297,10 @@ class Engine:
 
     def total_y(self) -> np.ndarray:
         """Each node's visible mass: its locked batch plus queued arrivals."""
-        return self.y.copy() if self.pend_y is None else self.y + self.pend_y
+        return self.y_rows.sum(axis=0)
 
     def total_z(self) -> np.ndarray:
-        return self.z.copy() if self.pend_z is None else self.z + self.pend_z
+        return self.z_rows.sum(axis=0)
 
     def _snapshot(self, step: int) -> TrajectoryRecord:
         return TrajectoryRecord(
@@ -302,34 +314,38 @@ class Engine:
         )
 
     def all_flagged(self) -> bool:
-        return bool(self.flag.all())
+        return self.flag_step is not None
+
+    def _votes_saturated(self) -> bool:
+        """Whether every node holds the window's global vote extrema."""
+        return not (
+            np.count_nonzero(self.vote_max != self._window_max)
+            or np.count_nonzero(self.vote_min != self._window_min)
+        )
 
     def step(self) -> Engine:
-        """Run one protocol step and return the engine (a no-op once fully flagged)."""
-        if self.all_flagged():
+        """Run one protocol step and return the engine (a no-op once flagged)."""
+        if self.flag_step is not None:
             return self
         k = self.steps_done + 1
-        live = ~self.flag
-        active = np.flatnonzero(live)
         delayed = self.pend_y is not None
 
         # window-start refresh is clock-synchronized bookkeeping: every
-        # active node resets its votes from its full visible holdings
+        # node resets its votes from its full visible holdings
         # ((k-1) mod window == 0 covers a one-step window too)
         if (k - 1) % self.window == 0:
-            y, z = self.y[active], self.z[active]
-            if delayed:
-                y = y + self.pend_y[active]
-                z = z + self.pend_z[active]
-            self.vote_max[active] = ceil_div(y, z)
-            self.vote_min[active] = floor_div(y, z)
-            if self.cfg.check_invariants:
-                self._window_start_max = self.vote_max.copy()
-                self._window_start_min = self.vote_min.copy()
+            y, z = self.total_y(), self.total_z()
+            self.vote_max[:] = ceil_div(y, z)
+            self.vote_min[:] = floor_div(y, z)
+            self._window_max = int(self.vote_max.max())
+            self._window_min = int(self.vote_min.min())
+            self._flooding = not self._votes_saturated()
 
         if delayed:
-            # cycle starts: fold queued arrivals in, lock the batch, draw the delay
-            starting = np.flatnonzero((self.busy_until < k) & live)
+            # cycle starts, at the nodes whose last cycle completed at the
+            # previous step: fold queued arrivals in, lock the batch, draw
+            # the delay
+            starting = self._completed
             if starting.size:
                 self.y[starting] += self.pend_y[starting]
                 self.z[starting] += self.pend_z[starting]
@@ -338,43 +354,49 @@ class Engine:
                 lam = self.delay_model.draw_batch(self.delay_rng.random(starting.size), starting)
                 self.cycle_start[starting] = k
                 self.busy_until[starting] = k + lam - 1
-            completing = np.flatnonzero((self.busy_until == k) & live)
+            completing = self._completed = (self.busy_until == k).nonzero()[0]
         else:
-            completing = active
+            completing = self.nodes
 
         # completing nodes read their neighbors' exposed votes as of this
-        # instant and fold them in; terminated nodes expose nothing
-        flood_votes(self.vote_max, self.vote_min, self.flag, completing, self.in_csr)
+        # instant and fold them in.  Once every node holds the window's
+        # extrema no hop can change a vote until the next refresh, so
+        # flooding stops there.
+        if self._flooding and completing.size:
+            flood_votes(self.vote_max, self.vote_min, completing, self.in_csr)
+            self._flooding = not self._votes_saturated()
 
         # processing completes: split the locked batch and transmit.  The
         # pieces join the receivers' state at this step's end, queued for
         # their next cycle under delays.  A node holding a single token
         # has nothing to split this cycle.
-        splitting = completing[self.z[completing] > 1]
+        splitting = completing[self.z[completing] > 1] if delayed else (self.z > 1).nonzero()[0]
         if splitting.size:
-            self.estimate[splitting] = ceil_div(self.y[splitting], self.z[splitting])
-            sent, dst, c_y, c_z = route_pieces(self.y, self.z, splitting, self.out_csr, self.route_rng)
-            if self.cfg.check_invariants and self.flag[dst].any():
+            log = self.emission_log
+            estimate, dst, c_y, c_z, sent = split_route(
+                self.y, self.z, splitting, self.slots, self.route_rng, log is not None
+            )
+            self.estimate[splitting] = estimate
+            if self.cfg.check_invariants and np.count_nonzero(self.flag) and self.flag[dst].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
             np.add.at(self.pend_y if delayed else self.y, dst, c_y)
             np.add.at(self.pend_z if delayed else self.z, dst, c_z)
-            if self.emission_log is not None and dst.size:
+            if log is not None and dst.size:
                 emitted = self.cycle_start[splitting] if delayed else np.full(splitting.size, k)
-                self.emission_log.append(k + 1, splitting, emitted, sent, dst, c_y, c_z)
+                log.append(k + 1, splitting, emitted, sent, dst, c_y, c_z)
 
-        # window-boundary termination check
+        # window-boundary termination check: every node flips, or none
         if k % self.window == 0:
-            gap_ok = (self.vote_max - self.vote_min) <= 1
-            flipping = live & gap_ok
-            if flipping.any():
-                if self.cfg.check_invariants and not flipping[live].all():
-                    raise InvariantError(
-                        f"step {k}: termination flags did not flip simultaneously"
-                    )
-                self.estimate[flipping] = self.vote_min[flipping]
-                self.flag |= flipping
+            flipping = np.count_nonzero(self.vote_max - self.vote_min <= 1)
+            if flipping == self.n:
+                self.estimate[:] = self.vote_min
+                self.flag[:] = True
                 self.flag_step = k
                 logger.debug("all nodes terminated at step %d", k)
+            elif flipping:
+                raise InvariantError(
+                    f"step {k}: termination flags did not flip simultaneously"
+                )
             if self.cfg.check_invariants:
                 self._audit_votes(k)
 
@@ -387,22 +409,15 @@ class Engine:
 
     def _audit_votes(self, k: int) -> None:
         """At a check, flooded extrema must equal the window-start extrema."""
-        if self._window_start_max is None:
-            return
-        want_max = int(self._window_start_max.max())
-        want_min = int(self._window_start_min.min())
-        if (self.vote_max != want_max).any() or (self.vote_min != want_min).any():
+        if not self._votes_saturated():
             raise InvariantError(
                 f"step {k}: vote flooding missed the global extrema "
-                f"({want_max}, {want_min}) within one window"
+                f"({self._window_max}, {self._window_min}) within one window"
             )
 
     def _check_conservation(self, k: int) -> None:
-        got_y = int(self.y.sum())
-        got_z = int(self.z.sum())
-        if self.pend_y is not None:
-            got_y += int(self.pend_y.sum())
-            got_z += int(self.pend_z.sum())
+        got_y = int(self.y_rows.sum())
+        got_z = int(self.z_rows.sum())
         if got_y != self.expected_y_total or got_z != self.expected_z_total:
             raise ConservationError(
                 f"step {k}: mass ledger off, y {got_y} != {self.expected_y_total} "
@@ -429,8 +444,8 @@ class Engine:
         )
 
     def run(self) -> RunOutcome:
-        while not self.all_flagged() and self.steps_done < self.cfg.max_steps:
+        while self.flag_step is None and self.steps_done < self.cfg.max_steps:
             self.step()
-        if not self.all_flagged():
+        if self.flag_step is None:
             logger.info("run did not converge within max_steps=%d", self.cfg.max_steps)
         return self.outcome()

@@ -13,6 +13,8 @@ delays and the flip rule.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import ProtocolError
@@ -32,55 +34,85 @@ def ceil_div(y, z):
     return -(-y // z)
 
 
-def split_batch(
+def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The routing slots of every node, laid out from the out-edge CSR.
+
+    Node j owns count[j] = out-degree + 1 slots, first[j] ..
+    first[j] + count[j] - 1 of `dst`: its out-neighbors in order, then j
+    itself.  Returns (first, count, dst).
+    """
+    indptr, targets = out_csr
+    n = indptr.size - 1
+    first = indptr[:-1] + np.arange(n)
+    return first, np.diff(indptr) + 1, np.insert(targets, indptr[1:], np.arange(n))
+
+
+def split_route(
     y: np.ndarray,
     z: np.ndarray,
-    degrees: np.ndarray,
+    nodes: np.ndarray,
+    slots: tuple[np.ndarray, np.ndarray, np.ndarray],
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Partition and route the mass of several nodes with one draw.
+    count_sent: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Split every node in the nonempty `nodes` in place and address its pieces.
 
-    Node i splits y[i] into z[i] near-equal pieces, floor(y/z) or
-    ceil(y/z) with exactly (y mod z) large ones.  It keeps one
-    minimum-value piece; each of its other z[i] - 1 pieces draws a slot
-    uniformly over its degrees[i] out-neighbors plus self.  The pieces of
-    all nodes are drawn by one rng.integers call, node by node in the
-    given order, and the first (y mod z) routed pieces of a node are its
-    large ones.  Pieces routed to the same slot are coalesced;
-    self-routed pieces fold into the kept pair.
+    y and z are whole-network state arrays and `slots` is the layout of
+    `routing_slots`.  Node j splits y[j] into z[j] near-equal pieces,
+    floor(y/z) or ceil(y/z) with exactly (y mod z) large ones.  It keeps
+    one minimum-value piece; each of its other z[j] - 1 pieces draws one
+    of j's slots uniformly.  One rng.integers call draws the pieces of
+    all nodes, node by node in the given order, and the first (y mod z)
+    pieces a node routes are its large ones.  Pieces drawn to the same
+    slot are coalesced; self-drawn pieces join the kept pair, which the
+    node is left holding.
 
-    Returns (kept_y, kept_z, c_y, c_z): the kept pair of each node, and
-    per-slot totals over the nodes' out-neighbor slots laid end to end
-    (node i's degrees[i] slots, in out-neighbor order, then node i+1's).
+    Returns (estimate, dst, c_y, c_z, sent).  estimate[i] is ceil(y/z)
+    of nodes[i] before its split.  The nonempty messages are laid out by
+    sender as in `nodes`, then by out-neighbor order.  With count_sent,
+    sent[i] is the number of messages nodes[i] sent; otherwise None.
     """
-    y = np.asarray(y, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if z.min() <= 1:
-        raise ProtocolError(f"split requires z > 1, got z={z.min()} (caller must hold)")
-    if y.min() < 0:
-        raise ProtocolError(f"split requires y >= 0, got y={y.min()}")
-    delta, large = np.divmod(y, z)
-    slots = degrees + 1
-    # node i owns slots block[i] .. block[i] + degrees[i]; the last is self
-    block = np.cumsum(slots) - slots
-    # each node's routed pieces as two runs, its large ones then its small
-    # ones; a piece's key is 2 * slot + (1 if large else 0)
-    runs = np.column_stack((large, z - 1 - large)).ravel()
-    bound = np.repeat(np.repeat(slots, 2), runs)
-    key_base = np.repeat((2 * block[:, None] + [1, 0]).ravel(), runs)
-    key = key_base + 2 * rng.integers(0, bound)
-    total = int(block[-1] + slots[-1])
-    counts = np.bincount(key, minlength=2 * total).reshape(total, 2)
-    slot_z = counts[:, 0] + counts[:, 1]
-    slot_y = np.repeat(delta, slots) * slot_z + counts[:, 1]
-    # the kept pair is the self slot plus the minimum-value piece kept back
-    self_slot = block + degrees
-    kept_z = slot_z[self_slot] + 1
-    kept_y = slot_y[self_slot] + delta
-    out = np.ones(total, dtype=bool)
-    out[self_slot] = False
-    return kept_y, kept_z, slot_y[out], slot_z[out]
+    first, count, targets = slots
+    ys = y[nodes]
+    zs = z[nodes]
+    if zs.min() <= 1:
+        raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
+    if ys.min() < 0:
+        raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
+    delta, large = np.divmod(ys, zs)
+    width = count[nodes]
+    routed = zs - 1
+    draws = rng.integers(0, width.repeat(routed))
+    # the split nodes' slots laid end to end: node i's are block[i] ..
+    # end[i] - 1, its own the last.  A piece's key is 2 * slot, plus 1 if
+    # large; each node's routed pieces come as two runs, large then small
+    end = width.cumsum()
+    block = end - width
+    runs = np.empty(2 * nodes.size, dtype=np.int64)
+    runs[0::2] = large
+    runs[1::2] = routed - large
+    base = np.empty(2 * nodes.size, dtype=np.int64)
+    base[1::2] = 2 * block
+    base[0::2] = base[1::2] + 1
+    draws += draws
+    draws += base.repeat(runs)
+    total = int(end[-1])
+    counts = np.bincount(draws, minlength=2 * total).reshape(total, 2)
+    large_count = counts[:, 1]
+    slot_z = counts[:, 0] + large_count
+    # the kept pair is the own slot plus the minimum-value piece kept back
+    own = end - 1
+    kept_z = slot_z[own] + 1
+    z[nodes] = kept_z
+    y[nodes] = delta * kept_z + large_count[own]
+    slot_z[own] = 0
+    sent = slot_z.nonzero()[0]
+    who = end.searchsorted(sent, side="right")
+    dst = targets[sent + (first[nodes] - block)[who]]
+    c_z = slot_z[sent]
+    c_y = delta[who] * c_z + large_count[sent]
+    per_sender = np.bincount(who, minlength=nodes.size) if count_sent else None
+    return delta + (large > 0), dst, c_y, c_z, per_sender
 
 
 def split_pieces(
@@ -91,67 +123,42 @@ def split_pieces(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Partition mass y into z near-equal pieces and route them.
 
-    The one-node case of split_batch.  Returns (kept_y, kept_z, c_y,
-    c_z) where c_y/c_z are per-slot totals of length `degree` (slot i =
-    i-th out-neighbor).
+    The one-node case of split_route, for a node with `degree`
+    out-neighbors.  Returns (kept_y, kept_z, c_y, c_z) where c_y/c_z are
+    per-slot totals of length `degree` (slot i = i-th out-neighbor).
     """
-    kept_y, kept_z, c_y, c_z = split_batch([y], [z], [degree], rng)
-    return int(kept_y[0]), int(kept_z[0]), c_y, c_z
-
-
-def route_pieces(
-    y: np.ndarray,
-    z: np.ndarray,
-    nodes: np.ndarray,
-    out_csr: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split every node in `nodes` in place and address its pieces.
-
-    y and z are whole-network state arrays; the split nodes are left
-    holding their kept pairs.  Returns (sent, dst, c_y, c_z): sent[i] is
-    the number of nonempty messages nodes[i] sent, and the messages are
-    laid out by sender as in `nodes`, then by out-neighbor order.
-    """
-    indptr, targets = out_csr
-    first = indptr[nodes]
-    degrees = indptr[nodes + 1] - first
-    kept_y, kept_z, c_y, c_z = split_batch(y[nodes], z[nodes], degrees, rng)
-    y[nodes] = kept_y
-    z[nodes] = kept_z
-    sent = np.flatnonzero(c_z)
-    end = np.cumsum(degrees)
-    who = np.searchsorted(end, sent, side="right")
-    edge = first[who] + sent - (end - degrees)[who]
-    return np.bincount(who, minlength=nodes.size), targets[edge], c_y[sent], c_z[sent]
+    ys = np.array([y], dtype=np.int64)
+    zs = np.array([z], dtype=np.int64)
+    # node 0 with out-neighbors 1 .. degree
+    slots = (np.zeros(1, dtype=np.int64), np.array([degree + 1]), np.roll(np.arange(degree + 1), -1))
+    _, dst, c_y, c_z, _ = split_route(ys, zs, np.zeros(1, dtype=np.int64), slots, rng)
+    per_slot = np.zeros((2, degree), dtype=np.int64)
+    per_slot[:, dst - 1] = c_y, c_z
+    return int(ys[0]), int(zs[0]), per_slot[0], per_slot[1]
 
 
 def flood_votes(
     vote_max: np.ndarray,
     vote_min: np.ndarray,
-    flag: np.ndarray,
     nodes: np.ndarray,
     in_csr: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """One max/min flooding hop into `nodes`, in place.
 
     Each node folds in its in-neighbors' votes as they stood before the
-    hop; terminated (flagged) nodes expose nothing.  Every node needs an
-    in-neighbor, which strong connectivity with n >= 2 guarantees.
+    hop.  Every node needs an in-neighbor, which strong connectivity with
+    n >= 2 guarantees.
     """
     if nodes.size == 0:
         return
     indptr, sources = in_csr
-    shown_max, shown_min = vote_max, vote_min
-    if flag.any():
-        shown_max = np.where(flag, np.iinfo(np.int64).min, vote_max)
-        shown_min = np.where(flag, np.iinfo(np.int64).max, vote_min)
-    if nodes.size == flag.size:
-        starts, senders = indptr[:-1], sources
-    else:
-        first = indptr[nodes]
-        degrees = indptr[nodes + 1] - first
-        starts = np.cumsum(degrees) - degrees
-        senders = sources[np.arange(int(degrees.sum())) + np.repeat(first - starts, degrees)]
-    vote_max[nodes] = np.maximum(shown_max[nodes], np.maximum.reduceat(shown_max[senders], starts))
-    vote_min[nodes] = np.minimum(shown_min[nodes], np.minimum.reduceat(shown_min[senders], starts))
+    if nodes.size == vote_max.size:
+        np.maximum(vote_max, np.maximum.reduceat(vote_max[sources], indptr[:-1]), out=vote_max)
+        np.minimum(vote_min, np.minimum.reduceat(vote_min[sources], indptr[:-1]), out=vote_min)
+        return
+    first = indptr[nodes]
+    degrees = indptr[nodes + 1] - first
+    starts = np.cumsum(degrees) - degrees
+    senders = sources[np.arange(int(degrees.sum())) + np.repeat(first - starts, degrees)]
+    vote_max[nodes] = np.maximum(vote_max[nodes], np.maximum.reduceat(vote_max[senders], starts))
+    vote_min[nodes] = np.minimum(vote_min[nodes], np.minimum.reduceat(vote_min[senders], starts))

@@ -8,9 +8,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qcs import AsyncEngine, DelayModel, Digraph, RunConfig, SyncEngine, protocol
+from qcs import AsyncEngine, DelayModel, Digraph, RunConfig, SyncEngine, ceil_div, engine, floor_div, protocol
 
-from conftest import random_instance
+from conftest import random_instance, ring
 
 
 class TestUnitDelays:
@@ -24,6 +24,66 @@ class TestUnitDelays:
         eng = make(RunConfig(graph=g, y0=y0, z0=z0, seed=5))
         assert eng.pend_y is None and eng.busy_until is None and eng.cycle_start is None
         assert eng.run().converged
+
+
+def saturated(vote_max, vote_min) -> bool:
+    return bool((vote_max == vote_max[0]).all() and (vote_min == vote_min[0]).all())
+
+
+class TestEventDrivenFlooding:
+    """Votes flood only until every node holds the window's extrema."""
+
+    @pytest.mark.parametrize("max_delay", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floods_from_each_window_start_until_saturation(self, max_delay, seed, monkeypatch):
+        g, y0, z0 = random_instance(seed + 40)
+        # a gap of two between the ratios keeps the first window from
+        # flipping, and a loose diameter bound leaves room after saturation
+        y0 = [2 * v if j % 2 else 0 for j, v in enumerate(y0)]
+        cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=seed, diameter_bound=g.diameter + 2, record_trajectory=True)
+        eng = SyncEngine(cfg) if max_delay == 1 else AsyncEngine(cfg, DelayModel(max_delay))
+        flooded = []
+
+        def counted(vote_max, vote_min, nodes, in_csr):
+            flooded.append(eng.steps_done + 1)
+            return protocol.flood_votes(vote_max, vote_min, nodes, in_csr)
+
+        monkeypatch.setattr(engine, "flood_votes", counted)
+        completes = [True]
+        while not eng.all_flagged():
+            eng.step()
+            completes.append(eng.busy_until is None or bool((eng.busy_until == eng.steps_done).any()))
+        trajectory = eng.trajectory
+        assert eng.steps_done > eng.window  # more than one window
+        skipped, unsaturated_starts = [], []
+        for k in range(1, eng.steps_done + 1):
+            before = trajectory[k - 1]
+            if (k - 1) % eng.window == 0:
+                # the refresh sets each node's votes from its own ratio
+                start = (ceil_div(before.y, before.z), floor_div(before.y, before.z))
+                if k > 1 and not saturated(*start):
+                    unsaturated_starts.append(k)
+            else:
+                start = (before.vote_max, before.vote_min)
+            # a hop runs exactly when a node completes and could still learn
+            assert (k in flooded) == (completes[k] and not saturated(*start)), k
+            if completes[k] and k not in flooded:
+                skipped.append(k)
+        assert skipped
+        # after a saturated stretch, flooding resumed at the next window
+        # start, unless that window began saturated
+        window_of = lambda k: (k - 1) // eng.window  # noqa: E731
+        resumed = [
+            k for k in unsaturated_starts
+            if k in flooded and any(window_of(s) == window_of(k) - 1 for s in skipped)
+        ]
+        assert resumed or not unsaturated_starts
+
+    def test_consensus_never_floods(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "flood_votes", lambda *args: calls.append(args))
+        out = SyncEngine(RunConfig(graph=ring(4), y0=[4, 8, 12, 4], z0=[1, 2, 3, 1], seed=1)).run()
+        assert out.converged and calls == []
 
 
 class TestBenchmarkPatchPoints:

@@ -20,7 +20,7 @@ from qcs import (
     floor_div,
     split_pieces,
 )
-from qcs.protocol import flood_votes, route_pieces, split_batch
+from qcs.protocol import flood_votes, routing_slots, split_route
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -96,12 +96,12 @@ class TestSplit:
             assert 0 <= kept_y - 2 * kept_z <= kept_z - 1
 
     def test_zero_mass_split(self):
-        g = complete(4)
+        slots = routing_slots(complete(4).out_csr)
         for seed in range(10):
             y = np.zeros(4, dtype=np.int64)
             z = np.array([4, 2, 2, 2], dtype=np.int64)
-            sent, dst, c_y, c_z = route_pieces(y, z, np.array([0]), g.out_csr, np.random.default_rng(seed))
-            assert y[0] == 0 and (c_y == 0).all()
+            est, dst, c_y, c_z, sent = split_route(y, z, np.array([0]), slots, np.random.default_rng(seed), True)
+            assert y[0] == 0 and (c_y == 0).all() and est[0] == 0
             assert z[0] + int(c_z.sum()) == 4
             assert (c_z >= 1).all() and sent[0] == len(dst)
 
@@ -158,67 +158,109 @@ node_batches = st.lists(
 )
 
 
+def batch_network(nodes):
+    """(y, z, out_neighbors, slots) for split nodes 0..len(nodes)-1.
+
+    Node i's out-neighbors are the next out-degree ids after it, modulo
+    len(nodes) + 8, so nine or more ids and no self-loop; the ids past
+    the split nodes only receive.
+    """
+    y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
+    n = len(nodes) + 8
+    out = [[(i + 1 + t) % n for t in range(d)] for i, d in enumerate(deg.tolist())]
+    out += [[] for _ in range(8)]
+    indptr = np.cumsum([0] + [len(row) for row in out])
+    targets = np.array([t for row in out for t in row], dtype=np.int64)
+    pad = np.zeros(8, dtype=np.int64)
+    return np.concatenate((y, pad)), np.concatenate((z, pad)), out, routing_slots((indptr, targets))
+
+
+def per_slot(out_neighbors, i, src, dst, c):
+    """Node i's message totals per out-neighbor slot, zeros where it sent none."""
+    totals = np.zeros(len(out_neighbors[i]), dtype=np.int64)
+    for s_, d_, v in zip(src.tolist(), dst.tolist(), c.tolist()):
+        if s_ == i:
+            totals[out_neighbors[i].index(d_)] = v
+    return totals
+
+
 class TestSplitBatch:
+    """split_route on a batch of nodes: the split, the kept pairs and the messages."""
+
     @given(nodes=node_batches, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=300, deadline=None)
     def test_batch_properties(self, nodes, seed):
-        y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
-        kept_y, kept_z, c_y, c_z = split_batch(y, z, deg, np.random.default_rng(seed))
-        assert len(c_y) == len(c_z) == deg.sum()
-        first = np.cumsum(deg) - deg
-        for i, (yi, zi, di) in enumerate(nodes):
-            cy = c_y[first[i]:first[i] + di].tolist()
-            cz = c_z[first[i]:first[i] + di].tolist()
+        y, z, out, slots = batch_network(nodes)
+        split = np.arange(len(nodes))
+        est, dst, c_y, c_z, sent = split_route(y, z, split, slots, np.random.default_rng(seed), True)
+        assert len(sent) == len(nodes) and sent.sum() == len(dst) == len(c_y) == len(c_z)
+        src = np.repeat(split, sent)
+        # messages travel on out-edges only, ordered by sender then by
+        # out-neighbor order, and none is empty
+        keys = [(s_, out[s_].index(d_)) for s_, d_ in zip(src.tolist(), dst.tolist())]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert (c_z >= 1).all()
+        for i, (yi, zi, _) in enumerate(nodes):
+            mine = src == i
+            cy, cz = c_y[mine].tolist(), c_z[mine].tolist()
             delta, large = divmod(yi, zi)
+            assert int(est[i]) == -(-yi // zi)
             # kept plus sent is the node's whole pair
-            assert int(kept_y[i]) + sum(cy) == yi
-            assert int(kept_z[i]) + sum(cz) == zi
-            assert kept_z[i] >= 1
+            assert int(y[i]) + sum(cy) == yi
+            assert int(z[i]) + sum(cz) == zi
+            assert z[i] >= 1
             big_out = 0
             for v, t in zip(cy, cz):
-                assert t >= 0
-                if t == 0:
-                    assert v == 0  # no zero-token message carries mass
-                else:
-                    assert delta * t <= v <= (delta + 1) * t
-                    big_out += v - delta * t
-            kept_big = int(kept_y[i]) - delta * int(kept_z[i])
-            # the large pieces, kept and sent, number exactly y mod z
-            assert 0 <= kept_big <= kept_z[i] - 1
+                assert delta * t <= v <= (delta + 1) * t
+                big_out += v - delta * t
+            kept_big = int(y[i]) - delta * int(z[i])
+            # the large pieces, kept and sent, number exactly y mod z, and
+            # the piece the node keeps for itself is a minimum-value one
+            assert 0 <= kept_big <= z[i] - 1
             assert big_out + kept_big == large
+        # the receive-only ids are untouched
+        assert (y[len(nodes):] == 0).all() and (z[len(nodes):] == 0).all()
 
     @given(nodes=node_batches, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)
     def test_batch_is_the_per_node_rule_on_one_stream(self, nodes, seed):
-        y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
-        kept_y, kept_z, c_y, c_z = split_batch(y, z, deg, np.random.default_rng(seed))
-        # a one-node batch is split_pieces for the same generator state
-        one = split_batch(y[:1], z[:1], deg[:1], np.random.default_rng(seed))
-        single = split_pieces(int(y[0]), int(z[0]), int(deg[0]), np.random.default_rng(seed))
-        assert (int(one[0][0]), int(one[1][0])) == single[:2]
-        assert (one[2] == single[2]).all() and (one[3] == single[3]).all()
-        # and the whole batch takes its pieces node by node from the stream
+        y, z, out, slots = batch_network(nodes)
+        split = np.arange(len(nodes))
+        _, dst, c_y, c_z, sent = split_route(y, z, split, slots, np.random.default_rng(seed), True)
+        src = np.repeat(split, sent)
+        # the batch takes its pieces node by node from the stream, each as
+        # split_pieces, the one-node case, would for the same generator state
         rng = np.random.default_rng(seed)
-        first = np.cumsum(deg) - deg
         for i, (yi, zi, di) in enumerate(nodes):
             ky, kz, cy, cz = split_pieces(yi, zi, di, rng)
-            assert (ky, kz) == (kept_y[i], kept_z[i])
-            assert (cy == c_y[first[i]:first[i] + di]).all()
-            assert (cz == c_z[first[i]:first[i] + di]).all()
+            assert (ky, kz) == (y[i], z[i])
+            assert (cy == per_slot(out, i, src, dst, c_y)).all()
+            assert (cz == per_slot(out, i, src, dst, c_z)).all()
 
     def test_rejects_a_single_token_or_negative_mass_anywhere(self):
-        rng = np.random.default_rng(0)
+        slots = routing_slots(bidirectional_pair().out_csr)
+        both = np.array([0, 1])
         with pytest.raises(ProtocolError, match="z > 1"):
-            split_batch([4, 4], [3, 1], [1, 1], rng)
+            split_route(np.array([4, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0))
         with pytest.raises(ProtocolError, match="y >= 0"):
-            split_batch([4, -1], [3, 3], [1, 1], rng)
+            split_route(np.array([4, -1]), np.array([3, 3]), both, slots, np.random.default_rng(0))
 
     def test_masses_near_int64_stay_exact(self):
         y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
         z = np.array([7, 3], dtype=np.int64)
-        kept_y, kept_z, c_y, c_z = split_batch(y, z, [3, 2], np.random.default_rng(4))
-        assert int(kept_y[0]) + int(c_y[:3].sum()) == 2**62 + 5
-        assert int(kept_y[1]) + int(c_y[3:].sum()) == 2**61 + 3
+        slots = routing_slots(bidirectional_pair().out_csr)
+        est, dst, c_y, c_z, sent = split_route(y, z, np.array([0, 1]), slots, np.random.default_rng(4), True)
+        mass = c_y.tolist()
+        assert int(y[0]) + sum(mass[:sent[0]]) == 2**62 + 5
+        assert int(y[1]) + sum(mass[sent[0]:]) == 2**61 + 3
+        assert est.tolist() == [-(-(2**62 + 5) // 7), -(-(2**61 + 3) // 3)]
+
+    def test_slots_list_out_neighbors_then_self(self):
+        g, _, _ = random_instance(710)
+        first, count, dst = routing_slots(g.out_csr)
+        for j in range(g.n):
+            assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [j]
+        assert first[-1] + count[-1] == len(dst)
 
 
 class TestRouteAndFlood:
@@ -230,7 +272,9 @@ class TestRouteAndFlood:
             total = (int(y.sum()), int(z.sum()))
             nodes = np.flatnonzero(np.arange(g.n) % 3 != 1)
             before_y, before_z = y.copy(), z.copy()
-            sent, dst, c_y, c_z = route_pieces(y, z, nodes, g.out_csr, np.random.default_rng(seed))
+            _, dst, c_y, c_z, sent = split_route(
+                y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed), True
+            )
             src = np.repeat(nodes, sent)
             assert len(sent) == len(nodes) and sent.sum() == len(dst)
             assert (c_z >= 1).all()
@@ -244,25 +288,30 @@ class TestRouteAndFlood:
             np.add.at(z, dst, c_z)
             assert (int(y.sum()), int(z.sum())) == total
 
+    def test_sender_counts_only_on_request(self):
+        g, y0, z0 = random_instance(705)
+        y = 2 * np.array(y0, dtype=np.int64)
+        z = 2 * np.array(z0, dtype=np.int64)
+        *_, sent = split_route(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
+        assert sent is None
+
     def test_flood_matches_the_per_node_merge(self):
         for seed in range(10):
             g, y0, z0 = random_instance(seed + 720)
             rng = np.random.default_rng(seed)
             hi = rng.integers(0, 100, g.n)
             lo = hi - rng.integers(0, 5, g.n)
-            if seed % 2:  # a subset of nodes, some senders terminated
-                flag = rng.random(g.n) < 0.2
-                nodes = np.flatnonzero(~flag & (rng.random(g.n) < 0.7))
-            else:  # every node, none terminated
-                flag = np.zeros(g.n, dtype=bool)
+            if seed % 2:  # a subset of nodes
+                nodes = np.flatnonzero(rng.random(g.n) < 0.7)
+            else:  # every node
                 nodes = np.arange(g.n)
             want = []
             for j in nodes.tolist():
-                shown = [i for i in g.in_neighbors[j] if not flag[i]]
+                shown = g.in_neighbors[j]
                 want.append((max([int(hi[j])] + [int(hi[i]) for i in shown]),
                              min([int(lo[j])] + [int(lo[i]) for i in shown])))
             vote_max, vote_min = hi.copy(), lo.copy()
-            flood_votes(vote_max, vote_min, flag, nodes, g.in_csr)
+            flood_votes(vote_max, vote_min, nodes, g.in_csr)
             assert list(zip(vote_max[nodes].tolist(), vote_min[nodes].tolist())) == want
             rest = np.setdiff1d(np.arange(g.n), nodes)
             assert (vote_max[rest] == hi[rest]).all() and (vote_min[rest] == lo[rest]).all()
@@ -326,7 +375,7 @@ def star_merge(own, votes):
     g = Digraph(n=m + 1, out_neighbors=(tuple(range(1, m + 1)),) + ((0,),) * m)
     vote_max = np.array([own[0]] + [v[0] for v in votes], dtype=np.int64)
     vote_min = np.array([own[1]] + [v[1] for v in votes], dtype=np.int64)
-    flood_votes(vote_max, vote_min, np.zeros(m + 1, dtype=bool), np.array([0]), g.in_csr)
+    flood_votes(vote_max, vote_min, np.array([0]), g.in_csr)
     return int(vote_max[0]), int(vote_min[0])
 
 
@@ -342,11 +391,10 @@ class TestVotes:
         assert star_merge((3, 2), [(5, 1)]) == (5, 1)
 
     def test_merge_empty_is_identity(self):
-        # a terminated in-neighbor exposes nothing, and an empty hop is a no-op
+        # an empty hop is a no-op
         in_csr = bidirectional_pair().in_csr
         vote_max, vote_min = np.array([3, 9]), np.array([3, 0])
-        flood_votes(vote_max, vote_min, np.array([False, True]), np.array([0]), in_csr)
-        flood_votes(vote_max, vote_min, np.zeros(2, dtype=bool), np.array([], dtype=np.int64), in_csr)
+        flood_votes(vote_max, vote_min, np.array([], dtype=np.int64), in_csr)
         assert vote_max.tolist() == [3, 9] and vote_min.tolist() == [3, 0]
 
     def test_merge_at_consensus(self):
@@ -394,6 +442,17 @@ class TestFinalize:
             out = eng.run()
             assert out.converged and out.termination_step > eng.window
 
+    def test_partial_flip_is_refused_without_invariant_checks(self):
+        # flags flip all at once or not at all, also with checks off
+        for make in ENGINES:
+            eng = make(RunConfig(graph=ring(4), y0=[6, 7, 6, 7], z0=[2] * 4, seed=1, check_invariants=False))
+            for _ in range(eng.window - 1):
+                eng.step()
+            eng.vote_max[0] += 5  # one hop spreads it to one more node at most
+            with pytest.raises(InvariantError, match="simultaneously"):
+                eng.step()
+            assert not eng.flag.any()
+
     def test_exact_consensus_flips(self):
         for make in ENGINES:
             eng = make(RunConfig(graph=ring(4), y0=[4, 8, 12, 4], z0=[1, 2, 3, 1], seed=1))
@@ -406,11 +465,11 @@ class TestMessages:
     def test_empty_message_never_exists(self):
         # a node with few tokens and many out-neighbors leaves most slots
         # empty; routing returns only the nonempty ones
-        g = complete(9)
+        slots = routing_slots(complete(9).out_csr)
         for seed in range(20):
             y = np.full(9, 5, dtype=np.int64)
             z = np.full(9, 3, dtype=np.int64)
-            sent, dst, c_y, c_z = route_pieces(y, z, np.array([0, 4]), g.out_csr, np.random.default_rng(seed))
+            _, dst, c_y, c_z, sent = split_route(y, z, np.array([0, 4]), slots, np.random.default_rng(seed), True)
             assert (sent <= 2).all() and sent.sum() == len(dst)
             assert (c_z >= 1).all()
 
