@@ -151,6 +151,16 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct'")
+        if (
+            self.error_mode == "reciprocal"
+            and isinstance(self.initial, ExplicitInitial)
+            and 0 in self.initial.y0
+            and self.records_trajectory()
+        ):
+            raise ConfigError(
+                f"error_mode: 'reciprocal' inverts every node's state, but "
+                f"initial.explicit.y0[{self.initial.y0.index(0)}] is 0; use 'direct'"
+            )
         if isinstance(self.graph, RandomGraphSpec):
             self._check_lengths(self.graph.n)
 
@@ -469,6 +479,7 @@ class TrialResult:
     completion_bound: Optional[int] = None
     within_bound: Optional[bool] = None
     error_series: Optional[tuple[float, ...]] = None
+    error_series_truncated: bool = False
     recovered: Optional[tuple[float, ...]] = None
 
 
@@ -514,19 +525,15 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     if cfg.epsilon is not None:
         bound = _trial_bound(cfg, inst)
         within = outcome.converged and outcome.termination_step <= bound
-    series = None
+    series = curve = None
     if outcome.trajectory is not None:
         target = inst.quotient
         if cfg.error_mode == "reciprocal":
             x_star = float(1 / target) if target != 0 else 0.0
         else:
             x_star = float(target)
-        series = tuple(
-            float(v)
-            for v in metrics.normalized_error(
-                outcome.trajectory, x_star, mode=cfg.error_mode
-            ).values
-        )
+        curve = metrics.normalized_error(outcome.trajectory, x_star, mode=cfg.error_mode)
+        series = tuple(float(v) for v in curve.values)
     recovered = None
     if outcome.converged and outcome.recovered_solution is not None:
         recovered = tuple(float(v) for v in outcome.recovered_solution)
@@ -544,6 +551,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         completion_bound=bound,
         within_bound=within,
         error_series=series,
+        error_series_truncated=curve is not None and curve.truncated,
         recovered=recovered,
     )
 
@@ -643,6 +651,7 @@ def write_artifacts(
             "min_steps": stats.min,
             "max_steps": stats.max,
             "fraction_within_bound": stats.fraction_within_bound,
+            "error_series_truncated": sum(r.error_series_truncated for r in result.results),
         },
         "bounds": result.bounds_block,
         "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},

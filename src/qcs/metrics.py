@@ -36,10 +36,15 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class ErrorSeries:
-    """Normalized error curve; degenerate marks an already-optimal start."""
+    """Normalized error curve; degenerate marks an already-optimal start.
+
+    truncated marks a curve stopped before its first undefined point,
+    which leaves it empty when the k=0 point is undefined.
+    """
 
     values: np.ndarray
     degenerate: bool
+    truncated: bool = False
 
 
 def normalized_error(
@@ -55,6 +60,10 @@ def normalized_error(
     approximates the reciprocal of the balanced utilization); "direct"
     mode compares q_j[k] itself.  The series is normalized by its k=0
     value, so e[0] = 1 whenever the start is not already optimal.
+
+    A point is undefined when it is not finite, as when a node holds no
+    mass in reciprocal mode.  The series then stops before the first
+    undefined point, so it never holds NaN or inf.
     """
     if mode not in ("reciprocal", "direct"):
         raise ValueError(f"mode must be 'reciprocal' or 'direct', got {mode!r}")
@@ -62,16 +71,24 @@ def normalized_error(
         raise ValueError("trajectory is empty")
     target = float(x_star)
     sums = np.empty(len(trajectory), dtype=np.float64)
-    for i, rec in enumerate(trajectory):
-        states = rec.y.astype(np.float64) / rec.z.astype(np.float64)
-        if mode == "reciprocal":
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, rec in enumerate(trajectory):
+            states = rec.y.astype(np.float64) / rec.z.astype(np.float64)
+            if mode == "reciprocal":
                 states = 1.0 / states
-        sums[i] = np.sum((states - target) ** 2)
-    if sums[0] == 0.0:
+            sums[i] = np.sum((states - target) ** 2)
+        if sums[0] == 0.0:
+            values, degenerate = np.zeros(len(trajectory)), True
+        else:
+            values, degenerate = np.sqrt(sums / sums[0]), False
+    defined = np.isfinite(sums) & np.isfinite(values)
+    if not defined.all():
+        cut = int(np.argmin(defined))
+        logger.warning("normalized_error: point %d is undefined, stopping the series before it", cut)
+        return ErrorSeries(values=values[:cut], degenerate=degenerate, truncated=True)
+    if degenerate:
         logger.warning("normalized_error: start is already optimal, returning zeros")
-        return ErrorSeries(values=np.zeros(len(trajectory)), degenerate=True)
-    return ErrorSeries(values=np.sqrt(sums / sums[0]), degenerate=False)
+    return ErrorSeries(values=values, degenerate=degenerate)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,21 @@ def experiment_configs(draw):
     )
 
 
+class TestReciprocalCurveNeedsMass:
+    ZERO = {**MINIMAL, "initial": {"explicit": {"y0": [3] * 9 + [0], "z0": [1] * 10}}}
+
+    def test_zero_explicit_mass_refused_when_a_curve_is_computed(self):
+        with pytest.raises(ConfigError, match=r"error_mode: .*y0\[9\] is 0"):
+            parse_config(self.ZERO)
+        with pytest.raises(ConfigError, match="error_mode"):
+            parse_config({**self.ZERO, "trials": 2, "record_trajectory": True})
+
+    def test_accepted_in_direct_mode_or_without_a_curve(self):
+        assert parse_config({**self.ZERO, "error_mode": "direct"}).records_trajectory()
+        assert not parse_config({**self.ZERO, "trials": 2}).records_trajectory()
+        assert not parse_config({**self.ZERO, "record_trajectory": False}).records_trajectory()
+
+
 class TestConfigEcho:
     @given(experiment_configs())
     @settings(max_examples=200, deadline=None)
@@ -419,6 +434,27 @@ class TestArtifacts:
         sb = json.loads((tmp_path / "b/summary.json").read_text())
         sa.pop("meta"), sb.pop("meta")  # timestamps confined to meta
         assert sa == sb
+
+    def test_undefined_curve_is_truncated_and_counted(self, tmp_path):
+        # trial 0 of this config starts with a node holding no mass, so
+        # its reciprocal error curve is undefined from k = 0 on
+        cfg = parse_config({
+            "mode": "sync",
+            "graph": {"random": {"n": 12, "edge_prob": 0.5}},
+            "initial": {"uniform": {"y0_range": [0, 80], "z0_range": [1, 6]}},
+            "trials": 3,
+            "seed": 17,
+            "record_trajectory": True,
+        })
+        res = run_experiment(cfg, out_dir=tmp_path)
+        assert [r.error_series_truncated for r in res.results] == [True, False, False]
+        assert res.results[0].error_series == ()
+        assert all(r.error_series[0] == 1.0 for r in res.results[1:])
+        rows = (tmp_path / "error_series.csv").read_text().strip().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"1", "2"}
+        assert not any(word in row for row in rows for word in ("nan", "inf"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stats"]["error_series_truncated"] == 1
 
     def test_bad_format_rejected(self, tmp_path):
         cfg = parse_config(MINIMAL)

@@ -61,6 +61,23 @@ class TestNormalizedError:
         assert series.degenerate
         assert (series.values == 0).all()
 
+    def test_undefined_start_gives_an_empty_truncated_series(self):
+        # a node without mass has an infinite reciprocal state at k = 0
+        recs = [record(0, [0, 8], [2, 2]), record(1, [4, 4], [2, 2])]
+        series = normalized_error(recs, x_star=0.5, mode="reciprocal")
+        assert series.truncated and not series.degenerate
+        assert series.values.size == 0
+
+    def test_series_stops_before_its_first_undefined_point(self):
+        recs = [record(0, [2, 8], [2, 2]), record(1, [4, 6], [2, 2]), record(2, [0, 10], [2, 2]),
+                record(3, [5, 5], [2, 2])]
+        series = normalized_error(recs, x_star=0.5, mode="reciprocal")
+        assert series.truncated
+        assert series.values.tolist() == pytest.approx(direct_error(recs[:2], 0.5))
+        # direct mode has no undefined point here
+        full = normalized_error(recs, x_star=2.5, mode="direct")
+        assert not full.truncated and full.values.size == 4 and np.isfinite(full.values).all()
+
     def test_matches_literal_oracle(self):
         g = generate_random_digraph(8, 0.5, seed=3)
         y0 = [12, 70, 3, 55, 8, 90, 41, 22]
