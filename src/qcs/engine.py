@@ -377,6 +377,7 @@ class Engine:
                 self.y, self.z, splitting, self.slots, self.route_rng, log is not None
             )
             self.estimate[splitting] = estimate
+            # flags are all clear while the engine steps, unless set from outside
             if self.cfg.check_invariants and np.count_nonzero(self.flag) and self.flag[dst].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
             np.add.at(self.pend_y if delayed else self.y, dst, c_y)
