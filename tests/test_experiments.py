@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -260,6 +261,70 @@ class TestTrialBuilding:
         cfg = parse_config({**MINIMAL, "graph": {"file": str(path)}, "initial": short})
         with pytest.raises(ConfigError, match="initial"):
             build_trial_instance(cfg, 0)
+
+
+class TestTrialMaterialisationPin:
+    """sha256 of what build_trial_instance hands each trial, on a random
+    graph and on a graph file, for trials 0..9: y0, z0 and the recovery
+    hook's value at estimate 3.  Recorded before the initial kinds moved
+    onto their spec classes; any drift in draws, order or types shows."""
+
+    INITIALS = {
+        "explicit": {"explicit": {"y0": [3, 1, 4, 1, 5, 9, 2, 6], "z0": [1, 2, 1, 3, 1, 2, 1, 1]}},
+        "uniform": {"uniform": {"y0_range": [0, 50], "z0_range": [1, 6]}},
+        "generic": {"generic": {"alpha": [1, 2, 3, 1, 2, 3, 1, 2], "rho": [5, 0, 7, 2, 9, 4, 4, 1]}},
+        "generic-literal": {
+            "generic": {"alpha": [1, 2, 3, 1, 2, 3, 1, 2], "rho": [5, 1, 7, 2, 9, 4, 4, 1], "literal": True}
+        },
+        "scheduling": {
+            "scheduling": {
+                "workloads": [40, 10, 0, 25, 60, 5, 30, 20],
+                "occupied": [0, 5, 0, 10, 0, 0, 20, 1],
+                "capacity": [100, 300, 100, 200, 300, 100, 200, 50],
+            }
+        },
+        "federated": {
+            "federated": {
+                "dataset_sizes": [10, 30, 5, 7, 12, 1, 9, 40],
+                "local_params": [100, 200, 0, 50, 75, 3, 8, 60],
+            }
+        },
+        "federated-literal": {
+            "federated": {
+                "dataset_sizes": [10, 30, 5, 7, 12, 1, 9, 40],
+                "local_params": [100, 200, 1, 50, 75, 3, 8, 60],
+                "literal": True,
+            }
+        },
+        "scheduling_uniform": {
+            "scheduling_uniform": {"load_range": [1, 100], "capacity_pattern": [100, 300, 200], "occupied": 2}
+        },
+        "federated_uniform": {"federated_uniform": {"size_range": [10, 100], "param_range": [1000, 100000]}},
+    }
+    PINS = {
+        "explicit": "e89a2bcfa22f6e9c95e4372729d9c3fcefe7fda7655d9008fe26b972599f2138",
+        "federated": "b062b9404835fd397e71e3bcc1e230163ec4be0410987fbdafc616fb96c3c0ce",
+        "federated-literal": "99f22bb76992576789301d95add13d9906088217e3e9b034b534e2f972c65135",
+        "federated_uniform": "79507f78c199c3d49f74f4ba2eff8e55e8de42a089eceea88b67193f9595214f",
+        "generic": "0d5972240b90f6c88cbe171d3a457cc3dee95d6e1e326ed5c288ce146fed1d40",
+        "generic-literal": "9bab30d459ea21506be8c98cf8324d51d2670a6a00b17ef27a10b5e7d213b04b",
+        "scheduling": "4b329cd20429892d1895018089c0c1a0574286738b665f314df03953b94ca797",
+        "scheduling_uniform": "a77ec6f782dacadf7e63ad0699823c28bb3e77cc315435092e029bccbdfbcc3d",
+        "uniform": "117e05a58d625c2a33199d421bbfe2942af07384d9208b80be34b9962602923c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(INITIALS))
+    def test_trial_values_are_pinned(self, name, tmp_path):
+        path = tmp_path / "g.txt"
+        generate_random_digraph(8, 0.5, seed=5).save(path)
+        h = hashlib.sha256()
+        for graph in ({"random": {"n": 8, "edge_prob": 0.5}}, {"file": str(path)}):
+            cfg = parse_config({"mode": "sync", "graph": graph, "initial": self.INITIALS[name], "seed": 21})
+            for t in range(10):
+                inst = build_trial_instance(cfg, t)
+                hook = None if inst.recovery is None else [inst.recovery(j, 3) for j in range(8)]
+                h.update(repr((t, inst.y0, inst.z0, hook)).encode())
+        assert h.hexdigest() == self.PINS[name]
 
 
 class TestParseTimeLengths:
