@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, sweep, bounds, fig1, fig2-desk, fig3, app-scheduling,
-app-federated.  QCS_LOG_LEVEL in {error, warn, info, debug} controls
+app-federated.  Every command builds ExperimentConfigs and hands them to
+qcs.experiments.  QCS_LOG_LEVEL in {error, warn, info, debug} controls
 diagnostics; debug additionally forces per-step conservation assertions
 on even when a config switched them off.
 
@@ -26,23 +27,20 @@ from .applications import (
     FederatedInstance,
     SchedulingInstance,
     federated_recover,
-    make_scheduling_recovery,
-    scheduling_init,
-    federated_init,
     scheduling_utilizations,
 )
-from .async_engine import run_async
-from .bounds import bounds_report
-from .digraph import Digraph, generate_random_digraph
-from .engine import DelayModel, RunConfig
-from .errors import QcsError
+from .engine import DelayModel
+from .errors import ConfigError, QcsError
 from .experiments import (
     ExperimentConfig,
+    FederatedInitial,
     FileGraphSpec,
+    RandomGraphSpec,
+    SchedulingInitial,
+    TrialResult,
     parse_config,
     run_experiment,
 )
-from .sync_engine import run_sync
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +67,19 @@ def _setup_logging() -> str:
     return name
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_COMMON = {
+    "trials": dict(type=int, default=None, help="number of trials"),
+    "out": dict(type=Path, default=None, help="artifact output directory"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "workers": dict(type=int, default=None, help="trial worker processes"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--seed, plus the named flags of _COMMON that the command reads."""
     p.add_argument("--seed", type=int, default=None, help="base seed (trial i adds i)")
-    p.add_argument("--trials", type=int, default=None, help="number of trials")
-    p.add_argument("--out", type=Path, default=None, help="artifact output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=None, help="trial worker processes")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_COMMON[flag])
 
 
 def _workers(args) -> int:
@@ -87,7 +92,7 @@ def _override(cfg: ExperimentConfig, args, debug: bool) -> ExperimentConfig:
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         changes["trials"] = args.trials
     if getattr(args, "graph_file", None) is not None:
         changes["graph"] = FileGraphSpec(path=str(args.graph_file))
@@ -108,29 +113,27 @@ def _print_stats(label: str, res: experiments.ExperimentResult) -> None:
         print(f"{label}: wrote {name} -> {path}")
 
 
-def load_scheduling_instance(path: Path) -> SchedulingInstance:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    nodes = data["nodes"]
-    return SchedulingInstance(
-        workloads=tuple(int(v["l"]) for v in nodes),
-        occupied=tuple(int(v["u"]) for v in nodes),
-        capacity=tuple(int(v["pi_max"]) for v in nodes),
-    )
+def _load_instance(path: Path, cls, columns: dict[str, str]):
+    """Config spec `cls` from an instance file; columns maps field -> node key."""
+    ctx = f"instance file {path}"
+    data = experiments.read_json(path, "instance file")
+    try:
+        body = {name: [node[key] for node in data["nodes"]] for name, key in columns.items()}
+    except KeyError as exc:
+        raise ConfigError(f"{ctx}: missing key {exc}") from None
+    except TypeError:
+        raise ConfigError(f"{ctx}: expected an object with a 'nodes' list of objects") from None
+    return experiments.parse_spec(cls, body, ctx)
 
 
-def load_federated_instance(path: Path) -> FederatedInstance:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    nodes = data["nodes"]
-    return FederatedInstance(
-        dataset_sizes=tuple(int(v["r_size"]) for v in nodes),
-        local_params=tuple(int(v["w_local"]) for v in nodes),
-    )
+def load_scheduling_instance(path: Path) -> SchedulingInitial:
+    columns = {"workloads": "l", "occupied": "u", "capacity": "pi_max"}
+    return _load_instance(path, SchedulingInitial, columns)
 
 
-def _app_graph(args, n: int) -> Digraph:
-    if args.graph_file is not None:
-        return Digraph.load(args.graph_file)
-    return generate_random_digraph(n, args.edge_prob, seed=args.seed or 0)
+def load_federated_instance(path: Path) -> FederatedInitial:
+    columns = {"dataset_sizes": "r_size", "local_params": "w_local"}
+    return _load_instance(path, FederatedInitial, columns)
 
 
 def _cmd_run(args, debug: bool) -> int:
@@ -168,17 +171,7 @@ def _cmd_bounds(args, debug: bool) -> int:
     if epsilon is None:
         print("bounds: an epsilon is required (config key or --epsilon)", file=sys.stderr)
         return 2
-    inst = experiments.build_trial_instance(cfg, 0)
-    report = bounds_report(
-        inst.graph,
-        epsilon,
-        inst.y0,
-        inst.z0,
-        max_delay=None if cfg.delay is None else cfg.delay.max_delay,
-        min_max_delay_prob=None
-        if cfg.delay is None
-        else cfg.delay.min_max_delay_prob(inst.graph.n),
-    )
+    report = experiments.bounds_report(cfg, epsilon)
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key:<{width}}  {value}")
@@ -218,46 +211,42 @@ def _cmd_fig3(args, debug: bool) -> int:
     return 0
 
 
-def _run_app(args, y0, z0, recovery, n: int):
-    g = _app_graph(args, n)
-    cfg = RunConfig(
-        graph=g,
-        y0=y0,
-        z0=z0,
-        seed=args.seed or 0,
-        recovery=recovery,
+def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
+    """Trial 0 of a one-trial config on `initial`, as `qcs run` would run it."""
+    cfg = ExperimentConfig(
+        mode=args.mode,
+        graph=RandomGraphSpec(n, args.edge_prob),
+        initial=initial,
+        delay=DelayModel(max_delay=args.max_delay) if args.mode == "async" else None,
         record_trajectory=False,
     )
-    if args.mode == "async":
-        return run_async(cfg, DelayModel(max_delay=args.max_delay)), g
-    return run_sync(cfg), g
+    res = experiments.run_one_trial(_override(cfg, args, debug), 0)
+    if res.converged:
+        print(f"converged at step {res.termination_step} (diameter {res.diameter})")
+    else:
+        print("did not converge within the step cap", file=sys.stderr)
+    return res
 
 
 def _cmd_app_scheduling(args, debug: bool) -> int:
-    inst = load_scheduling_instance(args.instance)
-    y0, z0 = scheduling_init(inst)
-    outcome, g = _run_app(args, y0, z0, make_scheduling_recovery(inst), inst.n)
-    if not outcome.converged:
-        print("did not converge within the step cap", file=sys.stderr)
+    spec = load_scheduling_instance(args.instance)
+    res = _run_app(args, debug, spec, len(spec.workloads))
+    if not res.converged:
         return 1
-    workloads = [int(v) for v in outcome.recovered_solution]
-    utils = scheduling_utilizations(inst, workloads)
-    print(f"converged at step {outcome.termination_step} (diameter {g.diameter})")
-    for j, (w, u) in enumerate(zip(workloads, utils)):
+    workloads = [int(v) for v in res.recovered]
+    inst = SchedulingInstance(spec.workloads, spec.occupied, spec.capacity)
+    for j, (w, u) in enumerate(zip(workloads, scheduling_utilizations(inst, workloads))):
         print(f"node {j}: w*={w} utilization={float(u):.4f}")
     return 0
 
 
 def _cmd_app_federated(args, debug: bool) -> int:
-    inst = load_federated_instance(args.instance)
-    y0, z0 = federated_init(inst)
-    outcome, g = _run_app(args, y0, z0, None, inst.n)
-    if not outcome.converged:
-        print("did not converge within the step cap", file=sys.stderr)
+    spec = load_federated_instance(args.instance)
+    res = _run_app(args, debug, spec, len(spec.dataset_sizes))
+    if not res.converged:
         return 1
-    aggregate = federated_recover(int(outcome.final_estimate[0]))
-    exact = inst.exact_aggregate()
-    print(f"converged at step {outcome.termination_step} (diameter {g.diameter})")
+    aggregate = federated_recover(res.estimate)
+    exact = FederatedInstance(spec.dataset_sizes, spec.local_params).exact_aggregate()
     print(f"aggregate={aggregate} exact={float(exact):.4f} error={abs(aggregate - float(exact)):.4f}")
     return 0
 
@@ -272,34 +261,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment from a config file")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--graph-file", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, "trials", "out", "format", "workers")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("sweep", help="n x B async sweep over scheduling workloads")
     p.add_argument("--sizes", default="50,100,200,300")
     p.add_argument("--delays", default="5,10,15")
     p.add_argument("--edge-prob", type=float, default=0.5)
-    _add_common(p)
+    _add_common(p, "trials", "out", "workers")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="print the closed-form bound table for a config")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--graph-file", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, "out")
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("fig1", help="task-scheduling preset (sync, 20 nodes)")
-    _add_common(p)
+    _add_common(p, "trials", "out", "format", "workers")
     p.set_defaults(fn=_cmd_fig1)
 
     p = sub.add_parser("fig2-desk", help="delayed-convergence sweep preset")
     p.add_argument("--full-scale", action="store_true")
-    _add_common(p)
+    _add_common(p, "trials", "out", "workers")
     p.set_defaults(fn=_cmd_fig2_desk)
 
     p = sub.add_parser("fig3", help="federated aggregation preset (sync + async)")
-    _add_common(p)
+    _add_common(p, "trials", "out", "format", "workers")
     p.set_defaults(fn=_cmd_fig3)
 
     for name, fn in (("app-scheduling", _cmd_app_scheduling), ("app-federated", _cmd_app_federated)):

@@ -5,11 +5,16 @@ i uses seed base_seed + i for everything it samples (graph, initial
 values, routing, delays), so a config file plus a seed pins every byte
 of the output.  Results land as outcomes.csv / error_series.csv /
 summary.json in the chosen output directory.
+
+Each config object is a frozen dataclass whose fields are its config
+keys: parse_spec builds one from JSON, config_to_dict echoes it, and
+its __post_init__ refuses values no trial could run on.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,12 +44,30 @@ _INIT_STREAM = 2
 # so without it a stuck trial would never be censored
 DEFAULT_MAX_STEPS = 100_000
 
+# field metadata naming a field's config key, where the two differ
+_KEY = "key"
+
+
+def _config_key(f: dataclasses.Field) -> str:
+    return f.metadata.get(_KEY, f.name)
+
+
+def _at_least(ctx: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ConfigError(f"{ctx}: must be >= {floor}, got {value}")
+
 
 @dataclass(frozen=True)
 class RandomGraphSpec:
     n: int
     edge_prob: float
     max_retries: int = 100
+
+    def __post_init__(self) -> None:
+        _at_least("graph.random.n", self.n, 2)
+        if not 0 < self.edge_prob <= 1:
+            raise ConfigError(f"graph.random.edge_prob: must be in (0, 1], got {self.edge_prob}")
+        _at_least("graph.random.max_retries", self.max_retries, 1)
 
 
 @dataclass(frozen=True)
@@ -55,74 +78,154 @@ class FileGraphSpec:
 GraphSpec = Union[RandomGraphSpec, FileGraphSpec]
 
 
+class InitialSpec:
+    """Base of the initial-value kinds, one frozen dataclass per kind.
+
+    KIND is the kind's config name.  In a PER_NODE kind every tuple
+    field lists one value per node.
+    """
+
+    KIND: ClassVar[str]
+    PER_NODE: ClassVar[bool] = False
+
+    def values(
+        self, n: int, rng: np.random.Generator
+    ) -> tuple[tuple[int, ...], tuple[int, ...], Optional[Callable]]:
+        """One trial's (y0, z0, recovery hook) on an n-node graph, drawing from rng."""
+        raise NotImplementedError
+
+    def _check_range(self, key: str, floor: int) -> None:
+        lo, hi = getattr(self, key)
+        ctx = f"initial.{self.KIND}.{key}"
+        if lo < floor:
+            raise ConfigError(f"{ctx}: low end must be >= {floor}, got {lo}")
+        if lo > hi:
+            raise ConfigError(f"{ctx}: low {lo} exceeds high {hi}")
+
+
+def _draw(rng: np.random.Generator, low_high: tuple[int, int], n: int) -> tuple[int, ...]:
+    """n integer-uniform draws over the inclusive range low_high."""
+    return tuple(int(v) for v in rng.integers(low_high[0], low_high[1] + 1, size=n))
+
+
 @dataclass(frozen=True)
-class ExplicitInitial:
+class ExplicitInitial(InitialSpec):
+    KIND: ClassVar[str] = "explicit"
+    PER_NODE: ClassVar[bool] = True
+
     y0: tuple[int, ...]
     z0: tuple[int, ...]
 
+    def values(self, n, rng):
+        return self.y0, self.z0, None
+
 
 @dataclass(frozen=True)
-class UniformInitial:
+class UniformInitial(InitialSpec):
     """Integer-uniform initial values, inclusive ranges, per-trial draws."""
+
+    KIND: ClassVar[str] = "uniform"
 
     y0_range: tuple[int, int]
     z0_range: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        self._check_range("y0_range", 0)
+        self._check_range("z0_range", 1)
+
+    def values(self, n, rng):
+        y0, z0 = _draw(rng, self.y0_range, n), _draw(rng, self.z0_range, n)
+        return ExplicitInitial(y0, z0).values(n, rng)
+
 
 @dataclass(frozen=True)
-class GenericInitial:
-    alphas: tuple[int, ...]
-    rhos: tuple[int, ...]
+class GenericInitial(InitialSpec):
+    KIND: ClassVar[str] = "generic"
+    PER_NODE: ClassVar[bool] = True
+
+    alphas: tuple[int, ...] = field(metadata={_KEY: "alpha"})
+    rhos: tuple[int, ...] = field(metadata={_KEY: "rho"})
     literal: bool = False
 
+    def values(self, n, rng):
+        y0, z0 = applications.generic_init(self.alphas, self.rhos, literal_init=self.literal)
+        return y0, z0, None
+
 
 @dataclass(frozen=True)
-class SchedulingInitial:
+class SchedulingInitial(InitialSpec):
+    KIND: ClassVar[str] = "scheduling"
+    PER_NODE: ClassVar[bool] = True
+
     workloads: tuple[int, ...]
     occupied: tuple[int, ...]
     capacity: tuple[int, ...]
 
+    def values(self, n, rng):
+        inst = applications.SchedulingInstance(self.workloads, self.occupied, self.capacity)
+        y0, z0 = applications.scheduling_init(inst)
+        return y0, z0, applications.make_scheduling_recovery(inst)
+
 
 @dataclass(frozen=True)
-class FederatedInitial:
+class FederatedInitial(InitialSpec):
+    KIND: ClassVar[str] = "federated"
+    PER_NODE: ClassVar[bool] = True
+
     dataset_sizes: tuple[int, ...]
     local_params: tuple[int, ...]
     literal: bool = False
 
+    def values(self, n, rng):
+        inst = applications.FederatedInstance(self.dataset_sizes, self.local_params)
+        y0, z0 = applications.federated_init(inst, literal_init=self.literal)
+        return y0, z0, None
+
 
 @dataclass(frozen=True)
-class SchedulingUniformInitial:
+class SchedulingUniformInitial(InitialSpec):
     """Random loads over a capacity pattern cycled by node id."""
+
+    KIND: ClassVar[str] = "scheduling_uniform"
 
     load_range: tuple[int, int]
     capacity_pattern: tuple[int, ...]
     occupied: int = 0
 
+    def __post_init__(self) -> None:
+        self._check_range("load_range", 0)
+        if not self.capacity_pattern:
+            raise ConfigError("initial.scheduling_uniform.capacity_pattern: must not be empty")
+        _at_least("initial.scheduling_uniform.capacity_pattern", min(self.capacity_pattern), 1)
+        _at_least("initial.scheduling_uniform.occupied", self.occupied, 0)
+
+    def values(self, n, rng):
+        pattern = self.capacity_pattern
+        return SchedulingInitial(
+            workloads=_draw(rng, self.load_range, n),
+            occupied=(self.occupied,) * n,
+            capacity=tuple(pattern[j % len(pattern)] for j in range(n)),
+        ).values(n, rng)
+
 
 @dataclass(frozen=True)
-class FederatedUniformInitial:
+class FederatedUniformInitial(InitialSpec):
+    KIND: ClassVar[str] = "federated_uniform"
+
     size_range: tuple[int, int]
     param_range: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        self._check_range("size_range", 1)
+        self._check_range("param_range", 0)
 
-InitialSpec = Union[
-    ExplicitInitial,
-    UniformInitial,
-    GenericInitial,
-    SchedulingInitial,
-    FederatedInitial,
-    SchedulingUniformInitial,
-    FederatedUniformInitial,
-]
+    def values(self, n, rng):
+        sizes, params = _draw(rng, self.size_range, n), _draw(rng, self.param_range, n)
+        return FederatedInitial(sizes, params).values(n, rng)
 
 
-# initial kinds whose tuple fields list one value per node
-_PER_NODE_KINDS = {
-    ExplicitInitial: "explicit",
-    GenericInitial: "generic",
-    SchedulingInitial: "scheduling",
-    FederatedInitial: "federated",
-}
+# every class above that derives from InitialSpec, by config name
+_INITIAL_KINDS = {cls.KIND: cls for cls in InitialSpec.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -145,8 +248,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode: must be 'sync' or 'async', got {self.mode!r}")
         if self.mode == "async" and self.delay is None:
             raise ConfigError("delay: required when mode is 'async'")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        _at_least("trials", self.trials, 1)
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if self.error_mode not in ("reciprocal", "direct"):
@@ -166,12 +268,13 @@ class ExperimentConfig:
 
     def _check_lengths(self, n: int) -> None:
         """Per-node tables must have one entry per node of an n-node graph."""
-        kind = _PER_NODE_KINDS.get(type(self.initial))
-        if kind is not None:
-            for attr, values in vars(self.initial).items():
+        spec = self.initial
+        if spec.PER_NODE:
+            for f in dataclasses.fields(spec):
+                values = getattr(spec, f.name)
                 if isinstance(values, tuple) and len(values) != n:
                     raise ConfigError(
-                        f"initial.{kind}.{_INITIAL_KEYS.get(attr, attr)}: "
+                        f"initial.{spec.KIND}.{_config_key(f)}: "
                         f"{len(values)} values for a graph with {n} nodes"
                     )
         if self.delay is not None and self.delay.per_node_pmf is not None:
@@ -185,110 +288,113 @@ class ExperimentConfig:
         return self.trials == 1
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing required key '{key}'")
-    return d[key]
+# ---------------------------------------------------------------------------
+# parsing and echo: generic over the dataclass fields of each config object
+
+
+def _typed(value, ctx: str, types, what: str):
+    """`value` if it is one of `types`; a bool only where a bool is asked for."""
+    if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{ctx}: expected {what}, got {value!r}")
+
+
+def _int(value, ctx: str) -> int:
+    return int(_typed(value, ctx, (int, np.integer), "an integer"))
 
 
 def _int_pair(value, ctx: str) -> tuple[int, int]:
     try:
-        lo, hi = int(value[0]), int(value[1])
-    except (TypeError, ValueError, IndexError):
+        lo, hi = value
+        return _int(lo, ctx), _int(hi, ctx)
+    except (TypeError, ValueError, ConfigError):
         raise ConfigError(f"{ctx}: expected a [low, high] integer pair") from None
-    if lo > hi:
-        raise ConfigError(f"{ctx}: low {lo} exceeds high {hi}")
-    return lo, hi
 
 
-def _parse_graph(d, ctx: str = "graph") -> GraphSpec:
+def _parse_graph(d, ctx: str) -> GraphSpec:
     if not isinstance(d, dict) or len(d) != 1:
         raise ConfigError(f"{ctx}: expected exactly one of 'random' or 'file'")
     if "random" in d:
-        spec = d["random"]
-        n = int(_require(spec, "n", f"{ctx}.random"))
-        p = float(_require(spec, "edge_prob", f"{ctx}.random"))
-        if n < 2:
-            raise ConfigError(f"{ctx}.random.n: must be >= 2, got {n}")
-        if not 0 < p <= 1:
-            raise ConfigError(f"{ctx}.random.edge_prob: must be in (0, 1], got {p}")
-        return RandomGraphSpec(n=n, edge_prob=p, max_retries=int(spec.get("max_retries", 100)))
+        return parse_spec(RandomGraphSpec, d["random"], f"{ctx}.random")
     if "file" in d:
-        return FileGraphSpec(path=str(d["file"]))
+        return FileGraphSpec(path=_typed(d["file"], f"{ctx}.file", str, "a string"))
     raise ConfigError(f"{ctx}: unknown graph kind {sorted(d)[0]!r}")
 
 
-def _parse_initial(d, ctx: str = "initial") -> InitialSpec:
+def _parse_initial(d, ctx: str) -> InitialSpec:
     if not isinstance(d, dict) or len(d) != 1:
         raise ConfigError(f"{ctx}: expected exactly one initial-value kind")
-    kind, spec = next(iter(d.items()))
-    if kind == "explicit":
-        return ExplicitInitial(
-            y0=tuple(int(v) for v in _require(spec, "y0", f"{ctx}.explicit")),
-            z0=tuple(int(v) for v in _require(spec, "z0", f"{ctx}.explicit")),
-        )
-    if kind == "uniform":
-        return UniformInitial(
-            y0_range=_int_pair(_require(spec, "y0_range", f"{ctx}.uniform"), f"{ctx}.uniform.y0_range"),
-            z0_range=_int_pair(_require(spec, "z0_range", f"{ctx}.uniform"), f"{ctx}.uniform.z0_range"),
-        )
-    if kind == "generic":
-        return GenericInitial(
-            alphas=tuple(int(v) for v in _require(spec, "alpha", f"{ctx}.generic")),
-            rhos=tuple(int(v) for v in _require(spec, "rho", f"{ctx}.generic")),
-            literal=bool(spec.get("literal", False)),
-        )
-    if kind == "scheduling":
-        return SchedulingInitial(
-            workloads=tuple(int(v) for v in _require(spec, "workloads", f"{ctx}.scheduling")),
-            occupied=tuple(int(v) for v in _require(spec, "occupied", f"{ctx}.scheduling")),
-            capacity=tuple(int(v) for v in _require(spec, "capacity", f"{ctx}.scheduling")),
-        )
-    if kind == "federated":
-        return FederatedInitial(
-            dataset_sizes=tuple(int(v) for v in _require(spec, "dataset_sizes", f"{ctx}.federated")),
-            local_params=tuple(int(v) for v in _require(spec, "local_params", f"{ctx}.federated")),
-            literal=bool(spec.get("literal", False)),
-        )
-    if kind == "scheduling_uniform":
-        return SchedulingUniformInitial(
-            load_range=_int_pair(
-                _require(spec, "load_range", f"{ctx}.scheduling_uniform"),
-                f"{ctx}.scheduling_uniform.load_range",
-            ),
-            capacity_pattern=tuple(
-                int(v) for v in _require(spec, "capacity_pattern", f"{ctx}.scheduling_uniform")
-            ),
-            occupied=int(spec.get("occupied", 0)),
-        )
-    if kind == "federated_uniform":
-        return FederatedUniformInitial(
-            size_range=_int_pair(
-                _require(spec, "size_range", f"{ctx}.federated_uniform"),
-                f"{ctx}.federated_uniform.size_range",
-            ),
-            param_range=_int_pair(
-                _require(spec, "param_range", f"{ctx}.federated_uniform"),
-                f"{ctx}.federated_uniform.param_range",
-            ),
-        )
-    raise ConfigError(f"{ctx}: unknown initial-value kind {kind!r}")
+    ((kind, spec),) = d.items()
+    if kind not in _INITIAL_KINDS:
+        raise ConfigError(f"{ctx}: unknown initial-value kind {kind!r}")
+    return parse_spec(_INITIAL_KINDS[kind], spec, f"{ctx}.{kind}")
 
 
-def _parse_delay(d, ctx: str = "delay") -> DelayModel:
-    max_delay = int(_require(d, "max_delay", ctx))
-    pmf = d.get("pmf")
-    per_node = d.get("per_node_pmf")
+def _parse_delay(d, ctx: str) -> DelayModel:
     try:
-        return DelayModel(
-            max_delay=max_delay,
-            pmf=None if pmf is None else tuple(float(p) for p in pmf),
-            per_node_pmf=None
-            if per_node is None
-            else tuple(tuple(float(p) for p in row) for row in per_node),
-        )
+        return parse_spec(DelayModel, d, ctx)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from None
+
+
+# field annotation -> converter(value, ctx); Optional[...] and
+# tuple[..., ...] wrap these in _convert
+_CONVERTERS = {
+    "int": _int,
+    "float": lambda value, ctx: float(_typed(value, ctx, (int, float), "a number")),
+    "bool": lambda value, ctx: _typed(value, ctx, bool, "true or false"),
+    "str": lambda value, ctx: _typed(value, ctx, str, "a string"),
+    "tuple[int, int]": _int_pair,
+    "GraphSpec": _parse_graph,
+    "InitialSpec": _parse_initial,
+    "DelayModel": _parse_delay,
+}
+
+
+def _convert(annotation: str, value, ctx: str):
+    if annotation.startswith("Optional["):
+        if value is None:
+            return None
+        annotation = annotation[len("Optional[") : -1]
+    if annotation.endswith(", ...]"):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+        item = annotation[len("tuple[") : -len(", ...]")]
+        return tuple(_convert(item, v, f"{ctx}[{i}]") for i, v in enumerate(value))
+    return _CONVERTERS[annotation](value, ctx)
+
+
+def parse_spec(cls, spec, ctx: str = ""):
+    """Build config dataclass `cls` from the JSON object `spec` at `ctx`.
+
+    Each field is one key, converted by the field's annotation; a
+    missing key takes the field's default.  Unknown keys, missing
+    required keys and malformed values raise ConfigError naming the key.
+    """
+    where, prefix = (ctx, f"{ctx}.") if ctx else ("config", "")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(spec).__name__}")
+    fields = {_config_key(f): f for f in dataclasses.fields(cls)}
+    for key in spec:
+        if key not in fields:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    kwargs = {}
+    for key, f in fields.items():
+        if key in spec:
+            kwargs[f.name] = _convert(f.type, spec[key], prefix + key)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required key '{key}'")
+    return cls(**kwargs)
+
+
+def read_json(path: Union[str, Path], what: str):
+    """The JSON value in file `path`; an unreadable file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from None
 
 
 def parse_config(source: Union[str, Path, dict]) -> ExperimentConfig:
@@ -297,41 +403,24 @@ def parse_config(source: Union[str, Path, dict]) -> ExperimentConfig:
     Unknown keys and constraint violations raise ConfigError naming the
     offending field.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {source}: invalid JSON ({exc})") from None
-    else:
-        data = dict(source)
-    known = {
-        "mode", "graph", "initial", "delay", "diameter_bound", "trials",
-        "seed", "max_steps", "epsilon", "record_trajectory", "error_mode",
-        "check_invariants",
-    }
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key '{key}'")
-    mode = str(_require(data, "mode", "config"))
-    delay = _parse_delay(data["delay"]) if data.get("delay") is not None else None
-    return ExperimentConfig(
-        mode=mode,
-        graph=_parse_graph(_require(data, "graph", "config")),
-        initial=_parse_initial(_require(data, "initial", "config")),
-        delay=delay,
-        diameter_bound=None if data.get("diameter_bound") is None else int(data["diameter_bound"]),
-        trials=int(data.get("trials", 1)),
-        seed=int(data.get("seed", 0)),
-        max_steps=None if data.get("max_steps") is None else int(data["max_steps"]),
-        epsilon=None if data.get("epsilon") is None else float(data["epsilon"]),
-        record_trajectory=data.get("record_trajectory"),
-        error_mode=str(data.get("error_mode", "reciprocal")),
-        check_invariants=bool(data.get("check_invariants", True)),
-    )
+    data = read_json(source, "config file") if isinstance(source, (str, Path)) else source
+    return parse_spec(ExperimentConfig, data)
 
 
-# spec field -> config-file key, where the two differ
-_INITIAL_KEYS = {"alphas": "alpha", "rhos": "rho"}
+def _echo(value):
+    """The JSON form of a config value: the inverse of parse_spec."""
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, FileGraphSpec):
+        return {"file": value.path}
+    if not dataclasses.is_dataclass(value):
+        return value
+    body = {_config_key(f): _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, RandomGraphSpec):
+        return {"random": body}
+    if isinstance(value, InitialSpec):
+        return {value.KIND: body}
+    return body
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -339,53 +428,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
     Lossless: parse_config(config_to_dict(cfg)) == cfg.
     """
-
-    def initial_dict(spec: InitialSpec) -> dict:
-        name = {
-            ExplicitInitial: "explicit",
-            UniformInitial: "uniform",
-            GenericInitial: "generic",
-            SchedulingInitial: "scheduling",
-            FederatedInitial: "federated",
-            SchedulingUniformInitial: "scheduling_uniform",
-            FederatedUniformInitial: "federated_uniform",
-        }[type(spec)]
-        body = {
-            _INITIAL_KEYS.get(k, k): (list(v) if isinstance(v, tuple) else v)
-            for k, v in spec.__dict__.items()
-        }
-        return {name: body}
-
-    if isinstance(cfg.graph, RandomGraphSpec):
-        graph = {
-            "random": {
-                "n": cfg.graph.n,
-                "edge_prob": cfg.graph.edge_prob,
-                "max_retries": cfg.graph.max_retries,
-            }
-        }
-    else:
-        graph = {"file": cfg.graph.path}
-    out = {
-        "mode": cfg.mode,
-        "graph": graph,
-        "initial": initial_dict(cfg.initial),
-        "diameter_bound": cfg.diameter_bound,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "max_steps": cfg.max_steps,
-        "epsilon": cfg.epsilon,
-        "record_trajectory": cfg.record_trajectory,
-        "error_mode": cfg.error_mode,
-        "check_invariants": cfg.check_invariants,
-    }
-    if cfg.delay is not None:
-        per_node = cfg.delay.per_node_pmf
-        out["delay"] = {
-            "max_delay": cfg.delay.max_delay,
-            "pmf": None if cfg.delay.pmf is None else list(cfg.delay.pmf),
-            "per_node_pmf": None if per_node is None else [list(row) for row in per_node],
-        }
+    out = _echo(cfg)
+    # the delay key comes last and only when set, as in every summary so far
+    delay = out.pop("delay")
+    if delay is not None:
+        out["delay"] = delay
     return out
 
 
@@ -400,10 +447,6 @@ class TrialInstance:
     quotient: Fraction
 
 
-def _load_graph_file(path: str) -> Digraph:
-    return Digraph.load(path)
-
-
 def build_trial_instance(cfg: ExperimentConfig, trial: int) -> TrialInstance:
     """Materialize the graph and initial values for one trial."""
     trial_seed = cfg.seed + trial
@@ -412,51 +455,9 @@ def build_trial_instance(cfg: ExperimentConfig, trial: int) -> TrialInstance:
             cfg.graph.n, cfg.graph.edge_prob, seed=trial_seed, max_retries=cfg.graph.max_retries
         )
     else:
-        g = _load_graph_file(cfg.graph.path)
-    rng = np.random.default_rng([trial_seed, _INIT_STREAM])
-    spec = cfg.initial
-    recovery = None
-    if isinstance(spec, ExplicitInitial):
-        y0, z0 = spec.y0, spec.z0
-    elif isinstance(spec, UniformInitial):
-        y0 = tuple(int(v) for v in rng.integers(spec.y0_range[0], spec.y0_range[1] + 1, size=g.n))
-        z0 = tuple(int(v) for v in rng.integers(spec.z0_range[0], spec.z0_range[1] + 1, size=g.n))
-    elif isinstance(spec, GenericInitial):
-        y0, z0 = applications.generic_init(spec.alphas, spec.rhos, literal_init=spec.literal)
-    elif isinstance(spec, SchedulingInitial):
-        inst = applications.SchedulingInstance(spec.workloads, spec.occupied, spec.capacity)
-        y0, z0 = applications.scheduling_init(inst)
-        recovery = applications.make_scheduling_recovery(inst)
-    elif isinstance(spec, FederatedInitial):
-        inst = applications.FederatedInstance(spec.dataset_sizes, spec.local_params)
-        y0, z0 = applications.federated_init(inst, literal_init=spec.literal)
-    elif isinstance(spec, SchedulingUniformInitial):
-        loads = tuple(
-            int(v) for v in rng.integers(spec.load_range[0], spec.load_range[1] + 1, size=g.n)
-        )
-        pattern = spec.capacity_pattern
-        inst = applications.SchedulingInstance(
-            workloads=loads,
-            occupied=tuple(spec.occupied for _ in range(g.n)),
-            capacity=tuple(pattern[j % len(pattern)] for j in range(g.n)),
-        )
-        y0, z0 = applications.scheduling_init(inst)
-        recovery = applications.make_scheduling_recovery(inst)
-    elif isinstance(spec, FederatedUniformInitial):
-        sizes = tuple(
-            int(v) for v in rng.integers(spec.size_range[0], spec.size_range[1] + 1, size=g.n)
-        )
-        params = tuple(
-            int(v) for v in rng.integers(spec.param_range[0], spec.param_range[1] + 1, size=g.n)
-        )
-        inst = applications.FederatedInstance(sizes, params)
-        y0, z0 = applications.federated_init(inst)
-    else:  # pragma: no cover - the parser only builds the kinds above
-        raise ConfigError(f"initial: unsupported spec type {type(spec).__name__}")
-    if len(y0) != g.n:
-        raise ConfigError(
-            f"initial: {len(y0)} values for a graph with {g.n} nodes"
-        )
+        g = Digraph.load(cfg.graph.path)
+        cfg._check_lengths(g.n)
+    y0, z0, recovery = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
     return TrialInstance(
         graph=g, y0=tuple(y0), z0=tuple(z0), recovery=recovery,
         quotient=bounds.target_quotient(y0, z0),
@@ -481,6 +482,7 @@ class TrialResult:
     error_series: Optional[tuple[float, ...]] = None
     error_series_truncated: bool = False
     recovered: Optional[tuple[float, ...]] = None
+    diameter: Optional[int] = None
 
 
 def _trial_max_steps(cfg: ExperimentConfig, inst: TrialInstance) -> int:
@@ -553,6 +555,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         error_series=series,
         error_series_truncated=curve is not None and curve.truncated,
         recovered=recovered,
+        diameter=inst.graph.diameter,
     )
 
 
@@ -663,6 +666,20 @@ def write_artifacts(
     return paths
 
 
+def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
+    """The closed-form bound table for trial 0's graph and initial values."""
+    inst = build_trial_instance(cfg, 0)
+    delay = cfg.delay
+    return bounds.bounds_report(
+        inst.graph,
+        epsilon,
+        inst.y0,
+        inst.z0,
+        max_delay=None if delay is None else delay.max_delay,
+        min_max_delay_prob=None if delay is None else delay.min_max_delay_prob(inst.graph.n),
+    )
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: Optional[Union[str, Path]] = None,
@@ -671,25 +688,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run all trials, aggregate, and (optionally) write artifacts."""
     results = run_trials(cfg, workers=workers)
-    stats = metrics.trial_stats(results)
-    if cfg.epsilon is not None:
-        within = [r for r in results if r.within_bound]
-        stats = metrics.TrialStats(
-            **{**stats.__dict__, "fraction_within_bound": len(within) / len(results)}
-        )
-    bounds_block = None
-    if cfg.epsilon is not None:
-        inst = build_trial_instance(cfg, 0)
-        bounds_block = bounds.bounds_report(
-            inst.graph,
-            cfg.epsilon,
-            inst.y0,
-            inst.z0,
-            max_delay=None if cfg.delay is None else cfg.delay.max_delay,
-            min_max_delay_prob=None
-            if cfg.delay is None
-            else cfg.delay.min_max_delay_prob(inst.graph.n),
-        )
+    eps = cfg.epsilon
+    bound = None if eps is None else [r.completion_bound for r in results]
+    stats = metrics.trial_stats(results, bound=bound)
+    bounds_block = None if eps is None else bounds_report(cfg, eps)
     result = ExperimentResult(
         config=cfg, results=results, stats=stats, bounds_block=bounds_block
     )

@@ -110,23 +110,26 @@ class TrialStats:
     fraction_within_bound: Optional[float] = None
 
 
-def trial_stats(outcomes: Sequence, bound: Optional[int] = None) -> TrialStats:
+def trial_stats(outcomes: Sequence, bound: Optional[Sequence[int]] = None) -> TrialStats:
     """Aggregate RunOutcome objects from repeated trials.
 
-    `bound` adds the empirical fraction of trials that converged within
-    that many steps (the one-sided completion-bound check); censored
-    trials count as outside the bound.
+    `bound` holds one step count per outcome and adds the empirical
+    fraction of trials that converged within their own bound (the
+    one-sided completion-bound check; each random graph has its own
+    bound); censored trials count as outside it.
     """
     if len(outcomes) == 0:
         raise ValueError("trial_stats needs at least one outcome")
+    if bound is not None and len(bound) != len(outcomes):
+        raise ValueError(f"trial_stats: {len(bound)} bounds for {len(outcomes)} outcomes")
     steps: list[int] = []
     censored: list[bool] = []
     within = 0
-    for out in outcomes:
+    for i, out in enumerate(outcomes):
         if out.converged:
             steps.append(out.termination_step)
             censored.append(False)
-            if bound is not None and out.termination_step <= bound:
+            if bound is not None and out.termination_step <= bound[i]:
                 within += 1
         else:
             steps.append(out.steps_run)

@@ -82,6 +82,46 @@ class TestRunCommand:
         assert (out / "outcomes.json").exists()
 
 
+class TestCleanErrors:
+    @pytest.mark.parametrize(
+        "case, word",
+        [("absent", "cannot read"), ("bad-trials", "trials"), ("no-pi-max", "pi_max")],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, case, word):
+        path = tmp_path / f"{case}.json"
+        if case == "bad-trials":
+            path.write_text(json.dumps({**MINIMAL, "trials": "x"}), encoding="utf-8")
+        if case == "no-pi-max":
+            path.write_text(json.dumps({"nodes": [{"l": 4, "u": 0}, {"l": 4, "u": 0}]}), encoding="utf-8")
+            argv = ["app-scheduling", "--instance", str(path)]
+        else:
+            argv = ["run", "--config", str(path)]
+        assert main(argv) == 2
+        assert word in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*app, flag, value]
+            for app in (["app-scheduling", "--instance", "i.json"], ["app-federated", "--instance", "i.json"])
+            for flag, value in (("--trials", "2"), ("--out", "o"), ("--format", "csv"), ("--workers", "1"))
+        ]
+        + [
+            ["bounds", "--config", "c.json", flag, value]
+            for flag, value in (("--trials", "2"), ("--format", "csv"), ("--workers", "1"))
+        ]
+        + [["sweep", "--format", "csv"], ["fig2-desk", "--format", "csv"]],
+    )
+    def test_flags_no_command_reads_are_refused(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundsCommand:
     def test_prints_key_value_table(self, config_file, capsys):
         assert main(["bounds", "--config", str(config_file), "--epsilon", "0.05"]) == 0

@@ -102,8 +102,86 @@ class TestParseConfig:
         assert again.epsilon == 0.05
 
 
-def _pairs():
-    return st.tuples(st.integers(0, 50), st.integers(0, 50)).map(lambda p: (min(p), max(p)))
+def _uniform(y0_range, z0_range):
+    return {"initial": {"uniform": {"y0_range": y0_range, "z0_range": z0_range}}}
+
+
+def _fed(size_range, param_range):
+    return {"initial": {"federated_uniform": {"size_range": size_range, "param_range": param_range}}}
+
+
+def _sched(load_range, capacity_pattern, occupied=0):
+    body = {"load_range": load_range, "capacity_pattern": capacity_pattern, "occupied": occupied}
+    return {"initial": {"scheduling_uniform": body}}
+
+
+class TestMalformedConfigs:
+    """Bad input is refused at parse time by a ConfigError that names its key."""
+
+    RANDOM = {"n": 10, "edge_prob": 0.5}
+
+    @pytest.mark.parametrize(
+        "source, match",
+        [
+            ({**MINIMAL, "trials": "x"}, r"^trials: expected an integer, got 'x'"),
+            ({**MINIMAL, "graph": {"random": {**RANDOM, "n": "ten"}}}, r"^graph\.random\.n: "),
+            ({**MINIMAL, "initial": {"explicit": {"y0": 5, "z0": [1] * 10}}}, r"^initial\.explicit\.y0: "),
+            (
+                {**MINIMAL, "initial": {"explicit": {"y0": ["a", 1, 1], "z0": [1] * 3}}},
+                r"^initial\.explicit\.y0\[0\]: expected an integer",
+            ),
+            ({**MINIMAL, "mode": "async", "delay": 3}, r"^delay: expected an object"),
+            ({**MINIMAL, "graph": {"random": 5}}, r"^graph\.random: expected an object"),
+            ([MINIMAL], r"^config: expected an object"),
+            ({**MINIMAL, "record_trajectory": "yes"}, r"^record_trajectory: expected true or false"),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, source, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(source)
+
+    def test_missing_config_file_named(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"config file .*absent\.json: cannot read"):
+            parse_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"graph": {"random": {**RANDOM, "max_retry": 1}}}, "graph.random.max_retry"),
+            (
+                {"initial": {"generic": {"alpha": [1] * 10, "rho": [2] * 10, "literl": True}}},
+                "initial.generic.literl",
+            ),
+            ({"mode": "async", "delay": {"max_delay": 2, "pfm": [0.5, 0.5]}}, "delay.pfm"),
+        ],
+    )
+    def test_unknown_nested_key_refused(self, override, key):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            parse_config({**MINIMAL, **override})
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"graph": {"random": {**RANDOM, "max_retries": 0}}}, r"random\.max_retries: must be >= 1"),
+            (_uniform([0, 5], [0, 5]), r"uniform\.z0_range: low end must be >= 1, got 0"),
+            (_uniform([-1, 5], [1, 5]), r"uniform\.y0_range: low end must be >= 0, got -1"),
+            (_uniform([5, 1], [1, 5]), r"uniform\.y0_range: low 5 exceeds high 1"),
+            (_fed([0, 9], [1, 9]), r"federated_uniform\.size_range: low end must be >= 1"),
+            (_fed([1, 9], [-2, 9]), r"federated_uniform\.param_range: low end must be >= 0"),
+            (_sched([-1, 9], [5]), r"scheduling_uniform\.load_range: low end must be >= 0"),
+            (_sched([1, 9], [5], occupied=-1), r"scheduling_uniform\.occupied: must be >= 0"),
+            (_sched([1, 9], []), r"scheduling_uniform\.capacity_pattern: must not be empty"),
+            (_sched([1, 9], [100, 0]), r"scheduling_uniform\.capacity_pattern: must be >= 1, got 0"),
+        ],
+    )
+    def test_ranges_that_fail_mid_run_are_refused_up_front(self, override, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config({**MINIMAL, **override})
+
+
+def _pairs(low: int = 0):
+    """Sorted inclusive ranges from `low` up, the lowest a kind accepts."""
+    return st.tuples(st.integers(low, 50), st.integers(low, 50)).map(lambda p: (min(p), max(p)))
 
 
 def _initials(n: int):
@@ -111,7 +189,7 @@ def _initials(n: int):
     ints = st.lists(st.integers(1, 10**6), min_size=n, max_size=n).map(tuple)
     return st.one_of(
         st.builds(ExplicitInitial, y0=ints, z0=ints),
-        st.builds(UniformInitial, y0_range=_pairs(), z0_range=_pairs()),
+        st.builds(UniformInitial, y0_range=_pairs(), z0_range=_pairs(1)),
         st.builds(GenericInitial, alphas=ints, rhos=ints, literal=st.booleans()),
         st.builds(SchedulingInitial, workloads=ints, occupied=ints, capacity=ints),
         st.builds(FederatedInitial, dataset_sizes=ints, local_params=ints, literal=st.booleans()),
@@ -121,7 +199,7 @@ def _initials(n: int):
             capacity_pattern=st.lists(st.integers(1, 500), min_size=1, max_size=4).map(tuple),
             occupied=st.integers(0, 20),
         ),
-        st.builds(FederatedUniformInitial, size_range=_pairs(), param_range=_pairs()),
+        st.builds(FederatedUniformInitial, size_range=_pairs(1), param_range=_pairs()),
     )
 
 

@@ -133,12 +133,12 @@ class TestTrialStats:
 
     def test_fraction_within_bound(self):
         outs = [FakeOutcome(True, s, s) for s in (8, 10, 12)]
-        st = trial_stats(outs, bound=10)
+        st = trial_stats(outs, bound=[10] * 3)
         assert st.fraction_within_bound == pytest.approx(2 / 3)
 
     def test_censoring_is_flagged_not_dropped(self):
         outs = [FakeOutcome(True, 6, 6), FakeOutcome(False, None, 500)]
-        st = trial_stats(outs, bound=100)
+        st = trial_stats(outs, bound=[100] * 2)
         assert st.trials == 2
         assert st.censored == (False, True)
         assert st.convergence_steps == (6, 500)
