@@ -606,6 +606,71 @@ class TestArtifacts:
             write_artifacts(res, tmp_path, fmt="xml")
 
 
+class TestArtifactPins:
+    """sha256 of outcomes.csv and error_series.csv for three curve-recording configs.
+
+    The bytes hold every trial's step count and agreed value and every
+    point of its error curve, so a change to how runs are recorded or
+    how the curve is computed must leave them unchanged.
+    """
+
+    CONFIGS = {
+        "async-federated-direct": {
+            "mode": "async",
+            "graph": {"random": {"n": 20, "edge_prob": 0.5}},
+            "initial": {"federated_uniform": {"size_range": [10, 100], "param_range": [1000, 100000]}},
+            "delay": {"max_delay": 10},
+            "error_mode": "direct",
+            "record_trajectory": True,
+            "trials": 3,
+            "seed": 71,
+        },
+        "sync-scheduling-reciprocal": {
+            "mode": "sync",
+            "graph": {"random": {"n": 20, "edge_prob": 0.5}},
+            "initial": {"scheduling_uniform": {"load_range": [1, 100], "capacity_pattern": [100, 300]}},
+            "record_trajectory": True,
+            "trials": 3,
+            "seed": 72,
+        },
+        # trials 0, 1, 3, 4 and 5 reach a node holding no mass, so their
+        # reciprocal curves stop before k = 1, 1, 5, 2 and 2; trial 2's is whole
+        "truncating": {
+            "mode": "sync",
+            "graph": {"random": {"n": 8, "edge_prob": 0.5}},
+            "initial": {"uniform": {"y0_range": [1, 3], "z0_range": [1, 6]}},
+            "record_trajectory": True,
+            "trials": 6,
+            "seed": 73,
+        },
+    }
+    PINS = {
+        "async-federated-direct": (
+            "3bcbf93502b9c951a26df93d603b560ab7e576507d5c8f3147c0798e2883b48e",
+            "d058fbbad9945af23b3252b11374644e657ef4f68ab642fbf38ffd73f14591b5",
+        ),
+        "sync-scheduling-reciprocal": (
+            "cd5343aaadfbef6443cd53ed0f60ebabf9be8e3d654cd06bfb58581ec4ae6496",
+            "4dd6db28f438622e2a8bb63a713df55afff7a6ecf7c99fc57be337388f9d4f0a",
+        ),
+        "truncating": (
+            "18c8025f68a6768e05f8317028aaffa279ba110169b3f8b1f9bd04d9428a3f16",
+            "871654a525b2ecd6b964d997441e769345647d4885014fc4207a43bf8057b015",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_artifact_bytes_are_pinned(self, tmp_path, name):
+        res = run_experiment(parse_config(self.CONFIGS[name]), out_dir=tmp_path)
+        if name == "truncating":
+            assert [r.error_series_truncated for r in res.results] == [True, True, False, True, True, True]
+        got = tuple(
+            hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("outcomes.csv", "error_series.csv")
+        )
+        assert got == self.PINS[name]
+
+
 class TestPresets:
     def test_fig1_shape(self):
         cfg = fig1_config(trials=3, seed=1)
