@@ -156,11 +156,27 @@ def _run_sweep(args, **grid) -> int:
     return 0
 
 
+def _flag_at_least(flag: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ConfigError(f"{flag}: must be >= {floor}, got {value}")
+
+
+def _flag_ints(flag: str, text: str, floor: int) -> list[int]:
+    """The comma-separated integers of `flag`, each at least `floor`."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    for v in values:
+        _flag_at_least(flag, v, floor)
+    return values
+
+
 def _cmd_sweep(args, debug: bool) -> int:
     return _run_sweep(
         args,
-        sizes=[int(v) for v in args.sizes.split(",")],
-        delays=[int(v) for v in args.delays.split(",")],
+        sizes=_flag_ints("--sizes", args.sizes, 2),
+        delays=_flag_ints("--delays", args.delays, 1),
         edge_prob=args.edge_prob,
     )
 
@@ -213,6 +229,8 @@ def _cmd_fig3(args, debug: bool) -> int:
 
 def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
     """Trial 0 of a one-trial config on `initial`, as `qcs run` would run it."""
+    if args.mode == "async":
+        _flag_at_least("--max-delay", args.max_delay, 1)
     cfg = ExperimentConfig(
         mode=args.mode,
         graph=RandomGraphSpec(n, args.edge_prob),

@@ -52,6 +52,9 @@ class RunConfig:
     diameter_bound may exceed the true diameter (a known upper bound);
     None uses the exact diameter.  recovery maps (node_id, estimate) to
     the node's reported solution; None reports the estimate itself.
+    record_trajectory keeps a full snapshot of every step and the
+    emission log; record_masses keeps only each step's visible masses,
+    all an error curve reads.
     """
 
     graph: Digraph
@@ -61,13 +64,18 @@ class RunConfig:
     diameter_bound: Optional[int] = None
     max_steps: int = 100_000
     record_trajectory: bool = False
+    record_masses: bool = False
     recovery: Optional[Callable[[int, int], float]] = None
     check_invariants: bool = True
 
 
 @dataclass
 class RunOutcome:
-    """Result of one run; censored runs keep the full final state."""
+    """Result of one run; censored runs keep the full final state.
+
+    With record_masses, row k of mass_y/mass_z holds every node's
+    visible y/z after step k (row 0: the doubled initial values).
+    """
 
     converged: bool
     termination_step: Optional[int]
@@ -77,6 +85,8 @@ class RunOutcome:
     final_y: np.ndarray
     final_z: np.ndarray
     trajectory: Optional[list[TrajectoryRecord]] = field(default=None, repr=False)
+    mass_y: Optional[np.ndarray] = field(default=None, repr=False)
+    mass_z: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _validate_config(cfg: RunConfig) -> int:
@@ -294,13 +304,17 @@ class Engine:
         if cfg.record_trajectory:
             self.trajectory = [self._snapshot(0)]
             self.emission_log = EmissionLog()
+        # each step's total_y() and total_z(), when cfg.record_masses
+        self._mass_rows: Optional[tuple[list, list]] = None
+        if cfg.record_masses:
+            self._mass_rows = ([self.total_y()], [self.total_z()])
 
     def total_y(self) -> np.ndarray:
         """Each node's visible mass: its locked batch plus queued arrivals."""
-        return self.y_rows.sum(axis=0)
+        return self.y + self.pend_y if self.pend_y is not None else self.y.copy()
 
     def total_z(self) -> np.ndarray:
-        return self.z_rows.sum(axis=0)
+        return self.z + self.pend_z if self.pend_z is not None else self.z.copy()
 
     def _snapshot(self, step: int) -> TrajectoryRecord:
         return TrajectoryRecord(
@@ -406,6 +420,9 @@ class Engine:
         self.steps_done = k
         if self.trajectory is not None:
             self.trajectory.append(self._snapshot(k))
+        if self._mass_rows is not None:
+            self._mass_rows[0].append(self.total_y())
+            self._mass_rows[1].append(self.total_z())
         return self
 
     def _audit_votes(self, k: int) -> None:
@@ -433,6 +450,9 @@ class Engine:
                 recovered = [self.cfg.recovery(j, int(self.estimate[j])) for j in range(self.n)]
             else:
                 recovered = [int(v) for v in self.estimate]
+        mass_y = mass_z = None
+        if self._mass_rows is not None:
+            mass_y, mass_z = (np.array(rows) for rows in self._mass_rows)
         return RunOutcome(
             converged=converged,
             termination_step=self.flag_step,
@@ -442,6 +462,8 @@ class Engine:
             final_y=self.total_y(),
             final_z=self.total_z(),
             trajectory=self.trajectory,
+            mass_y=mass_y,
+            mass_z=mass_z,
         )
 
     def run(self) -> RunOutcome:

@@ -46,6 +46,8 @@ DEFAULT_MAX_STEPS = 100_000
 
 # field metadata naming a field's config key, where the two differ
 _KEY = "key"
+# field metadata of a per-node field: the least value a node may hold
+_FLOOR = "floor"
 
 
 def _config_key(f: dataclasses.Field) -> str:
@@ -82,11 +84,22 @@ class InitialSpec:
     """Base of the initial-value kinds, one frozen dataclass per kind.
 
     KIND is the kind's config name.  In a PER_NODE kind every tuple
-    field lists one value per node.
+    field lists one value per node, and a field with a _FLOOR refuses
+    any node's value below it.
     """
 
     KIND: ClassVar[str]
     PER_NODE: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            floor = f.metadata.get(_FLOOR)
+            values = getattr(self, f.name)
+            if floor is not None and values and min(values) < floor:
+                j = next(j for j, v in enumerate(values) if v < floor)
+                raise ConfigError(
+                    f"initial.{self.KIND}.{_config_key(f)}[{j}]: must be >= {floor}, got {values[j]}"
+                )
 
     def values(
         self, n: int, rng: np.random.Generator
@@ -113,8 +126,8 @@ class ExplicitInitial(InitialSpec):
     KIND: ClassVar[str] = "explicit"
     PER_NODE: ClassVar[bool] = True
 
-    y0: tuple[int, ...]
-    z0: tuple[int, ...]
+    y0: tuple[int, ...] = field(metadata={_FLOOR: 0})
+    z0: tuple[int, ...] = field(metadata={_FLOOR: 1})
 
     def values(self, n, rng):
         return self.y0, self.z0, None
@@ -143,9 +156,16 @@ class GenericInitial(InitialSpec):
     KIND: ClassVar[str] = "generic"
     PER_NODE: ClassVar[bool] = True
 
-    alphas: tuple[int, ...] = field(metadata={_KEY: "alpha"})
-    rhos: tuple[int, ...] = field(metadata={_KEY: "rho"})
+    alphas: tuple[int, ...] = field(metadata={_KEY: "alpha", _FLOOR: 1})
+    rhos: tuple[int, ...] = field(metadata={_KEY: "rho", _FLOOR: 0})
     literal: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # literal mode makes rho the token count
+        if self.literal and self.rhos and min(self.rhos) < 1:
+            j = self.rhos.index(min(self.rhos))
+            raise ConfigError(f"initial.generic.rho[{j}]: must be >= 1 when literal, got {self.rhos[j]}")
 
     def values(self, n, rng):
         y0, z0 = applications.generic_init(self.alphas, self.rhos, literal_init=self.literal)
@@ -157,9 +177,9 @@ class SchedulingInitial(InitialSpec):
     KIND: ClassVar[str] = "scheduling"
     PER_NODE: ClassVar[bool] = True
 
-    workloads: tuple[int, ...]
-    occupied: tuple[int, ...]
-    capacity: tuple[int, ...]
+    workloads: tuple[int, ...] = field(metadata={_FLOOR: 0})
+    occupied: tuple[int, ...] = field(metadata={_FLOOR: 0})
+    capacity: tuple[int, ...] = field(metadata={_FLOOR: 1})
 
     def values(self, n, rng):
         inst = applications.SchedulingInstance(self.workloads, self.occupied, self.capacity)
@@ -172,8 +192,8 @@ class FederatedInitial(InitialSpec):
     KIND: ClassVar[str] = "federated"
     PER_NODE: ClassVar[bool] = True
 
-    dataset_sizes: tuple[int, ...]
-    local_params: tuple[int, ...]
+    dataset_sizes: tuple[int, ...] = field(metadata={_FLOOR: 1})
+    local_params: tuple[int, ...] = field(metadata={_FLOOR: 0})
     literal: bool = False
 
     def values(self, n, rng):
@@ -515,7 +535,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         seed=cfg.seed + trial,
         diameter_bound=cfg.diameter_bound,
         max_steps=_trial_max_steps(cfg, inst),
-        record_trajectory=cfg.records_trajectory(),
+        record_masses=cfg.records_trajectory(),
         recovery=inst.recovery,
         check_invariants=cfg.check_invariants,
     )
@@ -528,13 +548,13 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         bound = _trial_bound(cfg, inst)
         within = outcome.converged and outcome.termination_step <= bound
     series = curve = None
-    if outcome.trajectory is not None:
+    if outcome.mass_y is not None:
         target = inst.quotient
         if cfg.error_mode == "reciprocal":
             x_star = float(1 / target) if target != 0 else 0.0
         else:
             x_star = float(target)
-        curve = metrics.normalized_error(outcome.trajectory, x_star, mode=cfg.error_mode)
+        curve = metrics.normalized_error((outcome.mass_y, outcome.mass_z), x_star, mode=cfg.error_mode)
         series = tuple(float(v) for v in curve.values)
     recovered = None
     if outcome.converged and outcome.recovered_solution is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,11 +48,15 @@ class ErrorSeries:
 
 
 def normalized_error(
-    trajectory: Sequence[TrajectoryRecord],
+    trajectory: Union[Sequence[TrajectoryRecord], tuple[np.ndarray, np.ndarray]],
     x_star: float,
     mode: str = "reciprocal",
 ) -> ErrorSeries:
     """Normalized distance-to-optimum series over a recorded trajectory.
+
+    `trajectory` is a sequence of TrajectoryRecords or a (y, z) pair of
+    arrays whose row k holds every node's masses at step k, as
+    RunOutcome.mass_y and mass_z do.
 
     Per step k the node states are q_j[k] = y_j[k] / z_j[k].  In
     "reciprocal" mode the error compares 1/q_j[k] against x_star (the
@@ -67,18 +71,21 @@ def normalized_error(
     """
     if mode not in ("reciprocal", "direct"):
         raise ValueError(f"mode must be 'reciprocal' or 'direct', got {mode!r}")
-    if len(trajectory) == 0:
+    if isinstance(trajectory, tuple) and len(trajectory) == 2 and isinstance(trajectory[0], np.ndarray):
+        y, z = trajectory
+    else:
+        y = np.array([rec.y for rec in trajectory])
+        z = np.array([rec.z for rec in trajectory])
+    if len(y) == 0:
         raise ValueError("trajectory is empty")
     target = float(x_star)
-    sums = np.empty(len(trajectory), dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, rec in enumerate(trajectory):
-            states = rec.y.astype(np.float64) / rec.z.astype(np.float64)
-            if mode == "reciprocal":
-                states = 1.0 / states
-            sums[i] = np.sum((states - target) ** 2)
+        states = y.astype(np.float64) / z.astype(np.float64)
+        if mode == "reciprocal":
+            states = 1.0 / states
+        sums = ((states - target) ** 2).sum(axis=1)
         if sums[0] == 0.0:
-            values, degenerate = np.zeros(len(trajectory)), True
+            values, degenerate = np.zeros(len(sums)), True
         else:
             values, degenerate = np.sqrt(sums / sums[0]), False
     defined = np.isfinite(sums) & np.isfinite(values)

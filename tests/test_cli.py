@@ -99,6 +99,31 @@ class TestCleanErrors:
         assert main(argv) == 2
         assert word in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--sizes", "5", "--delays", "0", "--trials", "1"], "--delays: must be >= 1, got 0"),
+            (["sweep", "--delays", "x"], "--delays: expected comma-separated integers, got 'x'"),
+            (["sweep", "--sizes", "5,1", "--delays", "2"], "--sizes: must be >= 2, got 1"),
+            (["sweep", "--sizes", "5,", "--delays", "2"], "--sizes: expected comma-separated integers"),
+            (["app-scheduling", "--instance", "sched.json", "--mode", "async", "--max-delay", "0"],
+             "--max-delay: must be >= 1, got 0"),
+            (["app-federated", "--instance", "fed.json", "--mode", "async", "--max-delay", "-3"],
+             "--max-delay: must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_flag_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_scheduling_instance(tmp_path)
+        nodes = [{"r_size": 3, "w_local": 10}, {"r_size": 5, "w_local": 20}]
+        (tmp_path / "fed.json").write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        inputs = sorted(tmp_path.iterdir())
+        assert main([*argv, "--out", "o"] if argv[0] == "sweep" else argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert sorted(tmp_path.iterdir()) == inputs
+
 
 class TestFlags:
     @pytest.mark.parametrize(

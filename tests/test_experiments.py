@@ -178,6 +178,42 @@ class TestMalformedConfigs:
         with pytest.raises(ConfigError, match=match):
             parse_config({**MINIMAL, **override})
 
+    @pytest.mark.parametrize(
+        "initial, match",
+        [
+            ({"explicit": {"y0": [3] * 10, "z0": [1, 0] + [1] * 8}}, r"^initial\.explicit\.z0\[1\]: must be >= 1, got 0$"),
+            ({"explicit": {"y0": [3] * 9 + [-4], "z0": [1] * 10}}, r"^initial\.explicit\.y0\[9\]: must be >= 0, got -4$"),
+            ({"generic": {"alpha": [2, 1, 0] + [1] * 7, "rho": [5] * 10}}, r"^initial\.generic\.alpha\[2\]: must be >= 1, got 0$"),
+            ({"generic": {"alpha": [1] * 10, "rho": [5] * 9 + [-1]}}, r"^initial\.generic\.rho\[9\]: must be >= 0, got -1$"),
+            (
+                {"generic": {"alpha": [1] * 10, "rho": [5, 0] + [5] * 8, "literal": True}},
+                r"^initial\.generic\.rho\[1\]: must be >= 1 when literal, got 0$",
+            ),
+            (
+                {"scheduling": {"workloads": [5] * 10, "occupied": [0] * 10, "capacity": [9] * 9 + [0]}},
+                r"^initial\.scheduling\.capacity\[9\]: must be >= 1, got 0$",
+            ),
+            (
+                {"scheduling": {"workloads": [5, -1] + [5] * 8, "occupied": [0] * 10, "capacity": [9] * 10}},
+                r"^initial\.scheduling\.workloads\[1\]: must be >= 0, got -1$",
+            ),
+            (
+                {"federated": {"dataset_sizes": [0] + [4] * 9, "local_params": [1] * 10}},
+                r"^initial\.federated\.dataset_sizes\[0\]: must be >= 1, got 0$",
+            ),
+            (
+                {"federated": {"dataset_sizes": [4] * 10, "local_params": [1, 2, -3] + [1] * 7}},
+                r"^initial\.federated\.local_params\[2\]: must be >= 0, got -3$",
+            ),
+        ],
+    )
+    def test_per_node_values_that_fail_mid_run_are_refused_up_front(self, initial, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config({**MINIMAL, "initial": initial})
+        # refused on a graph file too, where n is not known until a trial loads it
+        with pytest.raises(ConfigError, match=match):
+            parse_config({**MINIMAL, "graph": {"file": "absent.txt"}, "initial": initial})
+
 
 def _pairs(low: int = 0):
     """Sorted inclusive ranges from `low` up, the lowest a kind accepts."""

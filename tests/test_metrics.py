@@ -7,12 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcs import (
+    DelayModel,
+    ErrorSeries,
     RunConfig,
     TrajectoryRecord,
     generate_random_digraph,
     normalized_error,
+    run_async,
     run_sync,
     target_quotient,
     trial_stats,
@@ -115,6 +120,103 @@ class TestNormalizedError:
             normalized_error([record(0, [1], [1])], 1.0, mode="squared")
         with pytest.raises(ValueError):
             normalized_error([], 1.0)
+
+
+def loop_error(trajectory, x_star, mode):
+    """Oracle: the per-record loop normalized_error ran before it took mass rows.
+
+    Same float64 operations in the same order, so the vectorized curve
+    must equal it bit for bit.
+    """
+    target = float(x_star)
+    sums = np.empty(len(trajectory), dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, rec in enumerate(trajectory):
+            states = rec.y.astype(np.float64) / rec.z.astype(np.float64)
+            if mode == "reciprocal":
+                states = 1.0 / states
+            sums[i] = np.sum((states - target) ** 2)
+        if sums[0] == 0.0:
+            values, degenerate = np.zeros(len(trajectory)), True
+        else:
+            values, degenerate = np.sqrt(sums / sums[0]), False
+    defined = np.isfinite(sums) & np.isfinite(values)
+    if not defined.all():
+        cut = int(np.argmin(defined))
+        return ErrorSeries(values=values[:cut], degenerate=degenerate, truncated=True)
+    return ErrorSeries(values=values, degenerate=degenerate)
+
+
+@st.composite
+def trajectories(draw):
+    """Records over n nodes; y may be 0, so reciprocal curves can truncate."""
+    n = draw(st.integers(1, 12))
+    steps = draw(st.integers(1, 8))
+    rows = st.lists(st.integers(0, 60), min_size=n, max_size=n)
+    return [
+        record(k, draw(rows), draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+        for k in range(steps)
+    ]
+
+
+def assert_same_series(got, want):
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.degenerate, got.truncated) == (want.degenerate, want.truncated)
+
+
+class TestCurveMatchesTheLoop:
+    """The vectorized curve against the per-record loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajectories(), st.floats(0.0, 50.0), st.sampled_from(["reciprocal", "direct"]))
+    # degenerate start: every state already at x_star
+    @example([record(0, [6, 6], [2, 2]), record(1, [6, 6], [2, 2])], 3.0, "direct")
+    @example([record(0, [2, 2], [6, 6]), record(1, [3, 1], [6, 6])], 3.0, "reciprocal")
+    # a node runs out of mass mid-curve in reciprocal mode
+    @example([record(0, [2, 8], [2, 2]), record(1, [0, 10], [2, 2]), record(2, [5, 5], [2, 2])], 0.5, "reciprocal")
+    # a node holds no mass at k = 0
+    @example([record(0, [0, 8], [2, 2]), record(1, [4, 4], [2, 2])], 0.5, "reciprocal")
+    def test_equal_to_the_loop(self, recs, x_star, mode):
+        want = loop_error(recs, x_star, mode)
+        assert_same_series(normalized_error(recs, x_star, mode=mode), want)
+        rows = (np.array([r.y for r in recs]), np.array([r.z for r in recs]))
+        assert_same_series(normalized_error(rows, x_star, mode=mode), want)
+
+    def test_example_cases_hit_each_branch(self):
+        degenerate = normalized_error([record(0, [6, 6], [2, 2]), record(1, [6, 6], [2, 2])], 3.0, "direct")
+        assert degenerate.degenerate and degenerate.values.tolist() == [0.0, 0.0]
+        cut = normalized_error(
+            [record(0, [2, 8], [2, 2]), record(1, [0, 10], [2, 2]), record(2, [5, 5], [2, 2])], 0.5, "reciprocal"
+        )
+        assert cut.truncated and cut.values.tolist() == [1.0]
+
+    def test_empty_mass_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            normalized_error((np.zeros((0, 3), dtype=np.int64),) * 2, 1.0)
+
+    @pytest.mark.parametrize("max_delay", [1, 4])
+    def test_mass_rows_equal_the_snapshots(self, max_delay):
+        for seed in range(6):
+            g = generate_random_digraph(9, 0.5, seed=seed)
+            y0 = [int(v) for v in np.random.default_rng(seed).integers(0, 40, 9)]
+            z0 = [int(v) for v in np.random.default_rng(seed + 50).integers(1, 6, 9)]
+            cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=True, record_masses=True)
+            out = run_sync(cfg) if max_delay == 1 else run_async(cfg, DelayModel(max_delay=max_delay))
+            assert out.converged
+            assert out.mass_y.shape == out.mass_z.shape == (out.steps_run + 1, g.n)
+            assert out.mass_y.dtype == out.mass_z.dtype == np.int64
+            assert len(out.trajectory) == out.steps_run + 1
+            for k, rec in enumerate(out.trajectory):
+                assert np.array_equal(out.mass_y[k], rec.y) and np.array_equal(out.mass_z[k], rec.z)
+
+    def test_each_recording_is_separate(self):
+        g = generate_random_digraph(6, 0.6, seed=2)
+        base = dict(graph=g, y0=[5, 9, 2, 7, 1, 4], z0=[1, 2, 1, 3, 1, 2], seed=2)
+        masses = run_sync(RunConfig(**base, record_masses=True))
+        assert masses.trajectory is None and masses.mass_y is not None
+        full = run_sync(RunConfig(**base, record_trajectory=True))
+        assert full.trajectory is not None and full.mass_y is None and full.mass_z is None
 
 
 class FakeOutcome:
