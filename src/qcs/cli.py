@@ -38,6 +38,7 @@ from .experiments import (
     RandomGraphSpec,
     SchedulingInitial,
     TrialResult,
+    _at_least,
     parse_config,
     run_experiment,
 )
@@ -156,11 +157,6 @@ def _run_sweep(args, **grid) -> int:
     return 0
 
 
-def _flag_at_least(flag: str, value: int, floor: int) -> None:
-    if value < floor:
-        raise ConfigError(f"{flag}: must be >= {floor}, got {value}")
-
-
 def _flag_ints(flag: str, text: str, floor: int) -> list[int]:
     """The comma-separated integers of `flag`, each at least `floor`."""
     try:
@@ -168,7 +164,7 @@ def _flag_ints(flag: str, text: str, floor: int) -> list[int]:
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from None
     for v in values:
-        _flag_at_least(flag, v, floor)
+        _at_least(flag, v, floor)
     return values
 
 
@@ -230,7 +226,7 @@ def _cmd_fig3(args, debug: bool) -> int:
 def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
     """Trial 0 of a one-trial config on `initial`, as `qcs run` would run it."""
     if args.mode == "async":
-        _flag_at_least("--max-delay", args.max_delay, 1)
+        _at_least("--max-delay", args.max_delay, 1)
     cfg = ExperimentConfig(
         mode=args.mode,
         graph=RandomGraphSpec(n, args.edge_prob),

@@ -94,8 +94,10 @@ class InitialSpec:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             floor = f.metadata.get(_FLOOR)
+            if floor is None:
+                continue
             values = getattr(self, f.name)
-            if floor is not None and values and min(values) < floor:
+            if values and min(values) < floor:
                 j = next(j for j, v in enumerate(values) if v < floor)
                 raise ConfigError(
                     f"initial.{self.KIND}.{_config_key(f)}[{j}]: must be >= {floor}, got {values[j]}"

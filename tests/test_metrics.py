@@ -183,14 +183,6 @@ class TestCurveMatchesTheLoop:
         rows = (np.array([r.y for r in recs]), np.array([r.z for r in recs]))
         assert_same_series(normalized_error(rows, x_star, mode=mode), want)
 
-    def test_example_cases_hit_each_branch(self):
-        degenerate = normalized_error([record(0, [6, 6], [2, 2]), record(1, [6, 6], [2, 2])], 3.0, "direct")
-        assert degenerate.degenerate and degenerate.values.tolist() == [0.0, 0.0]
-        cut = normalized_error(
-            [record(0, [2, 8], [2, 2]), record(1, [0, 10], [2, 2]), record(2, [5, 5], [2, 2])], 0.5, "reciprocal"
-        )
-        assert cut.truncated and cut.values.tolist() == [1.0]
-
     def test_empty_mass_rows_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             normalized_error((np.zeros((0, 3), dtype=np.int64),) * 2, 1.0)
