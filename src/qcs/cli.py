@@ -38,7 +38,9 @@ from .experiments import (
     RandomGraphSpec,
     SchedulingInitial,
     TrialResult,
+    _FLOOR,
     _at_least,
+    _int,
     parse_config,
     run_experiment,
 )
@@ -115,7 +117,10 @@ def _print_stats(label: str, res: experiments.ExperimentResult) -> None:
 
 
 def _load_instance(path: Path, cls, columns: dict[str, str]):
-    """Config spec `cls` from an instance file; columns maps field -> node key."""
+    """Config spec `cls` from an instance file; columns maps field -> node key.
+
+    A bad value is named by its place in the file, `nodes[j].key`.
+    """
     ctx = f"instance file {path}"
     data = experiments.read_json(path, "instance file")
     try:
@@ -124,7 +129,15 @@ def _load_instance(path: Path, cls, columns: dict[str, str]):
         raise ConfigError(f"{ctx}: missing key {exc}") from None
     except TypeError:
         raise ConfigError(f"{ctx}: expected an object with a 'nodes' list of objects") from None
-    return experiments.parse_spec(cls, body, ctx)
+    floors = {f.name: f.metadata.get(_FLOOR) for f in dataclasses.fields(cls)}
+    for name, key in columns.items():
+        values = []
+        for j, value in enumerate(body[name]):
+            at = f"{ctx}: nodes[{j}].{key}"
+            values.append(_int(value, at))
+            _at_least(at, values[-1], floors[name])
+        body[name] = tuple(values)
+    return cls(**body)
 
 
 def load_scheduling_instance(path: Path) -> SchedulingInitial:

@@ -32,15 +32,15 @@ import numpy as np
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
 from .metrics import TrajectoryRecord
-from .protocol import ceil_div, flood_votes, floor_div, routing_slots, split_route
+from .protocol import RouteStream, ceil_div, flood_votes, floor_div, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Sub-stream tags: a run draws all its routing from one generator seeded
-# by (seed, ROUTE_STREAM) and all its delays from one seeded by
-# (seed, DELAY_STREAM).
+# Sub-stream tags: a run draws all its routing from one PCG64 stream
+# seeded by (seed, ROUTE_STREAM), read through a RouteStream, and all its
+# delays from one generator seeded by (seed, DELAY_STREAM).
 ROUTE_STREAM = 0
 DELAY_STREAM = 1
 
@@ -97,15 +97,23 @@ def _validate_config(cfg: RunConfig) -> int:
             f"initial value lists must have length n={n}, "
             f"got {len(cfg.y0)} and {len(cfg.z0)}"
         )
-    for j in range(n):
-        if cfg.z0[j] < 1:
+    y0, z0 = np.asarray(cfg.y0), np.asarray(cfg.z0)
+    # the first bad node is named, its token count checked before its mass
+    bad = (z0 < 1) | (y0 < 0)
+    if bad.any():
+        j = int(bad.argmax())
+        if z0[j] < 1:
             raise ValueError(f"z0[{j}]={cfg.z0[j]} < 1: every node needs a token")
-        if cfg.y0[j] < 0:
-            raise ValueError(f"y0[{j}]={cfg.y0[j]} < 0: negative masses unsupported")
+        raise ValueError(f"y0[{j}]={cfg.y0[j]} < 0: negative masses unsupported")
     # every per-node and in-transit quantity of a run is bounded by the
     # doubled totals, so they alone must fit the int64 state arrays
-    for name, values in (("y0", cfg.y0), ("z0", cfg.z0)):
-        doubled = 2 * sum(int(v) for v in values)
+    for name, values in (("y0", y0), ("z0", z0)):
+        # an int64 sum is exact while n * 2 * max fits; past that (or for
+        # values numpy holds as objects) add Python ints
+        if values.dtype.kind == "i" and values.max() <= INT64_MAX // (2 * n):
+            doubled = 2 * int(values.sum(dtype=np.int64))
+        else:
+            doubled = 2 * sum(map(int, values.tolist()))
         if doubled > INT64_MAX:
             raise MassOverflowError(
                 f"2*sum({name})={doubled} exceeds the int64 maximum {INT64_MAX}; "
@@ -290,7 +298,7 @@ class Engine:
             self.delay_rng = np.random.default_rng([cfg.seed, DELAY_STREAM])
             # the nodes whose cycle completed at the last step: at step 1, all
             self._completed = self.nodes
-        self.route_rng = np.random.default_rng([cfg.seed, ROUTE_STREAM])
+        self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
         self.expected_y_total = int(self.y.sum())
         self.expected_z_total = int(self.z.sum())
         self.steps_done = 0
@@ -446,10 +454,9 @@ class Engine:
         converged = self.all_flagged()
         recovered = None
         if converged:
+            recovered = self.estimate.tolist()
             if self.cfg.recovery is not None:
-                recovered = [self.cfg.recovery(j, int(self.estimate[j])) for j in range(self.n)]
-            else:
-                recovered = [int(v) for v in self.estimate]
+                recovered = [self.cfg.recovery(j, est) for j, est in enumerate(recovered)]
         mass_y = mass_z = None
         if self._mass_rows is not None:
             mass_y, mass_z = (np.array(rows) for rows in self._mass_rows)

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -120,7 +119,7 @@ class InitialSpec:
 
 def _draw(rng: np.random.Generator, low_high: tuple[int, int], n: int) -> tuple[int, ...]:
     """n integer-uniform draws over the inclusive range low_high."""
-    return tuple(int(v) for v in rng.integers(low_high[0], low_high[1] + 1, size=n))
+    return tuple(rng.integers(low_high[0], low_high[1] + 1, size=n).tolist())
 
 
 @dataclass(frozen=True)
@@ -600,6 +599,9 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     payloads = [(cfg, t) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
         return [_trial_worker(p) for p in payloads]
+    # imported here: the pool modules cost a serial run import time and memory
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, cfg.trials // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_worker, payloads, chunksize=chunk))

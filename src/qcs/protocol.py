@@ -13,7 +13,7 @@ delays and the flip rule.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,6 +34,108 @@ def ceil_div(y, z):
     return -(-y // z)
 
 
+# the stream's raw words in little-endian byte order, so that a uint32
+# view reads each word's low half first
+_WORDS = np.dtype("<u8")
+_HALVES = np.dtype("<u4")
+_HALF_RANGE = 1 << 32
+_TWO, _SHIFT = np.uint64(2), np.uint64(32)
+# the most raw words a fill takes at once: a draw's scratch memory beside
+# its bounds and output stays at 64 KiB, so its peak per piece is numpy's
+_CHUNK_WORDS = 1 << 13
+
+
+class RouteStream:
+    """The route draws of `Generator.integers`, read from raw PCG64 words.
+
+    `integers(0, high)` returns exactly what `np.random.Generator(bg)
+    .integers(0, high)` returns for a 1-D array of bounds in 2 ..
+    2**32 - 1, and leaves the stream at the same point.  It follows
+    numpy's rule: each draw takes the next 32-bit half of the stream (the
+    halves of each 64-bit word, low half first) and keeps the high 32
+    bits of half * bound unless the low 32 bits fall below 2**32 mod
+    bound (Lemire's multiply-shift with rejection), in which case it
+    takes the next half.  numpy keeps a word's unused high half inside
+    the bit generator; the stream keeps it itself, so it must own
+    `bit_generator`.  A call reads its halves with one `random_raw` call
+    per 2**14 halves and draws them all in a few array passes instead of
+    numpy's per-element loop.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(f"a route stream reads PCG64 words, got {type(bit_generator).__name__}")
+        self.bit_generator = bit_generator
+        self._spare: Optional[int] = None
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Write the stream's next out.size halves into the uint64 array `out`."""
+        have = 0
+        if self._spare is not None:
+            out[0] = self._spare
+            self._spare = None
+            have = 1
+        while have < out.size:
+            need = out.size - have
+            words = min((need + 1) // 2, _CHUNK_WORDS)
+            halves = self.bit_generator.random_raw(words).astype(_WORDS, copy=False).view(_HALVES)
+            if halves.size > need:
+                self._spare = int(halves[-1])
+                halves = halves[:need]
+            out[have : have + halves.size] = halves
+            have += halves.size
+            del halves
+
+    def integers(self, low: int, high) -> np.ndarray:
+        """One uniform int64 draw from 0 .. high[i] - 1 for each bound."""
+        if low != 0:
+            raise ValueError(f"a route stream draws from 0, got low={low}")
+        bounds = np.asarray(high, dtype=np.int64)
+        if bounds.ndim != 1:
+            raise ValueError(f"route bounds must be a 1-D array, got shape {bounds.shape}")
+        width = bounds.view(np.uint64)
+        draw = np.empty(width.size, dtype=_WORDS)
+        if not draw.size:
+            return draw.view(np.int64)
+        # the bounds 2 .. 2**32 - 1 are those whose uint64 (bound - 2)
+        # stays below 2**32 - 2: one pass checks both ends
+        np.subtract(width, _TWO, out=draw)
+        most = int(draw.max()) + 2
+        if most >= _HALF_RANGE:
+            raise ValueError(
+                f"route bounds must lie in 2 .. 2**32 - 1, got {bounds.min()} .. {bounds.max()}"
+            )
+        self._fill(draw)
+        draw *= width
+        # only a low half below the bound can fall below 2**32 mod bound
+        low_half = draw.view(_HALVES)[0::2]
+        first = 0
+        while low_half[first:].min() < most:
+            first = _first_rejected(low_half, width, first)
+            if first is None:
+                break
+            # the rejected draw takes the next half and every later draw
+            # moves up by one: recover their halves, shift, multiply
+            tail = draw[first + 1 :]
+            tail //= width[first + 1 :]
+            draw[first:-1] = tail
+            self._fill(draw[-1:])
+            draw[first:] *= width[first:]
+        draw >>= _SHIFT
+        return draw.view(np.int64)
+
+
+def _first_rejected(low_half: np.ndarray, width: np.ndarray, start: int) -> Optional[int]:
+    """The first draw from `start` on whose low half falls below 2**32 mod
+    its bound, or None; scanned in blocks so its scratch memory stays small."""
+    for lo in range(start, width.size, 2 * _CHUNK_WORDS):
+        hi = lo + 2 * _CHUNK_WORDS
+        hits = np.flatnonzero(low_half[lo:hi] < _HALF_RANGE % width[lo:hi])
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
 def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The routing slots of every node, laid out from the out-edge CSR.
 
@@ -42,9 +144,14 @@ def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
     itself.  Returns (first, count, dst).
     """
     indptr, targets = out_csr
-    n = indptr.size - 1
-    first = indptr[:-1] + np.arange(n)
-    return first, np.diff(indptr) + 1, np.insert(targets, indptr[1:], np.arange(n))
+    nodes = np.arange(indptr.size - 1)
+    count = np.diff(indptr) + 1
+    first = indptr[:-1] + nodes
+    dst = np.empty(targets.size + nodes.size, dtype=np.int64)
+    # out-edge e of node j moves up by the j own slots laid out before it
+    dst[np.arange(targets.size) + nodes.repeat(count - 1)] = targets
+    dst[first + count - 1] = nodes
+    return first, count, dst
 
 
 def split_route(
@@ -52,20 +159,21 @@ def split_route(
     z: np.ndarray,
     nodes: np.ndarray,
     slots: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, RouteStream],
     count_sent: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Split every node in the nonempty `nodes` in place and address its pieces.
 
-    y and z are whole-network state arrays and `slots` is the layout of
-    `routing_slots`.  Node j splits y[j] into z[j] near-equal pieces,
-    floor(y/z) or ceil(y/z) with exactly (y mod z) large ones.  It keeps
-    one minimum-value piece; each of its other z[j] - 1 pieces draws one
-    of j's slots uniformly.  One rng.integers call draws the pieces of
-    all nodes, node by node in the given order, and the first (y mod z)
-    pieces a node routes are its large ones.  Pieces drawn to the same
-    slot are coalesced; self-drawn pieces join the kept pair, which the
-    node is left holding.
+    y and z are whole-network state arrays, `nodes` holds distinct ids in
+    ascending order and `slots` is the layout of `routing_slots`.  Node j
+    splits y[j] into z[j] near-equal pieces, floor(y/z) or ceil(y/z) with
+    exactly (y mod z) large ones.  It keeps one minimum-value piece; each
+    of its other z[j] - 1 pieces draws one of j's slots uniformly.  `rng`
+    is a Generator or a RouteStream; one rng.integers call draws the
+    pieces of all nodes, node by node in the given order, and the first
+    (y mod z) pieces a node routes are its large ones.  Pieces drawn to
+    the same slot are coalesced; self-drawn pieces join the kept pair,
+    which the node is left holding.
 
     Returns (estimate, dst, c_y, c_z, sent).  estimate[i] is ceil(y/z)
     of nodes[i] before its split.  The nonempty messages are laid out by
@@ -80,14 +188,21 @@ def split_route(
     if ys.min() < 0:
         raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
     delta, large = np.divmod(ys, zs)
-    width = count[nodes]
+    # the split nodes' slots laid end to end: node i's are block[i] ..
+    # end[i] - 1, its own the last.  When every node splits in order that
+    # is the whole layout.
+    whole = nodes.size == y.size
+    if whole:
+        width, block = count, first
+        end = first + count
+    else:
+        width = count[nodes]
+        end = width.cumsum()
+        block = end - width
     routed = zs - 1
     draws = rng.integers(0, width.repeat(routed))
-    # the split nodes' slots laid end to end: node i's are block[i] ..
-    # end[i] - 1, its own the last.  A piece's key is 2 * slot, plus 1 if
-    # large; each node's routed pieces come as two runs, large then small
-    end = width.cumsum()
-    block = end - width
+    # a piece's key is 2 * slot, plus 1 if large; each node's routed
+    # pieces come as two runs, large then small
     runs = np.empty(2 * nodes.size, dtype=np.int64)
     runs[0::2] = large
     runs[1::2] = routed - large
@@ -108,7 +223,7 @@ def split_route(
     slot_z[own] = 0
     sent = slot_z.nonzero()[0]
     who = end.searchsorted(sent, side="right")
-    dst = targets[sent + (first[nodes] - block)[who]]
+    dst = targets[sent] if whole else targets[sent + (first[nodes] - block)[who]]
     c_z = slot_z[sent]
     c_y = delta[who] * c_z + large_count[sent]
     per_sender = np.bincount(who, minlength=nodes.size) if count_sent else None

@@ -125,6 +125,23 @@ class TestCleanErrors:
         assert sorted(tmp_path.iterdir()) == inputs
 
 
+    @pytest.mark.parametrize(
+        "command, nodes, message",
+        [
+            ("app-federated", [{"r_size": 0, "w_local": 5}, {"r_size": 3, "w_local": 5}],
+             "nodes[0].r_size: must be >= 1, got 0"),
+            ("app-scheduling", [{"l": 4, "u": 0, "pi_max": 100}, {"l": "x", "u": 0, "pi_max": 100}],
+             "nodes[1].l: expected an integer, got 'x'"),
+        ],
+    )
+    def test_bad_instance_values_named_by_node_key(self, tmp_path, monkeypatch, capsys, command, nodes, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "i.json").write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        assert main([command, "--instance", "i.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: instance file i.json: {message}\n"
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",

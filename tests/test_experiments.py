@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcs
 from qcs import (
     ConfigError,
     DelayModel,
@@ -491,6 +496,14 @@ class TestRunners:
         serial = run_trials(cfg, workers=1)
         parallel = run_trials(cfg, workers=2)
         assert [r.__dict__ for r in serial] == [r.__dict__ for r in parallel]
+
+    def test_import_loads_no_process_pool(self):
+        # only run_trials with workers > 1 needs the pool modules
+        code = "import sys, qcs; print('multiprocessing' in sys.modules)"
+        src = str(Path(qcs.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_bound_check_attached_when_epsilon_given(self):
         cfg = parse_config({**MINIMAL, "epsilon": 0.1, "seed": 2})

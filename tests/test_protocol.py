@@ -20,7 +20,8 @@ from qcs import (
     floor_div,
     split_pieces,
 )
-from qcs.protocol import flood_votes, routing_slots, split_route
+from qcs.engine import _validate_config
+from qcs.protocol import RouteStream, flood_votes, routing_slots, split_route
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -262,6 +263,33 @@ class TestSplitBatch:
             assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [j]
         assert first[-1] + count[-1] == len(dst)
 
+    def test_slots_equal_the_insert_layout(self):
+        # the layout as np.insert builds it: node j's own id after its out-edges
+        for seed in range(30):
+            g, _, _ = random_instance(seed + 730, n_range=(2, 40), p_range=(0.35, 1.0))
+            indptr, targets = g.out_csr
+            first, count, dst = routing_slots(g.out_csr)
+            assert dst.tolist() == np.insert(targets, indptr[1:], np.arange(g.n)).tolist()
+            assert first.tolist() == (indptr[:-1] + np.arange(g.n)).tolist()
+            assert count.tolist() == (np.diff(indptr) + 1).tolist()
+            assert dst.dtype == np.int64
+
+    def test_every_node_splitting_matches_a_partial_batch(self):
+        # the whole-layout shortcut gives what the same split gives when
+        # an extra receive-only node makes the batch partial
+        for seed in range(20):
+            g, y0, z0 = random_instance(seed + 740)
+            y = 2 * np.array(y0, dtype=np.int64)
+            z = 2 * np.array(z0, dtype=np.int64)
+            whole = split_route(y.copy(), z.copy(), np.arange(g.n), routing_slots(g.out_csr),
+                                np.random.default_rng(seed), True)
+            indptr, targets = g.out_csr
+            padded = (np.append(indptr, indptr[-1]), targets)
+            y1, z1 = np.append(y, 0), np.append(z, 0)
+            part = split_route(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed), True)
+            for a, b in zip(whole, part):
+                assert a.tolist() == b.tolist()
+
 
 class TestRouteAndFlood:
     def test_routed_messages_follow_the_out_edges(self):
@@ -480,3 +508,102 @@ class TestMessages:
                 g, y0, z0 = random_instance(seed + 950)
                 out = make(RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=True)).run()
                 assert all((rec.vote_max >= rec.vote_min).all() for rec in out.trajectory)
+
+
+# bounds for route draws: small widths, widths around 2**31 where about
+# half of all draws are rejected, and any width up to 2**32 - 1
+route_bounds = st.one_of(
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=2**31 - 2**10, max_value=2**31 + 2**20),
+    st.integers(min_value=2**32 - 2**10, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=2**32 - 1),
+)
+
+
+def stream_pair(seed: int) -> tuple[RouteStream, np.random.Generator]:
+    """A route stream and a Generator seeded alike, as the engine seeds routing."""
+    return RouteStream(np.random.PCG64([seed, 0])), np.random.default_rng([seed, 0])
+
+
+class TestRouteStream:
+    @given(
+        calls=st.lists(st.lists(route_bounds, max_size=200), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draws_what_generator_integers_draws(self, calls, seed):
+        stream, gen = stream_pair(seed)
+        for bounds in calls:
+            high = np.array(bounds, dtype=np.int64)
+            got = stream.integers(0, high)
+            assert got.dtype == np.int64
+            assert got.tolist() == gen.integers(0, high).tolist()
+        # both stand at the same point afterwards, whichever half is next
+        for high in ([3, 2**31 + 1, 7], [2**31 + 5] * 4):
+            high = np.array(high, dtype=np.int64)
+            assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
+
+    def test_draws_past_one_fill(self):
+        # more halves than one random_raw call reads, after an odd call
+        # that leaves a high half over
+        stream, gen = stream_pair(11)
+        rng = np.random.default_rng(3)
+        for high in (np.array([5]), rng.integers(2, 1000, size=40_001), rng.integers(2, 2**32, size=3)):
+            assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
+
+    @pytest.mark.parametrize(
+        "high", [[1], [4, 1, 4], [0], [-3], [2**32], [5, 2**40]], ids=str
+    )
+    def test_refuses_bounds_outside_2_to_2_32(self, high):
+        stream, gen = stream_pair(5)
+        stream.integers(0, np.array([9]))
+        gen.integers(0, np.array([9]))
+        with pytest.raises(ValueError, match="2 .. 2\\*\\*32 - 1"):
+            stream.integers(0, np.array(high, dtype=np.int64))
+        # a refused call draws nothing
+        assert stream.integers(0, np.array([9, 9])).tolist() == gen.integers(0, np.array([9, 9])).tolist()
+
+    def test_refuses_low_other_than_zero(self):
+        stream, _ = stream_pair(5)
+        with pytest.raises(ValueError, match="low=1"):
+            stream.integers(1, np.array([4]))
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.MT19937(1), np.random.PCG64DXSM(1), np.random.Philox(1), np.random.default_rng(1)],
+        ids=lambda bg: type(bg).__name__,
+    )
+    def test_refuses_other_bit_generators(self, bit_generator):
+        with pytest.raises(TypeError, match="PCG64"):
+            RouteStream(bit_generator)
+
+
+def old_first_bad_node(y0, z0):
+    """The per-node scan config validation used to make: the message of
+    the first node with z0 < 1 or y0 < 0, its z0 checked first."""
+    for j in range(len(y0)):
+        if z0[j] < 1:
+            return f"z0[{j}]={z0[j]} < 1: every node needs a token"
+        if y0[j] < 0:
+            return f"y0[{j}]={y0[j]} < 0: negative masses unsupported"
+    return None
+
+
+class TestConfigValidation:
+    @given(
+        values=st.lists(
+            st.tuples(st.integers(min_value=-2, max_value=3), st.integers(min_value=-2, max_value=3)),
+            min_size=5, max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_names_the_first_bad_node_z0_first(self, values):
+        y0, z0 = (list(col) for col in zip(*values))
+        expected = old_first_bad_node(y0, z0)
+        cfg = RunConfig(graph=ring(5), y0=y0, z0=z0)
+        if expected is None:
+            assert _validate_config(cfg) == cfg.graph.diameter
+        else:
+            with pytest.raises(ValueError) as err:
+                _validate_config(cfg)
+            assert str(err.value) == expected
