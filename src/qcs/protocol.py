@@ -39,6 +39,7 @@ def ceil_div(y, z):
 _WORDS = np.dtype("<u8")
 _HALVES = np.dtype("<u4")
 _HALF_RANGE = 1 << 32
+# uint64 scalars: a Python int operand costs a type resolution per call
 _TWO, _SHIFT = np.uint64(2), np.uint64(32)
 # the most raw words a fill takes at once: a draw's scratch memory beside
 # its bounds and output stays at 64 KiB, so its peak per piece is numpy's
