@@ -38,9 +38,7 @@ from .experiments import (
     RandomGraphSpec,
     SchedulingInitial,
     TrialResult,
-    _FLOOR,
     _at_least,
-    _int,
     parse_config,
     run_experiment,
 )
@@ -129,15 +127,7 @@ def _load_instance(path: Path, cls, columns: dict[str, str]):
         raise ConfigError(f"{ctx}: missing key {exc}") from None
     except TypeError:
         raise ConfigError(f"{ctx}: expected an object with a 'nodes' list of objects") from None
-    floors = {f.name: f.metadata.get(_FLOOR) for f in dataclasses.fields(cls)}
-    for name, key in columns.items():
-        values = []
-        for j, value in enumerate(body[name]):
-            at = f"{ctx}: nodes[{j}].{key}"
-            values.append(_int(value, at))
-            _at_least(at, values[-1], floors[name])
-        body[name] = tuple(values)
-    return cls(**body)
+    return cls.from_node_values(body, lambda name, j: f"{ctx}: nodes[{j}].{columns[name]}")
 
 
 def load_scheduling_instance(path: Path) -> SchedulingInitial:

@@ -108,12 +108,7 @@ def _validate_config(cfg: RunConfig) -> int:
     # every per-node and in-transit quantity of a run is bounded by the
     # doubled totals, so they alone must fit the int64 state arrays
     for name, values in (("y0", y0), ("z0", z0)):
-        # an int64 sum is exact while n * 2 * max fits; past that (or for
-        # values numpy holds as objects) add Python ints
-        if values.dtype.kind == "i" and values.max() <= INT64_MAX // (2 * n):
-            doubled = 2 * int(values.sum(dtype=np.int64))
-        else:
-            doubled = 2 * sum(map(int, values.tolist()))
+        doubled = 2 * sum(map(int, values.tolist()))
         if doubled > INT64_MAX:
             raise MassOverflowError(
                 f"2*sum({name})={doubled} exceeds the int64 maximum {INT64_MAX}; "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -58,6 +59,13 @@ def _at_least(ctx: str, value: int, floor: int) -> None:
         raise ConfigError(f"{ctx}: must be >= {floor}, got {value}")
 
 
+def _check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str]) -> None:
+    """Refuse the first of the per-node `values` below `floor`; node j is named name_of(j)."""
+    if values and min(values) < floor:
+        j = next(j for j, v in enumerate(values) if v < floor)
+        _at_least(name_of(j), values[j], floor)
+
+
 @dataclass(frozen=True)
 class RandomGraphSpec:
     n: int
@@ -93,14 +101,24 @@ class InitialSpec:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             floor = f.metadata.get(_FLOOR)
-            if floor is None:
-                continue
-            values = getattr(self, f.name)
-            if values and min(values) < floor:
-                j = next(j for j, v in enumerate(values) if v < floor)
-                raise ConfigError(
-                    f"initial.{self.KIND}.{_config_key(f)}[{j}]: must be >= {floor}, got {values[j]}"
-                )
+            if floor is not None:
+                ctx = f"initial.{self.KIND}.{_config_key(f)}"
+                _check_floor(getattr(self, f.name), floor, lambda j: f"{ctx}[{j}]")
+
+    @classmethod
+    def from_node_values(cls, body: dict[str, Sequence], name_of: Callable[[str, int], str]):
+        """The spec whose per-node field `name` lists body[name], read as
+        integers; a bad value of node j is named name_of(name, j)."""
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        columns = {}
+        for name, raw in body.items():
+            at = functools.partial(name_of, name)
+            values = tuple(_int(v, at(j)) for j, v in enumerate(raw))
+            floor = fields[name].metadata.get(_FLOOR)
+            if floor is not None:
+                _check_floor(values, floor, at)
+            columns[name] = values
+        return cls(**columns)
 
     def values(
         self, n: int, rng: np.random.Generator

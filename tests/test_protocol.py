@@ -545,10 +545,15 @@ class TestRouteStream:
 
     def test_draws_past_one_fill(self):
         # more halves than one random_raw call reads, after an odd call
-        # that leaves a high half over
+        # that leaves a high half over; then bounds of 2**31 + 1, which
+        # reject about half their draws, past the first 2**14-draw scan
+        # block and at the very end, so rejections shift tails across
+        # fill boundaries (here 6 rejections, all from index 16,384 on)
         stream, gen = stream_pair(11)
         rng = np.random.default_rng(3)
-        for high in (np.array([5]), rng.integers(2, 1000, size=40_001), rng.integers(2, 2**32, size=3)):
+        heavy = rng.integers(2, 1000, size=40_000)
+        heavy[[16_384, 16_390, 20_000, 24_999, 32_773, 35_000, 39_990, 39_998, 39_999]] = 2**31 + 1
+        for high in (np.array([5]), rng.integers(2, 1000, size=40_001), heavy, rng.integers(2, 2**32, size=3)):
             assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
 
     @pytest.mark.parametrize(
