@@ -35,10 +35,8 @@ from .bounds import (
 )
 from .digraph import (
     Digraph,
-    TransmissionDistribution,
     generate_random_digraph,
     is_strongly_connected,
-    transmission_distribution,
 )
 from .engine import DelayModel, InFlightEntry, RunConfig, RunOutcome
 from .errors import (
@@ -90,7 +88,6 @@ __all__ = [
     "SchedulingInstance",
     "SyncEngine",
     "TrajectoryRecord",
-    "TransmissionDistribution",
     "TrialError",
     "TrialStats",
     "bounds_report",
@@ -120,7 +117,6 @@ __all__ = [
     "step_sync",
     "target_quotient",
     "token_walk_probability",
-    "transmission_distribution",
     "trial_stats",
     "visit_prob_bound",
     "visit_prob_bound_delayed",

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .digraph import Digraph, transmission_distribution
+from .digraph import Digraph
 
 Rational = Union[int, float, Fraction]
 
@@ -125,11 +125,11 @@ def initial_state_error(y0: Sequence[int], quotient: Rational) -> int:
 
 
 def completion_step_bound(initial_error: int, n: int, windows: int, diam: int) -> int:
-    """Step count after which termination holds with the stated confidence."""
-    if initial_error < 0 or n < 1 or windows < 1 or diam < 1:
-        raise ValueError("all bound inputs must be positive (initial_error >= 0)")
-    num = (initial_error + n) * windows * diam
-    return -(-num // diam) * diam + diam
+    """Step count after which termination holds with the stated confidence.
+
+    The B = 1 case of completion_step_bound_delayed.
+    """
+    return completion_step_bound_delayed(initial_error, n, windows, diam, 1)
 
 
 def completion_step_bound_delayed(
@@ -139,12 +139,16 @@ def completion_step_bound_delayed(
     diam: int,
     max_delay: int,
 ) -> int:
-    """Delayed analogue with D*B-step windows."""
-    if max_delay < 1:
-        raise ValueError(f"max_delay must be >= 1, got {max_delay}")
-    window = diam * max_delay
-    num = (initial_error + n) * windows * window
-    return -(-num // window) * window + window
+    """Step count after which termination holds under delays up to B = max_delay.
+
+    (initial_error + n) * windows windows of D*B steps, plus one window.
+    """
+    if initial_error < 0 or min(n, windows, diam, max_delay) < 1:
+        raise ValueError(
+            "need initial_error >= 0 and n, windows, diam, max_delay >= 1, got "
+            f"{initial_error}, {n}, {windows}, {diam}, {max_delay}"
+        )
+    return ((initial_error + n) * windows + 1) * diam * max_delay
 
 
 def token_walk_probability(
@@ -155,38 +159,28 @@ def token_walk_probability(
 ) -> Union[Fraction, float]:
     """Exact probability a single token sits at `target` after `steps` hops.
 
-    The token moves per the uniform self-inclusive transmission
-    distribution.  Exact rational arithmetic up to n=12; beyond that,
-    float64 propagation of the start distribution.
+    Each hop moves the token from node j to one of j's out-neighbors or
+    j itself, each with probability 1/(1 + out-degree of j): the routing
+    law of a piece.  Exact rationals up to n=12; beyond that, float64.
     """
     if not (0 <= start < g.n and 0 <= target < g.n):
         raise ValueError(f"start/target must be node ids in 0..{g.n - 1}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if g.n <= _EXACT_WALK_LIMIT:
-        rows = transmission_distribution(g).rows
-        dist = [Fraction(0)] * g.n
-        dist[start] = Fraction(1)
-        for _ in range(steps):
-            nxt = [Fraction(0)] * g.n
-            for j, mass in enumerate(dist):
-                if mass == 0:
-                    continue
-                for l, p in enumerate(rows[j]):
-                    if p:
-                        nxt[l] += mass * p
-            dist = nxt
-        return dist[target]
     indptr, targets = g.out_csr
     degrees = np.diff(indptr)
-    p = 1.0 / (1 + degrees)
-    trans = np.diag(p)
-    trans[np.repeat(np.arange(g.n), degrees), targets] = np.repeat(p, degrees)
-    dist_f = np.zeros(g.n)
-    dist_f[start] = 1.0
+    exact = g.n <= _EXACT_WALK_LIMIT
+    if exact:
+        share = np.array([Fraction(1, 1 + d) for d in degrees.tolist()], dtype=object)
+    else:
+        share = 1.0 / (1 + degrees)
+    dist = np.zeros(g.n, dtype=share.dtype)
+    dist[start] = 1
     for _ in range(steps):
-        dist_f = dist_f @ trans
-    return float(dist_f[target])
+        sent = dist * share
+        dist = sent.copy()
+        np.add.at(dist, targets, sent.repeat(degrees))
+    return Fraction(dist[target]) if exact else float(dist[target])
 
 
 def bounds_report(

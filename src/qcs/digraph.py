@@ -2,8 +2,8 @@
 
 Construction and validation of the digraphs every other module consumes:
 seeded random generation with rejection sampling, strong-connectivity
-checks, exact diameter computation, the per-node uniform transmission
-distribution, and a plain-text edge-list serialization.
+checks, exact diameter computation, and a plain-text edge-list
+serialization.
 
 A graph is stored as CSR arrays (one offset array plus one flat neighbor
 array); its checks, transpose and diameter are array operations on them.
@@ -11,8 +11,6 @@ array); its checks, transpose and diameter are array operations on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -285,33 +283,3 @@ def generate_random_digraph(
         f"after max_retries={max_retries} draws"
     )
 
-
-@dataclass(frozen=True)
-class TransmissionDistribution:
-    """Per-node transmission probabilities over out-neighbors plus self.
-
-    Row j holds exactly 1/(1 + out_degree(j)) on each supported node and
-    zero elsewhere, stored as exact rationals so the unit-mass invariant
-    holds without rounding.
-    """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def row(self, j: int) -> tuple[Fraction, ...]:
-        return self.rows[j]
-
-    def support(self, j: int) -> tuple[int, ...]:
-        return tuple(l for l, p in enumerate(self.rows[j]) if p > 0)
-
-
-def transmission_distribution(g: Digraph) -> TransmissionDistribution:
-    """Build the uniform self-inclusive transmission distribution of g."""
-    rows = []
-    for j in range(g.n):
-        p = Fraction(1, 1 + g.out_degrees[j])
-        row = [Fraction(0)] * g.n
-        row[j] = p
-        for l in g.out_neighbors[j]:
-            row[l] = p
-        rows.append(tuple(row))
-    return TransmissionDistribution(rows=tuple(rows))

@@ -23,6 +23,7 @@ delays.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -145,6 +146,8 @@ class DelayModel:
                 raise ValueError(
                     f"pmf must have {self.max_delay} entries, got {len(row)}"
                 )
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"pmf entries must be finite, got {list(row)}")
             if any(p < 0 for p in row):
                 raise ValueError("pmf entries must be nonnegative")
             if abs(sum(row) - 1.0) > 1e-9:
@@ -161,9 +164,6 @@ class DelayModel:
     def _cdf(self) -> np.ndarray:
         return np.cumsum(np.asarray(self._rows(), dtype=np.float64), axis=1)
 
-    def row_index(self, node: int) -> int:
-        return node if self.per_node_pmf is not None else 0
-
     def draw_batch(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Delays in {1..max_delay} by inverse CDF: nodes[i] draws with u[i]."""
         if self.per_node_pmf is None:
@@ -177,17 +177,13 @@ class DelayModel:
         return int(self.draw_batch(np.array([rng.random()]), np.array([node]))[0])
 
     def max_delay_prob(self, node: int) -> float:
-        return self._rows()[self.row_index(node)][self.max_delay - 1]
+        return self._rows()[node if self.per_node_pmf is not None else 0][-1]
 
     def min_max_delay_prob(self, n: int) -> float:
         """min over nodes of the probability of drawing the max delay."""
-        if self.per_node_pmf is not None:
-            if len(self.per_node_pmf) != n:
-                raise ValueError(
-                    f"per_node_pmf has {len(self.per_node_pmf)} rows for n={n}"
-                )
-            return min(row[self.max_delay - 1] for row in self.per_node_pmf)
-        return self._rows()[0][self.max_delay - 1]
+        if self.per_node_pmf is not None and len(self.per_node_pmf) != n:
+            raise ValueError(f"per_node_pmf has {len(self.per_node_pmf)} rows for n={n}")
+        return min(row[-1] for row in self._rows())
 
 
 UNIT_DELAY = DelayModel(max_delay=1)
@@ -214,32 +210,32 @@ class EmissionLog:
     """Every message batch a run transmitted, stored one record per step.
 
     A step that transmitted appends one record: the step its messages
-    become ready; per splitting node, its id, the step its cycle began
-    and its message count; and per message, its destination and
-    (c_y, c_z) totals.  The log sizes and iterates per message: len()
-    counts messages, and iteration yields one InFlightEntry per message
-    in emission order (by step, then by sender, then by the sender's
-    out-neighbor order).
+    become ready; per splitting node, its id and the step its cycle
+    began; and per message, its sender's index among those nodes, its
+    destination and (c_y, c_z) totals.  The log sizes and iterates per
+    message: len() counts messages, and iteration yields one
+    InFlightEntry per message in emission order (by step, then by
+    sender, then by the sender's out-neighbor order).
     """
 
     def __init__(self) -> None:
-        # (ready_step, senders, emit_steps, counts, dst, c_y, c_z)
+        # (ready_step, senders, emit_steps, who, dst, c_y, c_z)
         self._records: list[tuple] = []
         self._messages = 0
 
     def append(
-        self, ready_step: int, senders: np.ndarray, emit_steps: np.ndarray, counts: np.ndarray,
+        self, ready_step: int, senders: np.ndarray, emit_steps: np.ndarray, who: np.ndarray,
         dst: np.ndarray, c_y: np.ndarray, c_z: np.ndarray,
     ) -> None:
-        self._records.append((ready_step, senders, emit_steps, counts, dst, c_y, c_z))
+        self._records.append((ready_step, senders, emit_steps, who, dst, c_y, c_z))
         self._messages += len(dst)
 
     def __len__(self) -> int:
         return self._messages
 
     def __iter__(self) -> Iterator[InFlightEntry]:
-        for ready_step, senders, emit_steps, counts, dst, c_y, c_z in self._records:
-            columns = (np.repeat(senders, counts), dst, c_y, c_z, np.repeat(emit_steps, counts))
+        for ready_step, senders, emit_steps, who, dst, c_y, c_z in self._records:
+            columns = (senders[who], dst, c_y, c_z, emit_steps[who])
             for src, d, cy, cz, emit_step in zip(*(c.tolist() for c in columns)):
                 yield InFlightEntry(src, d, cy, cz, emit_step, ready_step)
 
@@ -389,19 +385,16 @@ class Engine:
         # has nothing to split this cycle.
         splitting = completing[self.z[completing] > 1] if delayed else (self.z > 1).nonzero()[0]
         if splitting.size:
-            log = self.emission_log
-            estimate, dst, c_y, c_z, sent = split_route(
-                self.y, self.z, splitting, self.slots, self.route_rng, log is not None
-            )
+            estimate, dst, c_y, c_z, who = split_route(self.y, self.z, splitting, self.slots, self.route_rng)
             self.estimate[splitting] = estimate
             # flags are all clear while the engine steps, unless set from outside
             if self.cfg.check_invariants and np.count_nonzero(self.flag) and self.flag[dst].any():
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
             np.add.at(self.pend_y if delayed else self.y, dst, c_y)
             np.add.at(self.pend_z if delayed else self.z, dst, c_z)
-            if log is not None and dst.size:
+            if self.emission_log is not None and dst.size:
                 emitted = self.cycle_start[splitting] if delayed else np.full(splitting.size, k)
-                log.append(k + 1, splitting, emitted, sent, dst, c_y, c_z)
+                self.emission_log.append(k + 1, splitting, emitted, who, dst, c_y, c_z)
 
         # window-boundary termination check: every node flips, or none
         if k % self.window == 0:

@@ -29,7 +29,7 @@ import numpy as np
 from . import applications, bounds, metrics
 from .async_engine import run_async
 from .digraph import Digraph, generate_random_digraph
-from .engine import DelayModel, RunConfig
+from .engine import UNIT_DELAY, DelayModel, RunConfig
 from .errors import ConfigError, TrialError
 from .sync_engine import run_sync
 
@@ -288,10 +288,14 @@ class ExperimentConfig:
         if self.mode == "async" and self.delay is None:
             raise ConfigError("delay: required when mode is 'async'")
         _at_least("trials", self.trials, 1)
+        _at_least("seed", self.seed, 0)
+        for key in ("max_steps", "diameter_bound"):
+            if getattr(self, key) is not None:
+                _at_least(key, getattr(self, key), 1)
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if self.error_mode not in ("reciprocal", "direct"):
-            raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct'")
+            raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct', got {self.error_mode!r}")
         if (
             self.error_mode == "reciprocal"
             and isinstance(self.initial, ExplicitInitial)
@@ -320,6 +324,10 @@ class ExperimentConfig:
             rows = len(self.delay.per_node_pmf)
             if rows != n:
                 raise ConfigError(f"delay.per_node_pmf: {rows} rows for a graph with {n} nodes")
+
+    def delay_model(self) -> DelayModel:
+        """The delay model trials run under: unit delays under sync."""
+        return self.delay if self.mode == "async" else UNIT_DELAY
 
     def records_trajectory(self) -> bool:
         if self.record_trajectory is not None:
@@ -524,36 +532,37 @@ class TrialResult:
     diameter: Optional[int] = None
 
 
-def _trial_max_steps(cfg: ExperimentConfig, inst: TrialInstance) -> int:
+def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
+    """The trial's step cap: max_steps if set, else 100x its completion bound, capped."""
     if cfg.max_steps is not None:
         return cfg.max_steps
-    if cfg.epsilon is not None:
-        return min(100 * _trial_bound(cfg, inst), DEFAULT_MAX_STEPS)
+    if bound is not None:
+        return min(100 * bound, DEFAULT_MAX_STEPS)
     return DEFAULT_MAX_STEPS
 
 
 def _trial_bound(cfg: ExperimentConfig, inst: TrialInstance) -> int:
+    """The completion-step bound under the trial's delay model (B = 1 under sync)."""
+    g = inst.graph
+    delay = cfg.delay_model()
+    tau = bounds.windows_for_confidence_delayed(
+        cfg.epsilon, g.diameter, g.max_out_degree, delay.min_max_delay_prob(g.n)
+    )
     err = bounds.initial_state_error(inst.y0, inst.quotient)
-    diam = inst.graph.diameter
-    deg = inst.graph.max_out_degree
-    if cfg.mode == "sync":
-        tau = bounds.windows_for_confidence(cfg.epsilon, diam, deg)
-        return bounds.completion_step_bound(err, inst.graph.n, tau, diam)
-    bp = cfg.delay.min_max_delay_prob(inst.graph.n)
-    tau = bounds.windows_for_confidence_delayed(cfg.epsilon, diam, deg, bp)
-    return bounds.completion_step_bound_delayed(err, inst.graph.n, tau, diam, cfg.delay.max_delay)
+    return bounds.completion_step_bound_delayed(err, g.n, tau, g.diameter, delay.max_delay)
 
 
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """Build and run a single trial; deterministic in (cfg, trial)."""
     inst = build_trial_instance(cfg, trial)
+    bound = None if cfg.epsilon is None else _trial_bound(cfg, inst)
     run_cfg = RunConfig(
         graph=inst.graph,
         y0=inst.y0,
         z0=inst.z0,
         seed=cfg.seed + trial,
         diameter_bound=cfg.diameter_bound,
-        max_steps=_trial_max_steps(cfg, inst),
+        max_steps=_trial_max_steps(cfg, bound),
         record_masses=cfg.records_trajectory(),
         recovery=inst.recovery,
         check_invariants=cfg.check_invariants,
@@ -562,10 +571,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         outcome = run_sync(run_cfg)
     else:
         outcome = run_async(run_cfg, cfg.delay)
-    bound = within = None
-    if cfg.epsilon is not None:
-        bound = _trial_bound(cfg, inst)
-        within = outcome.converged and outcome.termination_step <= bound
+    within = None if bound is None else outcome.converged and outcome.termination_step <= bound
     series = curve = None
     if outcome.mass_y is not None:
         target = inst.quotient

@@ -161,8 +161,7 @@ def split_route(
     nodes: np.ndarray,
     slots: tuple[np.ndarray, np.ndarray, np.ndarray],
     rng: Union[np.random.Generator, RouteStream],
-    count_sent: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split every node in the nonempty `nodes` in place and address its pieces.
 
     y and z are whole-network state arrays, `nodes` holds distinct ids in
@@ -176,10 +175,10 @@ def split_route(
     the same slot are coalesced; self-drawn pieces join the kept pair,
     which the node is left holding.
 
-    Returns (estimate, dst, c_y, c_z, sent).  estimate[i] is ceil(y/z)
+    Returns (estimate, dst, c_y, c_z, who).  estimate[i] is ceil(y/z)
     of nodes[i] before its split.  The nonempty messages are laid out by
-    sender as in `nodes`, then by out-neighbor order.  With count_sent,
-    sent[i] is the number of messages nodes[i] sent; otherwise None.
+    sender as in `nodes`, then by out-neighbor order; message m was sent
+    by nodes[who[m]].
     """
     first, count, targets = slots
     ys = y[nodes]
@@ -227,8 +226,7 @@ def split_route(
     dst = targets[sent] if whole else targets[sent + (first[nodes] - block)[who]]
     c_z = slot_z[sent]
     c_y = delta[who] * c_z + large_count[sent]
-    per_sender = np.bincount(who, minlength=nodes.size) if count_sent else None
-    return delta + (large > 0), dst, c_y, c_z, per_sender
+    return delta + (large > 0), dst, c_y, c_z, who
 
 
 def split_pieces(

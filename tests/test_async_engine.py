@@ -36,6 +36,11 @@ class TestDelayModel:
             DelayModel(max_delay=2, pmf=(-0.2, 1.2))
         with pytest.raises(ValueError):
             DelayModel(max_delay=0)
+        for bad in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                DelayModel(max_delay=2, pmf=bad)
+            with pytest.raises(ValueError, match="finite"):
+                DelayModel(max_delay=2, per_node_pmf=((0.5, 0.5), bad))
 
     def test_draws_cover_the_support(self):
         dm = DelayModel(max_delay=3, pmf=(0.2, 0.3, 0.5))

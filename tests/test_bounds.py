@@ -14,7 +14,6 @@ from qcs import (
     initial_state_error,
     target_quotient,
     token_walk_probability,
-    transmission_distribution,
     visit_prob_bound,
     visit_prob_bound_delayed,
     windows_for_confidence,
@@ -29,10 +28,9 @@ def delayed_walk_probability(g, pmf, steps, start, target) -> Fraction:
     """Oracle: exact delayed-walk occupancy over the product chain.
 
     State (position, residual): the token waits out its residual
-    processing time, then hops per the transmission row and draws a
-    fresh residual from the pmf.  Exact rational enumeration.
+    processing time, then hops uniformly to an out-neighbor or itself
+    and draws a fresh residual from the pmf.  Exact rational enumeration.
     """
-    rows = transmission_distribution(g).rows
     pmf = {lam: Fraction(p) for lam, p in pmf.items()}
     dist: dict[tuple[int, int], Fraction] = {}
     for lam, p in pmf.items():
@@ -44,9 +42,8 @@ def delayed_walk_probability(g, pmf, steps, start, target) -> Fraction:
                 key = (pos, res - 1)
                 nxt[key] = nxt.get(key, Fraction(0)) + mass
                 continue
-            for l, b in enumerate(rows[pos]):
-                if b == 0:
-                    continue
+            b = Fraction(1, 1 + g.out_degrees[pos])
+            for l in (*g.out_neighbors[pos], pos):
                 for lam, p in pmf.items():
                     key = (l, lam)
                     nxt[key] = nxt.get(key, Fraction(0)) + mass * b * p
@@ -180,6 +177,23 @@ class TestCompletionStepBounds:
         vals = [completion_step_bound_delayed(6, 4, 40, 2, b) for b in (1, 2, 3, 4)]
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         assert len(set(diffs)) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [(-1, 4, 7, 2), (-5, 0, 0, 1), (5, 0, 7, 2), (5, 4, 0, 2), (5, 4, 7, 0), (0, 1, 1, -3)],
+    )
+    def test_delayed_refuses_what_the_plain_bound_refuses(self, args):
+        with pytest.raises(ValueError):
+            completion_step_bound(*args)
+        for b in (1, 3):
+            with pytest.raises(ValueError):
+                completion_step_bound_delayed(*args, b)
+
+    def test_delayed_refuses_a_zero_diameter_or_delay(self):
+        with pytest.raises(ValueError, match="diam"):
+            completion_step_bound_delayed(6, 4, 40, 0, 5)
+        with pytest.raises(ValueError, match="max_delay"):
+            completion_step_bound_delayed(6, 4, 40, 2, 0)
 
     def test_monotone_in_all_inputs(self):
         base = completion_step_bound(5, 4, 7, 2)

@@ -145,6 +145,14 @@ class TestMalformedConfigs:
         with pytest.raises(ConfigError, match=match):
             parse_config(source)
 
+    def test_bare_nan_in_a_config_file_refused(self, tmp_path):
+        # json reads a bare NaN as a float, so a config file can carry one
+        path = tmp_path / "cfg.json"
+        text = json.dumps({**MINIMAL, "mode": "async", "delay": {"max_delay": 2, "pmf": [0.5, 0.5]}})
+        path.write_text(text.replace("0.5, 0.5", "NaN, 1.0"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^delay: pmf entries must be finite"):
+            parse_config(path)
+
     def test_missing_config_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"config file .*absent\.json: cannot read"):
             parse_config(tmp_path / "absent.json")
@@ -177,6 +185,18 @@ class TestMalformedConfigs:
             (_sched([1, 9], [5], occupied=-1), r"scheduling_uniform\.occupied: must be >= 0"),
             (_sched([1, 9], []), r"scheduling_uniform\.capacity_pattern: must not be empty"),
             (_sched([1, 9], [100, 0]), r"scheduling_uniform\.capacity_pattern: must be >= 1, got 0"),
+            ({"max_steps": 0}, r"^max_steps: must be >= 1, got 0$"),
+            ({"diameter_bound": 0}, r"^diameter_bound: must be >= 1, got 0$"),
+            ({"seed": -1}, r"^seed: must be >= 0, got -1$"),
+            ({"error_mode": "inverse"}, r"^error_mode: must be 'reciprocal' or 'direct', got 'inverse'$"),
+            (
+                {"mode": "async", "delay": {"max_delay": 2, "pmf": [float("nan"), 1.0]}},
+                r"^delay: pmf entries must be finite",
+            ),
+            (
+                {"mode": "async", "delay": {"max_delay": 2, "per_node_pmf": [[1.0, float("nan")]] * 10}},
+                r"^delay: pmf entries must be finite",
+            ),
         ],
     )
     def test_ranges_that_fail_mid_run_are_refused_up_front(self, override, match):
@@ -516,11 +536,26 @@ class TestRunners:
 
         plain = parse_config(MINIMAL)
         inst = build_trial_instance(plain, 0)
-        assert _trial_max_steps(plain, inst) == 100_000
+        assert _trial_max_steps(plain, None) == 100_000
         with_eps = parse_config({**MINIMAL, "epsilon": 0.1})
-        assert _trial_max_steps(with_eps, inst) == min(100 * _trial_bound(with_eps, inst), 100_000)
-        pinned = parse_config({**MINIMAL, "max_steps": 321})
-        assert _trial_max_steps(pinned, inst) == 321
+        bound = _trial_bound(with_eps, inst)
+        assert _trial_max_steps(with_eps, bound) == min(100 * bound, 100_000)
+        pinned = parse_config({**MINIMAL, "max_steps": 321, "epsilon": 0.1})
+        assert _trial_max_steps(pinned, bound) == 321
+
+    def test_sync_bound_is_the_unit_delay_chain(self):
+        from qcs import bounds
+        from qcs.experiments import _trial_bound
+
+        # a sync trial runs unit delays, so a delay block in its config is not read
+        uniform = {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}}
+        for seed in range(5):
+            cfg = parse_config({**MINIMAL, "initial": uniform, "delay": {"max_delay": 4}, "epsilon": 0.05, "seed": seed})
+            inst = build_trial_instance(cfg, 0)
+            g = inst.graph
+            tau = bounds.windows_for_confidence(0.05, g.diameter, g.max_out_degree)
+            err = bounds.initial_state_error(inst.y0, inst.quotient)
+            assert _trial_bound(cfg, inst) == bounds.completion_step_bound(err, g.n, tau, g.diameter)
 
     def test_epsilon_step_limit_is_capped(self, monkeypatch):
         from qcs import experiments
@@ -528,8 +563,9 @@ class TestRunners:
 
         cfg = parse_config({**MINIMAL, "epsilon": 0.1})
         inst = build_trial_instance(cfg, 0)
-        assert 100 * _trial_bound(cfg, inst) > experiments.DEFAULT_MAX_STEPS
-        assert _trial_max_steps(cfg, inst) == experiments.DEFAULT_MAX_STEPS
+        bound = _trial_bound(cfg, inst)
+        assert 100 * bound > experiments.DEFAULT_MAX_STEPS
+        assert _trial_max_steps(cfg, bound) == experiments.DEFAULT_MAX_STEPS
         # a trial that cannot finish under the ceiling is censored, not run on
         y0 = [100] + [1] * 9
         spread = {**MINIMAL, "initial": {"explicit": {"y0": y0, "z0": [1] * 10}}, "epsilon": 0.1}

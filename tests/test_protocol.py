@@ -101,10 +101,10 @@ class TestSplit:
         for seed in range(10):
             y = np.zeros(4, dtype=np.int64)
             z = np.array([4, 2, 2, 2], dtype=np.int64)
-            est, dst, c_y, c_z, sent = split_route(y, z, np.array([0]), slots, np.random.default_rng(seed), True)
+            est, dst, c_y, c_z, who = split_route(y, z, np.array([0]), slots, np.random.default_rng(seed))
             assert y[0] == 0 and (c_y == 0).all() and est[0] == 0
             assert z[0] + int(c_z.sum()) == 4
-            assert (c_z >= 1).all() and sent[0] == len(dst)
+            assert (c_z >= 1).all() and np.bincount(who, minlength=1)[0] == len(dst)
 
     def test_split_requires_plural_tokens(self):
         with pytest.raises(ProtocolError):
@@ -193,9 +193,9 @@ class TestSplitBatch:
     def test_batch_properties(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        est, dst, c_y, c_z, sent = split_route(y, z, split, slots, np.random.default_rng(seed), True)
-        assert len(sent) == len(nodes) and sent.sum() == len(dst) == len(c_y) == len(c_z)
-        src = np.repeat(split, sent)
+        est, dst, c_y, c_z, who = split_route(y, z, split, slots, np.random.default_rng(seed))
+        assert len(who) == len(dst) == len(c_y) == len(c_z)
+        src = split[who]
         # messages travel on out-edges only, ordered by sender then by
         # out-neighbor order, and none is empty
         keys = [(s_, out[s_].index(d_)) for s_, d_ in zip(src.tolist(), dst.tolist())]
@@ -227,8 +227,8 @@ class TestSplitBatch:
     def test_batch_is_the_per_node_rule_on_one_stream(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        _, dst, c_y, c_z, sent = split_route(y, z, split, slots, np.random.default_rng(seed), True)
-        src = np.repeat(split, sent)
+        _, dst, c_y, c_z, who = split_route(y, z, split, slots, np.random.default_rng(seed))
+        src = split[who]
         # the batch takes its pieces node by node from the stream, each as
         # split_pieces, the one-node case, would for the same generator state
         rng = np.random.default_rng(seed)
@@ -250,7 +250,8 @@ class TestSplitBatch:
         y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
         z = np.array([7, 3], dtype=np.int64)
         slots = routing_slots(bidirectional_pair().out_csr)
-        est, dst, c_y, c_z, sent = split_route(y, z, np.array([0, 1]), slots, np.random.default_rng(4), True)
+        est, dst, c_y, c_z, who = split_route(y, z, np.array([0, 1]), slots, np.random.default_rng(4))
+        sent = np.bincount(who, minlength=2)
         mass = c_y.tolist()
         assert int(y[0]) + sum(mass[:sent[0]]) == 2**62 + 5
         assert int(y[1]) + sum(mass[sent[0]:]) == 2**61 + 3
@@ -282,11 +283,11 @@ class TestSplitBatch:
             y = 2 * np.array(y0, dtype=np.int64)
             z = 2 * np.array(z0, dtype=np.int64)
             whole = split_route(y.copy(), z.copy(), np.arange(g.n), routing_slots(g.out_csr),
-                                np.random.default_rng(seed), True)
+                                np.random.default_rng(seed))
             indptr, targets = g.out_csr
             padded = (np.append(indptr, indptr[-1]), targets)
             y1, z1 = np.append(y, 0), np.append(z, 0)
-            part = split_route(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed), True)
+            part = split_route(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed))
             for a, b in zip(whole, part):
                 assert a.tolist() == b.tolist()
 
@@ -300,11 +301,9 @@ class TestRouteAndFlood:
             total = (int(y.sum()), int(z.sum()))
             nodes = np.flatnonzero(np.arange(g.n) % 3 != 1)
             before_y, before_z = y.copy(), z.copy()
-            _, dst, c_y, c_z, sent = split_route(
-                y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed), True
-            )
-            src = np.repeat(nodes, sent)
-            assert len(sent) == len(nodes) and sent.sum() == len(dst)
+            _, dst, c_y, c_z, who = split_route(y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed))
+            src = nodes[who]
+            assert len(who) == len(dst)
             assert (c_z >= 1).all()
             assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
             # ordered by sender, then by out-neighbor order
@@ -316,12 +315,14 @@ class TestRouteAndFlood:
             np.add.at(z, dst, c_z)
             assert (int(y.sum()), int(z.sum())) == total
 
-    def test_sender_counts_only_on_request(self):
+    def test_sender_index_per_message(self):
         g, y0, z0 = random_instance(705)
         y = 2 * np.array(y0, dtype=np.int64)
         z = 2 * np.array(z0, dtype=np.int64)
-        *_, sent = split_route(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
-        assert sent is None
+        _, dst, _, _, who = split_route(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
+        # one sender index per message, nondecreasing, each on an out-edge of its sender
+        assert len(who) == len(dst) and (np.diff(who) >= 0).all()
+        assert all(d in g.out_neighbors[s] for s, d in zip(who.tolist(), dst.tolist()))
 
     def test_flood_matches_the_per_node_merge(self):
         for seed in range(10):
@@ -497,8 +498,8 @@ class TestMessages:
         for seed in range(20):
             y = np.full(9, 5, dtype=np.int64)
             z = np.full(9, 3, dtype=np.int64)
-            _, dst, c_y, c_z, sent = split_route(y, z, np.array([0, 4]), slots, np.random.default_rng(seed), True)
-            assert (sent <= 2).all() and sent.sum() == len(dst)
+            _, dst, c_y, c_z, who = split_route(y, z, np.array([0, 4]), slots, np.random.default_rng(seed))
+            assert (np.bincount(who, minlength=2) <= 2).all()
             assert (c_z >= 1).all()
 
     def test_vote_message_orders_pair(self):
