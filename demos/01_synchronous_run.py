@@ -19,7 +19,7 @@ z0 = [2, 1, 4, 3, 1, 5, 2, 3, 1, 2, 1, 4, 2, 1, 3, 2, 5, 2, 3, 1]
 quotient = target_quotient(y0, z0)
 print(f"target quotient: {quotient} = {float(quotient):.4f}")
 
-out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=1, record_trajectory=True))
+out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=1, record_trajectory=True, record_masses=True))
 
 print(f"converged: {out.converged} at step {out.termination_step} "
       f"(vote windows of {g.diameter} steps)")
@@ -29,6 +29,6 @@ assert int(out.final_estimate[0]) in (quotient.__floor__(), -(-quotient).__floor
 first, last = out.trajectory[0], out.trajectory[-1]
 print(f"mass ledger: start {first.mass_totals()}, end {last.mass_totals()}")
 
-series = normalized_error(out.trajectory, float(1 / quotient), mode="reciprocal")
+series = normalized_error((out.mass_y, out.mass_z), float(1 / quotient), mode="reciprocal")
 print("normalized error e[k]:",
       " ".join(f"{v:.3f}" for v in series.values[: out.termination_step + 1]))

@@ -38,7 +38,7 @@ from .digraph import (
     generate_random_digraph,
     is_strongly_connected,
 )
-from .engine import DelayModel, InFlightEntry, RunConfig, RunOutcome
+from .engine import DelayModel, InFlightEntry, RunConfig, RunOutcome, TrajectoryRecord
 from .errors import (
     CapacityExceededError,
     ConfigError,
@@ -59,7 +59,7 @@ from .experiments import (
     run_one_trial,
     run_trials,
 )
-from .metrics import ErrorSeries, TrajectoryRecord, TrialStats, normalized_error, trial_stats
+from .metrics import ErrorSeries, TrialStats, normalized_error, trial_stats
 from .protocol import ceil_div, floor_div, split_pieces
 from .sync_engine import SyncEngine, run_sync, step_sync
 

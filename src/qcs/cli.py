@@ -39,6 +39,7 @@ from .experiments import (
     SchedulingInitial,
     TrialResult,
     _at_least,
+    _in_open_unit,
     parse_config,
     run_experiment,
 )
@@ -181,6 +182,8 @@ def _cmd_sweep(args, debug: bool) -> int:
 
 
 def _cmd_bounds(args, debug: bool) -> int:
+    if args.epsilon is not None:
+        _in_open_unit("--epsilon", args.epsilon)
     cfg = _override(parse_config(args.config), args, debug)
     epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
     if epsilon is None:

@@ -26,13 +26,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
-from .metrics import TrajectoryRecord
 from .protocol import RouteStream, ceil_div, flood_votes, floor_div, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
@@ -44,6 +44,26 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # delays from one generator seeded by (seed, DELAY_STREAM).
 ROUTE_STREAM = 0
 DELAY_STREAM = 1
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """Every node's state at the end of a step: masses, votes, estimates, flags.
+
+    y and z include queued arrivals, so they alone carry the conservation ledger.
+    """
+
+    step: int
+    y: np.ndarray
+    z: np.ndarray
+    estimate: np.ndarray
+    vote_max: np.ndarray
+    vote_min: np.ndarray
+    flag: np.ndarray
+
+    def mass_totals(self) -> tuple[int, int]:
+        """(total y, total z) over all nodes."""
+        return int(self.y.sum()), int(self.z.sum())
 
 
 @dataclass
@@ -176,9 +196,6 @@ class DelayModel:
         """One delay draw in {1..max_delay} (consumes one uniform)."""
         return int(self.draw_batch(np.array([rng.random()]), np.array([node]))[0])
 
-    def max_delay_prob(self, node: int) -> float:
-        return self._rows()[node if self.per_node_pmf is not None else 0][-1]
-
     def min_max_delay_prob(self, n: int) -> float:
         """min over nodes of the probability of drawing the max delay."""
         if self.per_node_pmf is not None and len(self.per_node_pmf) != n:
@@ -204,40 +221,6 @@ class InFlightEntry:
     c_z: int
     emit_step: int
     ready_step: int
-
-
-class EmissionLog:
-    """Every message batch a run transmitted, stored one record per step.
-
-    A step that transmitted appends one record: the step its messages
-    become ready; per splitting node, its id and the step its cycle
-    began; and per message, its sender's index among those nodes, its
-    destination and (c_y, c_z) totals.  The log sizes and iterates per
-    message: len() counts messages, and iteration yields one
-    InFlightEntry per message in emission order (by step, then by
-    sender, then by the sender's out-neighbor order).
-    """
-
-    def __init__(self) -> None:
-        # (ready_step, senders, emit_steps, who, dst, c_y, c_z)
-        self._records: list[tuple] = []
-        self._messages = 0
-
-    def append(
-        self, ready_step: int, senders: np.ndarray, emit_steps: np.ndarray, who: np.ndarray,
-        dst: np.ndarray, c_y: np.ndarray, c_z: np.ndarray,
-    ) -> None:
-        self._records.append((ready_step, senders, emit_steps, who, dst, c_y, c_z))
-        self._messages += len(dst)
-
-    def __len__(self) -> int:
-        return self._messages
-
-    def __iter__(self) -> Iterator[InFlightEntry]:
-        for ready_step, senders, emit_steps, who, dst, c_y, c_z in self._records:
-            columns = (senders[who], dst, c_y, c_z, emit_steps[who])
-            for src, d, cy, cz, emit_step in zip(*(c.tolist() for c in columns)):
-                yield InFlightEntry(src, d, cy, cz, emit_step, ready_step)
 
 
 class Engine:
@@ -298,15 +281,12 @@ class Engine:
         # flooding runs until every node holds both
         self._window_max = self._window_min = 0
         self._flooding = True
-        self.emission_log: Optional[EmissionLog] = None
-        self.trajectory: Optional[list[TrajectoryRecord]] = None
-        if cfg.record_trajectory:
-            self.trajectory = [self._snapshot(0)]
-            self.emission_log = EmissionLog()
+        record = cfg.record_trajectory
+        self.trajectory: Optional[list[TrajectoryRecord]] = [self._snapshot(0)] if record else None
+        # each transmitted message, by step, sender and out-neighbor order
+        self.emission_log: Optional[list[InFlightEntry]] = [] if record else None
         # each step's total_y() and total_z(), when cfg.record_masses
-        self._mass_rows: Optional[tuple[list, list]] = None
-        if cfg.record_masses:
-            self._mass_rows = ([self.total_y()], [self.total_z()])
+        self._mass_rows = ([self.total_y()], [self.total_z()]) if cfg.record_masses else None
 
     def total_y(self) -> np.ndarray:
         """Each node's visible mass: its locked batch plus queued arrivals."""
@@ -392,9 +372,11 @@ class Engine:
                 raise InvariantError(f"step {k}: mass arrived at a terminated node")
             np.add.at(self.pend_y if delayed else self.y, dst, c_y)
             np.add.at(self.pend_z if delayed else self.z, dst, c_z)
-            if self.emission_log is not None and dst.size:
-                emitted = self.cycle_start[splitting] if delayed else np.full(splitting.size, k)
-                self.emission_log.append(k + 1, splitting, emitted, who, dst, c_y, c_z)
+            if self.emission_log is not None:
+                src = splitting[who]
+                emitted = self.cycle_start[src] if delayed else np.full(src.size, k)
+                columns = (c.tolist() for c in (src, dst, c_y, c_z, emitted))
+                self.emission_log.extend(map(InFlightEntry, *columns, repeat(k + 1)))
 
         # window-boundary termination check: every node flips, or none
         if k % self.window == 0:

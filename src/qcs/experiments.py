@@ -59,6 +59,11 @@ def _at_least(ctx: str, value: int, floor: int) -> None:
         raise ConfigError(f"{ctx}: must be >= {floor}, got {value}")
 
 
+def _in_open_unit(ctx: str, value: float) -> None:
+    if not 0 < value < 1:
+        raise ConfigError(f"{ctx}: must be in (0, 1), got {value}")
+
+
 def _check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str]) -> None:
     """Refuse the first of the per-node `values` below `floor`; node j is named name_of(j)."""
     if values and min(values) < floor:
@@ -292,8 +297,8 @@ class ExperimentConfig:
         for key in ("max_steps", "diameter_bound"):
             if getattr(self, key) is not None:
                 _at_least(key, getattr(self, key), 1)
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ConfigError(f"epsilon: must be in (0, 1), got {self.epsilon}")
+        if self.epsilon is not None:
+            _in_open_unit("epsilon", self.epsilon)
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct', got {self.error_mode!r}")
         if (
@@ -715,17 +720,16 @@ def write_artifacts(
 
 
 def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
-    """The closed-form bound table for trial 0's graph and initial values."""
+    """The closed-form bound table for trial 0's graph and initial values.
+
+    Its delayed half appears only when the trials run delays (B > 1).
+    """
     inst = build_trial_instance(cfg, 0)
-    delay = cfg.delay
-    return bounds.bounds_report(
-        inst.graph,
-        epsilon,
-        inst.y0,
-        inst.z0,
-        max_delay=None if delay is None else delay.max_delay,
-        min_max_delay_prob=None if delay is None else delay.min_max_delay_prob(inst.graph.n),
-    )
+    delay = cfg.delay_model()
+    delayed = {}
+    if delay.max_delay > 1:
+        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(inst.graph.n))
+    return bounds.bounds_report(inst.graph, epsilon, inst.y0, inst.z0, **delayed)
 
 
 def run_experiment(

@@ -1,37 +1,14 @@
-"""Evaluation quantities computed from trajectories and trial batches."""
+"""Evaluation quantities computed from per-step mass rows and trial batches."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Per-step snapshot of the whole network.
-
-    Taken at the end of each simulated step: node mass/token arrays, the
-    vote pair, estimates and flags.  The engines deliver every message
-    into a node's state (or its arrival queue) by the end of the step, so
-    y and z alone carry the whole conservation ledger.
-    """
-
-    step: int
-    y: np.ndarray
-    z: np.ndarray
-    estimate: np.ndarray
-    vote_max: np.ndarray
-    vote_min: np.ndarray
-    flag: np.ndarray
-
-    def mass_totals(self) -> tuple[int, int]:
-        """(total y, total z) over all nodes."""
-        return int(self.y.sum()), int(self.z.sum())
 
 
 @dataclass(frozen=True)
@@ -48,15 +25,15 @@ class ErrorSeries:
 
 
 def normalized_error(
-    trajectory: Union[Sequence[TrajectoryRecord], tuple[np.ndarray, np.ndarray]],
+    masses: tuple[np.ndarray, np.ndarray],
     x_star: float,
     mode: str = "reciprocal",
 ) -> ErrorSeries:
-    """Normalized distance-to-optimum series over a recorded trajectory.
+    """Normalized distance-to-optimum series over a run's mass rows.
 
-    `trajectory` is a sequence of TrajectoryRecords or a (y, z) pair of
-    arrays whose row k holds every node's masses at step k, as
-    RunOutcome.mass_y and mass_z do.
+    `masses` is a (y, z) pair of 2-D arrays of one shape whose row k
+    holds every node's masses at step k, as RunOutcome.mass_y and
+    mass_z do.
 
     Per step k the node states are q_j[k] = y_j[k] / z_j[k].  In
     "reciprocal" mode the error compares 1/q_j[k] against x_star (the
@@ -71,13 +48,11 @@ def normalized_error(
     """
     if mode not in ("reciprocal", "direct"):
         raise ValueError(f"mode must be 'reciprocal' or 'direct', got {mode!r}")
-    if isinstance(trajectory, tuple) and len(trajectory) == 2 and isinstance(trajectory[0], np.ndarray):
-        y, z = trajectory
-    else:
-        y = np.array([rec.y for rec in trajectory])
-        z = np.array([rec.z for rec in trajectory])
+    y, z = masses
+    if y.ndim != 2 or y.shape != z.shape:
+        raise ValueError(f"mass rows must be 2-D arrays of one shape, got {y.shape} and {z.shape}")
     if len(y) == 0:
-        raise ValueError("trajectory is empty")
+        raise ValueError("mass rows are empty")
     target = float(x_star)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         states = y.astype(np.float64) / z.astype(np.float64)

@@ -51,8 +51,8 @@ class TestDelayModel:
 
     def test_per_node_table(self):
         dm = DelayModel(max_delay=2, per_node_pmf=((1.0, 0.0), (0.25, 0.75)))
-        assert dm.max_delay_prob(0) == 0.0
-        assert dm.max_delay_prob(1) == 0.75
+        # each node draws from its own row: node 0 always 1, node 1 2 above u = 0.25
+        assert dm.draw_batch(np.array([0.9, 0.9, 0.1]), np.array([0, 1, 1])).tolist() == [1, 2, 1]
         assert dm.min_max_delay_prob(2) == 0.0
         with pytest.raises(ValueError):
             dm.min_max_delay_prob(3)
@@ -273,7 +273,7 @@ class TestEmissionBookkeeping:
 
 
 class TestBatchedEmissionLog:
-    """The log stores one record per completing node and reads per message."""
+    """The emission log holds one entry per message, built from each step's batched split."""
 
     SEEDS = (600, 601, 602, 333)
 

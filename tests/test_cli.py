@@ -110,11 +110,14 @@ class TestCleanErrors:
              "--max-delay: must be >= 1, got 0"),
             (["app-federated", "--instance", "fed.json", "--mode", "async", "--max-delay", "-3"],
              "--max-delay: must be >= 1, got -3"),
+            (["bounds", "--config", "cfg.json", "--epsilon", "2"], "--epsilon: must be in (0, 1), got 2.0"),
+            (["bounds", "--config", "cfg.json", "--epsilon", "nan"], "--epsilon: must be in (0, 1), got nan"),
         ],
     )
     def test_bad_flag_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         write_scheduling_instance(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(MINIMAL), encoding="utf-8")
         nodes = [{"r_size": 3, "w_local": 10}, {"r_size": 5, "w_local": 20}]
         (tmp_path / "fed.json").write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
         inputs = sorted(tmp_path.iterdir())

@@ -557,6 +557,21 @@ class TestRunners:
             err = bounds.initial_state_error(inst.y0, inst.quotient)
             assert _trial_bound(cfg, inst) == bounds.completion_step_bound(err, g.n, tau, g.diameter)
 
+    def test_bounds_block_reports_only_the_delays_trials_run(self):
+        from qcs.experiments import bounds_report
+
+        uniform = {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}}
+        sync = {**MINIMAL, "initial": uniform, "epsilon": 0.1}
+        block = bounds_report(parse_config(sync), 0.1)
+        assert "completion_step_bound_delayed" not in block
+        # a sync trial runs unit delays whatever its delay block says
+        assert bounds_report(parse_config({**sync, "delay": {"max_delay": 5}}), 0.1) == block
+        # at B = 1 the delayed half would repeat the sync half
+        async_unit = {**sync, "mode": "async", "delay": {"max_delay": 1}}
+        assert bounds_report(parse_config(async_unit), 0.1) == block
+        delayed = bounds_report(parse_config({**async_unit, "delay": {"max_delay": 5}}), 0.1)
+        assert delayed["max_delay"] == 5 and delayed.items() > block.items()
+
     def test_epsilon_step_limit_is_capped(self, monkeypatch):
         from qcs import experiments
         from qcs.experiments import _trial_bound, _trial_max_steps

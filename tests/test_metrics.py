@@ -14,7 +14,6 @@ from qcs import (
     DelayModel,
     ErrorSeries,
     RunConfig,
-    TrajectoryRecord,
     generate_random_digraph,
     normalized_error,
     run_async,
@@ -24,21 +23,17 @@ from qcs import (
 )
 
 
-def record(step, y, z):
-    y = np.asarray(y, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    zero = np.zeros_like(y)
-    return TrajectoryRecord(
-        step=step, y=y, z=z, estimate=zero, vote_max=zero, vote_min=zero, flag=zero
-    )
+def masses(y_rows, z_rows):
+    """The (y, z) mass rows of a run whose step k held y_rows[k], z_rows[k]."""
+    return np.array(y_rows, dtype=np.int64), np.array(z_rows, dtype=np.int64)
 
 
-def direct_error(records, x_star, reciprocal=True):
+def direct_error(rows, x_star, reciprocal=True):
     """Oracle: literal evaluation of the normalized error at each step."""
     out = []
     denom = None
-    for rec in records:
-        states = [y / z for y, z in zip(rec.y, rec.z)]
+    for ys, zs in zip(*rows):
+        states = [y / z for y, z in zip(ys, zs)]
         if reciprocal:
             states = [1.0 / s for s in states]
         total = sum((s - x_star) ** 2 for s in states)
@@ -50,48 +45,47 @@ def direct_error(records, x_star, reciprocal=True):
 
 class TestNormalizedError:
     def test_starts_at_one(self):
-        recs = [record(0, [4, 8], [2, 2]), record(1, [6, 6], [2, 2])]
-        series = normalized_error(recs, x_star=0.4, mode="reciprocal")
+        rows = masses([[4, 8], [6, 6]], [[2, 2], [2, 2]])
+        series = normalized_error(rows, x_star=0.4, mode="reciprocal")
         assert series.values[0] == pytest.approx(1.0)
         assert not series.degenerate
 
     def test_zero_at_the_optimum(self):
-        recs = [record(0, [4, 8], [2, 2]), record(1, [6, 6], [2, 2])]
-        series = normalized_error(recs, x_star=3.0, mode="direct")
+        rows = masses([[4, 8], [6, 6]], [[2, 2], [2, 2]])
+        series = normalized_error(rows, x_star=3.0, mode="direct")
         assert series.values[1] == pytest.approx(0.0)
 
     def test_degenerate_start_gives_flagged_zeros(self):
-        recs = [record(0, [6, 6], [2, 2]), record(1, [6, 6], [2, 2])]
-        series = normalized_error(recs, x_star=3.0, mode="direct")
+        rows = masses([[6, 6], [6, 6]], [[2, 2], [2, 2]])
+        series = normalized_error(rows, x_star=3.0, mode="direct")
         assert series.degenerate
         assert (series.values == 0).all()
 
     def test_undefined_start_gives_an_empty_truncated_series(self):
         # a node without mass has an infinite reciprocal state at k = 0
-        recs = [record(0, [0, 8], [2, 2]), record(1, [4, 4], [2, 2])]
-        series = normalized_error(recs, x_star=0.5, mode="reciprocal")
+        rows = masses([[0, 8], [4, 4]], [[2, 2], [2, 2]])
+        series = normalized_error(rows, x_star=0.5, mode="reciprocal")
         assert series.truncated and not series.degenerate
         assert series.values.size == 0
 
     def test_series_stops_before_its_first_undefined_point(self):
-        recs = [record(0, [2, 8], [2, 2]), record(1, [4, 6], [2, 2]), record(2, [0, 10], [2, 2]),
-                record(3, [5, 5], [2, 2])]
-        series = normalized_error(recs, x_star=0.5, mode="reciprocal")
+        y, z = rows = masses([[2, 8], [4, 6], [0, 10], [5, 5]], [[2, 2]] * 4)
+        series = normalized_error(rows, x_star=0.5, mode="reciprocal")
         assert series.truncated
-        assert series.values.tolist() == pytest.approx(direct_error(recs[:2], 0.5))
+        assert series.values.tolist() == pytest.approx(direct_error((y[:2], z[:2]), 0.5))
         # direct mode has no undefined point here
-        full = normalized_error(recs, x_star=2.5, mode="direct")
+        full = normalized_error(rows, x_star=2.5, mode="direct")
         assert not full.truncated and full.values.size == 4 and np.isfinite(full.values).all()
 
     def test_matches_literal_oracle(self):
         g = generate_random_digraph(8, 0.5, seed=3)
         y0 = [12, 70, 3, 55, 8, 90, 41, 22]
         z0 = [2, 3, 1, 4, 2, 5, 1, 2]
-        out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=3, record_trajectory=True))
+        out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=3, record_masses=True))
         assert out.converged
         x_star = float(1 / target_quotient(y0, z0))
-        got = normalized_error(out.trajectory, x_star, mode="reciprocal").values
-        want = direct_error(out.trajectory, x_star)
+        got = normalized_error((out.mass_y, out.mass_z), x_star, mode="reciprocal").values
+        want = direct_error((out.mass_y, out.mass_z), x_star)
         assert np.allclose(got, want)
         assert (got >= 0).all()
 
@@ -104,40 +98,38 @@ class TestNormalizedError:
         z0 = [2, 3, 2, 4, 3, 1, 2, 3, 2, 3]
         q = target_quotient(y0, z0)
         assert q.denominator > 1  # keep the band nonzero
-        out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=11, record_trajectory=True))
+        out = run_sync(RunConfig(graph=g, y0=y0, z0=z0, seed=11, record_masses=True))
         assert out.converged
         x_star = float(1 / q)
-        series = normalized_error(out.trajectory, x_star, mode="reciprocal")
+        series = normalized_error((out.mass_y, out.mass_z), x_star, mode="reciprocal")
         lo = q.numerator // q.denominator
         band = abs(1 / lo - float(1 / q))
-        rec0 = out.trajectory[0]
-        denom = sum((z / y - x_star) ** 2 for y, z in zip(rec0.y, rec0.z))
+        denom = sum((z / y - x_star) ** 2 for y, z in zip(out.mass_y[0], out.mass_z[0]))
         limit = band * math.sqrt(g.n / denom)
         assert series.values[-1] <= limit + 1e-12
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            normalized_error([record(0, [1], [1])], 1.0, mode="squared")
-        with pytest.raises(ValueError):
-            normalized_error([], 1.0)
+            normalized_error(masses([[1]], [[1]]), 1.0, mode="squared")
 
 
-def loop_error(trajectory, x_star, mode):
-    """Oracle: the per-record loop normalized_error ran before it took mass rows.
+def loop_error(rows, x_star, mode):
+    """Oracle: the per-step loop normalized_error ran before it took mass rows.
 
     Same float64 operations in the same order, so the vectorized curve
     must equal it bit for bit.
     """
     target = float(x_star)
-    sums = np.empty(len(trajectory), dtype=np.float64)
+    y_rows, z_rows = rows
+    sums = np.empty(len(y_rows), dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, rec in enumerate(trajectory):
-            states = rec.y.astype(np.float64) / rec.z.astype(np.float64)
+        for i, (y, z) in enumerate(zip(y_rows, z_rows)):
+            states = y.astype(np.float64) / z.astype(np.float64)
             if mode == "reciprocal":
                 states = 1.0 / states
             sums[i] = np.sum((states - target) ** 2)
         if sums[0] == 0.0:
-            values, degenerate = np.zeros(len(trajectory)), True
+            values, degenerate = np.zeros(len(y_rows)), True
         else:
             values, degenerate = np.sqrt(sums / sums[0]), False
     defined = np.isfinite(sums) & np.isfinite(values)
@@ -148,15 +140,13 @@ def loop_error(trajectory, x_star, mode):
 
 
 @st.composite
-def trajectories(draw):
-    """Records over n nodes; y may be 0, so reciprocal curves can truncate."""
+def mass_rows(draw):
+    """Mass rows over n nodes; y may be 0, so reciprocal curves can truncate."""
     n = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 8))
-    rows = st.lists(st.integers(0, 60), min_size=n, max_size=n)
-    return [
-        record(k, draw(rows), draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
-        for k in range(steps)
-    ]
+    y_row = st.lists(st.integers(0, 60), min_size=n, max_size=n)
+    z_row = st.lists(st.integers(1, 9), min_size=n, max_size=n)
+    return masses(*zip(*[(draw(y_row), draw(z_row)) for _ in range(steps)]))
 
 
 def assert_same_series(got, want):
@@ -166,26 +156,30 @@ def assert_same_series(got, want):
 
 
 class TestCurveMatchesTheLoop:
-    """The vectorized curve against the per-record loop it replaced."""
+    """The vectorized curve against the per-step loop it replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(trajectories(), st.floats(0.0, 50.0), st.sampled_from(["reciprocal", "direct"]))
+    @given(mass_rows(), st.floats(0.0, 50.0), st.sampled_from(["reciprocal", "direct"]))
     # degenerate start: every state already at x_star
-    @example([record(0, [6, 6], [2, 2]), record(1, [6, 6], [2, 2])], 3.0, "direct")
-    @example([record(0, [2, 2], [6, 6]), record(1, [3, 1], [6, 6])], 3.0, "reciprocal")
+    @example(masses([[6, 6], [6, 6]], [[2, 2], [2, 2]]), 3.0, "direct")
+    @example(masses([[2, 2], [3, 1]], [[6, 6], [6, 6]]), 3.0, "reciprocal")
     # a node runs out of mass mid-curve in reciprocal mode
-    @example([record(0, [2, 8], [2, 2]), record(1, [0, 10], [2, 2]), record(2, [5, 5], [2, 2])], 0.5, "reciprocal")
+    @example(masses([[2, 8], [0, 10], [5, 5]], [[2, 2]] * 3), 0.5, "reciprocal")
     # a node holds no mass at k = 0
-    @example([record(0, [0, 8], [2, 2]), record(1, [4, 4], [2, 2])], 0.5, "reciprocal")
-    def test_equal_to_the_loop(self, recs, x_star, mode):
-        want = loop_error(recs, x_star, mode)
-        assert_same_series(normalized_error(recs, x_star, mode=mode), want)
-        rows = (np.array([r.y for r in recs]), np.array([r.z for r in recs]))
-        assert_same_series(normalized_error(rows, x_star, mode=mode), want)
+    @example(masses([[0, 8], [4, 4]], [[2, 2], [2, 2]]), 0.5, "reciprocal")
+    def test_equal_to_the_loop(self, rows, x_star, mode):
+        assert_same_series(normalized_error(rows, x_star, mode=mode), loop_error(rows, x_star, mode))
 
     def test_empty_mass_rows_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             normalized_error((np.zeros((0, 3), dtype=np.int64),) * 2, 1.0)
+
+    def test_malformed_mass_rows_rejected(self):
+        rows = np.ones((3, 4), dtype=np.int64)
+        # a 1-D z used to broadcast into a curve, and a 1-D y to raise numpy's AxisError
+        for y, z in ((rows, rows[0]), (rows[0], rows), (rows, rows[:, :3]), (rows[0], rows[0])):
+            with pytest.raises(ValueError, match="2-D arrays of one shape"):
+                normalized_error((y, z), 1.0)
 
     @pytest.mark.parametrize("max_delay", [1, 4])
     def test_mass_rows_equal_the_snapshots(self, max_delay):
