@@ -190,15 +190,22 @@ def bounds_report(
     z0: Sequence[int],
     max_delay: Optional[int] = None,
     min_max_delay_prob: Optional[Rational] = None,
+    window_basis: Optional[int] = None,
 ) -> dict:
     """All closed-form quantities for one instance, JSON-ready.
 
     Delayed quantities appear when max_delay is given; the max-delay
     probability defaults to the uniform pmf value 1/max_delay.
+
+    window_basis is the D of a run's D*B-step vote windows (a diameter
+    bound), None for the exact diameter.  Window counts use the exact
+    diameter, since a longer window holds a D*B one; the step bounds
+    count windows of window_basis*B steps.
     """
     quotient = target_quotient(y0, z0)
     err = initial_state_error(y0, quotient)
     diam = g.diameter
+    basis = diam if window_basis is None else window_basis
     deg = g.max_out_degree
     windows = windows_for_confidence(epsilon, diam, deg)
     report = {
@@ -210,7 +217,7 @@ def bounds_report(
         "initial_state_error": err,
         "visit_prob_bound": float(visit_prob_bound(diam, deg)),
         "windows": windows,
-        "completion_step_bound": completion_step_bound(err, g.n, windows, diam),
+        "completion_step_bound": completion_step_bound(err, g.n, windows, basis),
     }
     if max_delay is not None:
         bp = Fraction(1, max_delay) if min_max_delay_prob is None else min_max_delay_prob
@@ -222,7 +229,7 @@ def bounds_report(
                 "visit_prob_bound_delayed": float(visit_prob_bound_delayed(diam, deg, bp)),
                 "windows_delayed": windows_d,
                 "completion_step_bound_delayed": completion_step_bound_delayed(
-                    err, g.n, windows_d, diam, max_delay
+                    err, g.n, windows_d, basis, max_delay
                 ),
             }
         )

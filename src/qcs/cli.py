@@ -103,16 +103,26 @@ def _override(cfg: ExperimentConfig, args, debug: bool) -> ExperimentConfig:
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
-def _print_stats(label: str, res: experiments.ExperimentResult) -> None:
-    st = res.stats
-    print(
-        f"{label}: {st.converged_count}/{st.trials} converged, "
-        f"steps mean={st.mean:.1f} std={st.std:.1f} min={st.min} max={st.max}"
-    )
-    if st.fraction_within_bound is not None:
-        print(f"{label}: fraction within completion bound = {st.fraction_within_bound:.3f}")
-    for name, path in res.artifacts.items():
-        print(f"{label}: wrote {name} -> {path}")
+def _run_configs(args, debug: bool, label: str, *cfgs: ExperimentConfig) -> int:
+    """Run each config under the --seed, --trials, --graph-file and debug
+    overrides and print its stats.  Several configs (a preset's sync/async
+    pair) write to --out/<mode> and print as `label-<mode>`."""
+    for cfg in cfgs:
+        cfg = _override(cfg, args, debug)
+        out, name = args.out, label
+        if len(cfgs) > 1:
+            out, name = None if out is None else out / cfg.mode, f"{label}-{cfg.mode}"
+        res = run_experiment(cfg, out_dir=out, fmt=args.format, workers=_workers(args))
+        st = res.stats
+        print(
+            f"{name}: {st.converged_count}/{st.trials} converged, "
+            f"steps mean={st.mean:.1f} std={st.std:.1f} min={st.min} max={st.max}"
+        )
+        if st.fraction_within_bound is not None:
+            print(f"{name}: fraction within completion bound = {st.fraction_within_bound:.3f}")
+        for artifact, path in res.artifacts.items():
+            print(f"{name}: wrote {artifact} -> {path}")
+    return 0
 
 
 def _load_instance(path: Path, cls, columns: dict[str, str]):
@@ -142,10 +152,7 @@ def load_federated_instance(path: Path) -> FederatedInitial:
 
 
 def _cmd_run(args, debug: bool) -> int:
-    cfg = _override(parse_config(args.config), args, debug)
-    res = run_experiment(cfg, out_dir=args.out, fmt=args.format, workers=_workers(args))
-    _print_stats("run", res)
-    return 0
+    return _run_configs(args, debug, "run", parse_config(args.config))
 
 
 def _run_sweep(args, **grid) -> int:
@@ -202,10 +209,7 @@ def _cmd_bounds(args, debug: bool) -> int:
 
 
 def _cmd_fig1(args, debug: bool) -> int:
-    cfg = _override(experiments.fig1_config(), args, debug)
-    res = run_experiment(cfg, out_dir=args.out, fmt=args.format, workers=_workers(args))
-    _print_stats("fig1", res)
-    return 0
+    return _run_configs(args, debug, "fig1", experiments.fig1_config())
 
 
 def _cmd_fig2_desk(args, debug: bool) -> int:
@@ -220,16 +224,7 @@ def _cmd_fig2_desk(args, debug: bool) -> int:
 
 
 def _cmd_fig3(args, debug: bool) -> int:
-    cfgs = experiments.fig3_configs(
-        trials=args.trials if args.trials is not None else 100, seed=args.seed or 0
-    )
-    for label, cfg in cfgs.items():
-        if debug:
-            cfg = dataclasses.replace(cfg, check_invariants=True)
-        out = None if args.out is None else args.out / label
-        res = run_experiment(cfg, out_dir=out, fmt=args.format, workers=_workers(args))
-        _print_stats(f"fig3-{label}", res)
-    return 0
+    return _run_configs(args, debug, "fig3", *experiments.fig3_configs().values())
 
 
 def _run_app(args, debug: bool, initial, n: int) -> TrialResult:

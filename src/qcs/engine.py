@@ -161,7 +161,7 @@ class DelayModel:
     def __post_init__(self) -> None:
         if self.max_delay < 1:
             raise ValueError(f"max_delay must be >= 1, got {self.max_delay}")
-        for row in self._rows():
+        for row in self._given_rows():
             if len(row) != self.max_delay:
                 raise ValueError(
                     f"pmf must have {self.max_delay} entries, got {len(row)}"
@@ -173,16 +173,16 @@ class DelayModel:
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"pmf must sum to 1, got {sum(row)}")
 
-    def _rows(self) -> tuple[tuple[float, ...], ...]:
+    def _given_rows(self) -> tuple[tuple[float, ...], ...]:
+        """The per-node table, else the shared pmf; none for the uniform model."""
         if self.per_node_pmf is not None:
             return self.per_node_pmf
-        if self.pmf is not None:
-            return (self.pmf,)
-        return (tuple(1.0 / self.max_delay for _ in range(self.max_delay)),)
+        return () if self.pmf is None else (self.pmf,)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self._rows(), dtype=np.float64), axis=1)
+        rows = self._given_rows() or ((1.0 / self.max_delay,) * self.max_delay,)
+        return np.cumsum(np.asarray(rows, dtype=np.float64), axis=1)
 
     def draw_batch(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Delays in {1..max_delay} by inverse CDF: nodes[i] draws with u[i]."""
@@ -200,7 +200,8 @@ class DelayModel:
         """min over nodes of the probability of drawing the max delay."""
         if self.per_node_pmf is not None and len(self.per_node_pmf) != n:
             raise ValueError(f"per_node_pmf has {len(self.per_node_pmf)} rows for n={n}")
-        return min(row[-1] for row in self._rows())
+        rows = self._given_rows()
+        return min(row[-1] for row in rows) if rows else 1.0 / self.max_delay
 
 
 UNIT_DELAY = DelayModel(max_delay=1)

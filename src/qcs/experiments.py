@@ -297,6 +297,13 @@ class ExperimentConfig:
         for key in ("max_steps", "diameter_bound"):
             if getattr(self, key) is not None:
                 _at_least(key, getattr(self, key), 1)
+        # a trial refuses a step cap below one vote window, D*B steps; D is only
+        # known per trial, and with epsilon set the 100x-bound cap holds a window
+        window = (self.diameter_bound or 1) * self.delay_model().max_delay
+        cap = self.max_steps or DEFAULT_MAX_STEPS
+        if window > cap:
+            key = "diameter_bound" if self.diameter_bound is not None else "delay.max_delay"
+            raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
         if self.epsilon is not None:
             _in_open_unit("epsilon", self.epsilon)
         if self.error_mode not in ("reciprocal", "direct"):
@@ -507,7 +514,12 @@ def build_trial_instance(cfg: ExperimentConfig, trial: int) -> TrialInstance:
             cfg.graph.n, cfg.graph.edge_prob, seed=trial_seed, max_retries=cfg.graph.max_retries
         )
     else:
-        g = Digraph.load(cfg.graph.path)
+        try:
+            g = Digraph.load(cfg.graph.path)
+        except OSError as exc:
+            raise ConfigError(f"graph.file {cfg.graph.path}: cannot read ({exc.strerror})") from None
+        except ValueError as exc:
+            raise ConfigError(f"graph.file {cfg.graph.path}: {exc}") from None
         cfg._check_lengths(g.n)
     y0, z0, recovery = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
     return TrialInstance(
@@ -546,21 +558,26 @@ def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
     return DEFAULT_MAX_STEPS
 
 
-def _trial_bound(cfg: ExperimentConfig, inst: TrialInstance) -> int:
-    """The completion-step bound under the trial's delay model (B = 1 under sync)."""
-    g = inst.graph
+def _trial_bounds(cfg: ExperimentConfig, inst: TrialInstance, epsilon: float) -> dict:
+    """The closed-form bound table of one trial's instance, in the vote
+    windows its trials run; its delayed half appears only under delays (B > 1)."""
     delay = cfg.delay_model()
-    tau = bounds.windows_for_confidence_delayed(
-        cfg.epsilon, g.diameter, g.max_out_degree, delay.min_max_delay_prob(g.n)
+    delayed = {}
+    if delay.max_delay > 1:
+        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(inst.graph.n))
+    return bounds.bounds_report(
+        inst.graph, epsilon, inst.y0, inst.z0, window_basis=cfg.diameter_bound, **delayed
     )
-    err = bounds.initial_state_error(inst.y0, inst.quotient)
-    return bounds.completion_step_bound_delayed(err, g.n, tau, g.diameter, delay.max_delay)
 
 
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """Build and run a single trial; deterministic in (cfg, trial)."""
     inst = build_trial_instance(cfg, trial)
-    bound = None if cfg.epsilon is None else _trial_bound(cfg, inst)
+    bound = None
+    if cfg.epsilon is not None:
+        block = _trial_bounds(cfg, inst, cfg.epsilon)
+        # the table has a delayed half exactly when the trial runs delays
+        bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
     run_cfg = RunConfig(
         graph=inst.graph,
         y0=inst.y0,
@@ -659,6 +676,26 @@ def _outcomes_rows(results: Sequence[TrialResult]) -> list[dict]:
     ]
 
 
+def _stats_row(st: metrics.TrialStats) -> dict:
+    """The step statistics that summary.json and sweep_summary.csv both report."""
+    return {
+        "trials": st.trials,
+        "converged": st.converged_count,
+        "mean_steps": st.mean,
+        "std_steps": st.std,
+        "min_steps": st.min,
+        "max_steps": st.max,
+    }
+
+
+def _write_csv(path: Path, rows: Sequence[dict]) -> None:
+    """rows as a CSV file whose header is the first row's keys."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def write_artifacts(
     result: ExperimentResult,
     out_dir: Union[str, Path],
@@ -673,10 +710,7 @@ def write_artifacts(
     rows = _outcomes_rows(result.results)
     if fmt == "csv":
         path = out / "outcomes.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(path, rows)
     else:
         path = out / "outcomes.json"
         path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
@@ -696,17 +730,11 @@ def write_artifacts(
             writer.writerows([t, k, repr(e)] for t, k, e in series_rows)
         paths["error_series"] = str(epath)
 
-    stats = result.stats
     summary = {
         "config": config_to_dict(result.config),
         "stats": {
-            "trials": stats.trials,
-            "converged": stats.converged_count,
-            "mean_steps": stats.mean,
-            "std_steps": stats.std,
-            "min_steps": stats.min,
-            "max_steps": stats.max,
-            "fraction_within_bound": stats.fraction_within_bound,
+            **_stats_row(result.stats),
+            "fraction_within_bound": result.stats.fraction_within_bound,
             "error_series_truncated": sum(r.error_series_truncated for r in result.results),
         },
         "bounds": result.bounds_block,
@@ -720,16 +748,8 @@ def write_artifacts(
 
 
 def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
-    """The closed-form bound table for trial 0's graph and initial values.
-
-    Its delayed half appears only when the trials run delays (B > 1).
-    """
-    inst = build_trial_instance(cfg, 0)
-    delay = cfg.delay_model()
-    delayed = {}
-    if delay.max_delay > 1:
-        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(inst.graph.n))
-    return bounds.bounds_report(inst.graph, epsilon, inst.y0, inst.z0, **delayed)
+    """Trial 0's bound table, the one its completion_bound is read from."""
+    return _trial_bounds(cfg, build_trial_instance(cfg, 0), epsilon)
 
 
 def run_experiment(
@@ -756,22 +776,24 @@ def run_experiment(
 # presets: one-command reproductions of the headline experiments, desk scale
 
 
+# the scheduling workload of fig1 and of every fig2 cell
+_SCHEDULING_PRESET = SchedulingUniformInitial(load_range=(1, 100), capacity_pattern=(100, 300))
+
+
 def fig1_config(trials: int = 100, seed: int = 0) -> ExperimentConfig:
     """Task-scheduling run: 20 nodes, p=0.5, loads U[1,100], capacities
     alternating 100/300 by node parity."""
     return ExperimentConfig(
         mode="sync",
         graph=RandomGraphSpec(n=20, edge_prob=0.5),
-        initial=SchedulingUniformInitial(
-            load_range=(1, 100), capacity_pattern=(100, 300), occupied=0
-        ),
+        initial=_SCHEDULING_PRESET,
         trials=trials,
         seed=seed,
     )
 
 
-def fig3_configs(trials: int = 100, seed: int = 0, max_delay: int = 5) -> dict:
-    """Federated aggregation on matched instances, sync vs delayed.
+def fig3_configs(trials: int = 100, seed: int = 0) -> dict:
+    """Federated aggregation on matched instances, sync vs delayed (B = 5).
 
     Both configs share the seed, so trial i uses the identical graph and
     instance under either mode.
@@ -785,7 +807,7 @@ def fig3_configs(trials: int = 100, seed: int = 0, max_delay: int = 5) -> dict:
     )
     return {
         "sync": ExperimentConfig(mode="sync", **base),
-        "async": ExperimentConfig(mode="async", delay=DelayModel(max_delay=max_delay), **base),
+        "async": ExperimentConfig(mode="async", delay=DelayModel(max_delay=5), **base),
     }
 
 
@@ -808,27 +830,19 @@ def fig2_grid(
     FIG2_FULL_DELAYS) to desk scale: 4 sizes x 3 delay bounds at
     `trials` trials per cell.
     """
-    cells = []
-    for n in sizes:
-        for b in delays:
-            cells.append(
-                (
-                    n,
-                    b,
-                    ExperimentConfig(
-                        mode="async",
-                        graph=RandomGraphSpec(n=n, edge_prob=edge_prob),
-                        initial=SchedulingUniformInitial(
-                            load_range=(1, 100), capacity_pattern=(100, 300), occupied=0
-                        ),
-                        delay=DelayModel(max_delay=b),
-                        trials=trials,
-                        # cell seeds offset so no two cells share trial seeds
-                        seed=seed + (n * 1000 + b) * 100_000,
-                    ),
-                )
-            )
-    return cells
+    # cell seeds are offset so no two cells share trial seeds
+    return [
+        (n, b, ExperimentConfig(
+            mode="async",
+            graph=RandomGraphSpec(n=n, edge_prob=edge_prob),
+            initial=_SCHEDULING_PRESET,
+            delay=DelayModel(max_delay=b),
+            trials=trials,
+            seed=seed + (n * 1000 + b) * 100_000,
+        ))
+        for n in sizes
+        for b in delays
+    ]
 
 
 def run_sweep(
@@ -839,26 +853,11 @@ def run_sweep(
     """Run grid cells and summarize one row per cell."""
     rows = []
     for n, b, cfg in cells:
-        res = run_experiment(cfg, out_dir=None, workers=workers)
-        st = res.stats
-        rows.append(
-            {
-                "n": n,
-                "max_delay": b,
-                "trials": st.trials,
-                "converged": st.converged_count,
-                "mean_steps": st.mean,
-                "std_steps": st.std,
-                "min_steps": st.min,
-                "max_steps": st.max,
-            }
-        )
+        st = run_experiment(cfg, out_dir=None, workers=workers).stats
+        rows.append({"n": n, "max_delay": b, **_stats_row(st)})
         logger.info("sweep cell n=%d B=%d: mean %.1f steps", n, b, st.mean)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with (out / "sweep_summary.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / "sweep_summary.csv", rows)
     return rows

@@ -27,6 +27,14 @@ class TestDelayModel:
         dm = DelayModel(max_delay=4)
         assert dm.min_max_delay_prob(5) == pytest.approx(0.25)
 
+    def test_uniform_cdf_and_max_delay_prob_keep_their_values(self):
+        # the uniform row is built only to draw from; its values must not move
+        for b in range(1, 13):
+            dm = DelayModel(max_delay=b)
+            row = tuple(1.0 / b for _ in range(b))
+            assert np.array_equal(dm._cdf, np.cumsum(np.asarray((row,), dtype=np.float64), axis=1))
+            assert dm.min_max_delay_prob(2) == row[-1]
+
     def test_pmf_validation(self):
         with pytest.raises(ValueError):
             DelayModel(max_delay=2, pmf=(0.5, 0.6))

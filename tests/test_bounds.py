@@ -240,3 +240,13 @@ class TestBoundsReport:
         assert rep["windows_delayed"] >= rep["windows"]
         assert rep["completion_step_bound_delayed"] >= rep["completion_step_bound"]
         assert rep["target_quotient"] == 5.0
+
+    def test_window_basis_scales_the_step_bounds_only(self):
+        g = generate_random_digraph(8, 0.5, seed=1)
+        exact = bounds_report(g, 0.05, [10] * 8, [2] * 8, max_delay=5)
+        wide = bounds_report(g, 0.05, [10] * 8, [2] * 8, max_delay=5, window_basis=g.diameter + 7)
+        steps = ("completion_step_bound", "completion_step_bound_delayed")
+        # window counts and the reported diameter stay those of the exact D
+        assert {k: v for k, v in wide.items() if k not in steps} == {k: v for k, v in exact.items() if k not in steps}
+        for key in steps:
+            assert wide[key] * g.diameter == exact[key] * (g.diameter + 7)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qcs import DelayModel, experiments
+from qcs import DelayModel, cli, experiments
 from qcs.cli import load_federated_instance, load_scheduling_instance, main
 from qcs.experiments import ExperimentConfig, RandomGraphSpec, SchedulingUniformInitial
 
@@ -112,6 +112,8 @@ class TestCleanErrors:
              "--max-delay: must be >= 1, got -3"),
             (["bounds", "--config", "cfg.json", "--epsilon", "2"], "--epsilon: must be in (0, 1), got 2.0"),
             (["bounds", "--config", "cfg.json", "--epsilon", "nan"], "--epsilon: must be in (0, 1), got nan"),
+            (["app-scheduling", "--instance", "sched.json", "--mode", "async", "--max-delay", "200000"],
+             "delay.max_delay: one vote window of 200000 steps exceeds the step cap of 100000"),
         ],
     )
     def test_bad_flag_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -127,6 +129,32 @@ class TestCleanErrors:
         assert message in err
         assert sorted(tmp_path.iterdir()) == inputs
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "cfg.json"],
+            ["bounds", "--config", "cfg.json", "--epsilon", "0.1"],
+            ["app-scheduling", "--instance", "sched.json"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "graph.file g.txt: cannot read (No such file or directory)"),
+            ("3 1\n0 1 2\n", "graph.file g.txt: malformed edge line: '0 1 2'"),
+        ],
+    )
+    def test_graph_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, text, message):
+        monkeypatch.chdir(tmp_path)
+        write_scheduling_instance(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(MINIMAL), encoding="utf-8")
+        if text is not None:
+            (tmp_path / "g.txt").write_text(text, encoding="utf-8")
+        assert main([*argv, "--graph-file", "g.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize(
         "command, nodes, message",
@@ -208,6 +236,13 @@ class TestPresetCommands:
         assert main(["fig3", "--trials", "2", "--seed", "1", "--out", str(out), "--workers", "1"]) == 0
         assert (out / "sync" / "outcomes.csv").exists()
         assert (out / "async" / "outcomes.csv").exists()
+
+    @pytest.mark.parametrize("argv, trials, seed", [([], 100, 0), (["--trials", "3", "--seed", "9"], 3, 9)])
+    def test_fig3_configs_are_the_preset(self, monkeypatch, argv, trials, seed):
+        run, got = experiments.run_experiment, []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, **kw: got.append(cfg) or run(cfg, **kw))
+        assert main(["fig3", "--workers", "1", *argv]) == 0
+        assert got == list(experiments.fig3_configs(trials, seed).values())
 
     def test_sweep_smoke(self, tmp_path, capsys):
         out = tmp_path / "sweep"

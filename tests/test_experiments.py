@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,16 @@ class TestParseConfig:
     def test_epsilon_range(self):
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config({**MINIMAL, "epsilon": 1.5})
+
+    def test_a_large_uniform_delay_is_parsed_without_building_its_row(self):
+        source = {**MINIMAL, "mode": "async", "delay": {"max_delay": 1_000_000}, "max_steps": 1_000_000}
+        tracemalloc.start()
+        try:
+            parse_config(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_file_source(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -188,6 +199,15 @@ class TestMalformedConfigs:
             ({"max_steps": 0}, r"^max_steps: must be >= 1, got 0$"),
             ({"diameter_bound": 0}, r"^diameter_bound: must be >= 1, got 0$"),
             ({"seed": -1}, r"^seed: must be >= 0, got -1$"),
+            (
+                {"mode": "async", "delay": {"max_delay": 3}, "diameter_bound": 40_000},
+                r"^diameter_bound: one vote window of 120000 steps exceeds the step cap of 100000$",
+            ),
+            ({"diameter_bound": 50, "max_steps": 49}, r"^diameter_bound: one vote window of 50 steps exceeds the step cap of 49$"),
+            (
+                {"mode": "async", "delay": {"max_delay": 200_000}},
+                r"^delay\.max_delay: one vote window of 200000 steps exceeds the step cap of 100000$",
+            ),
             ({"error_mode": "inverse"}, r"^error_mode: must be 'reciprocal' or 'direct', got 'inverse'$"),
             (
                 {"mode": "async", "delay": {"max_delay": 2, "pmf": [float("nan"), 1.0]}},
@@ -300,15 +320,19 @@ def experiment_configs(draw):
         )
     )
     delay = draw(_delays(n))
+    mode = "sync" if delay is None else draw(st.sampled_from(["sync", "async"]))
+    diameter_bound = draw(st.none() | st.integers(1, 10))
+    # a step cap below one vote window is refused at parse time
+    window = (diameter_bound or 1) * (delay.max_delay if mode == "async" else 1)
     return ExperimentConfig(
-        mode="sync" if delay is None else draw(st.sampled_from(["sync", "async"])),
+        mode=mode,
         graph=graph,
         initial=draw(_initials(n)),
         delay=delay,
-        diameter_bound=draw(st.none() | st.integers(1, 10)),
+        diameter_bound=diameter_bound,
         trials=draw(st.integers(1, 50)),
         seed=draw(st.integers(0, 2**40)),
-        max_steps=draw(st.none() | st.integers(1, 10**6)),
+        max_steps=draw(st.none() | st.integers(window, 10**6)),
         epsilon=draw(st.none() | st.floats(0.001, 0.999)),
         record_trajectory=draw(st.none() | st.booleans()),
         error_mode=draw(st.sampled_from(["reciprocal", "direct"])),
@@ -532,20 +556,18 @@ class TestRunners:
         assert res.within_bound is True
 
     def test_max_steps_defaults(self):
-        from qcs.experiments import _trial_bound, _trial_max_steps
+        from qcs.experiments import _trial_max_steps
 
         plain = parse_config(MINIMAL)
-        inst = build_trial_instance(plain, 0)
         assert _trial_max_steps(plain, None) == 100_000
         with_eps = parse_config({**MINIMAL, "epsilon": 0.1})
-        bound = _trial_bound(with_eps, inst)
+        bound = run_one_trial(with_eps, 0).completion_bound
         assert _trial_max_steps(with_eps, bound) == min(100 * bound, 100_000)
         pinned = parse_config({**MINIMAL, "max_steps": 321, "epsilon": 0.1})
         assert _trial_max_steps(pinned, bound) == 321
 
     def test_sync_bound_is_the_unit_delay_chain(self):
         from qcs import bounds
-        from qcs.experiments import _trial_bound
 
         # a sync trial runs unit delays, so a delay block in its config is not read
         uniform = {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}}
@@ -555,7 +577,7 @@ class TestRunners:
             g = inst.graph
             tau = bounds.windows_for_confidence(0.05, g.diameter, g.max_out_degree)
             err = bounds.initial_state_error(inst.y0, inst.quotient)
-            assert _trial_bound(cfg, inst) == bounds.completion_step_bound(err, g.n, tau, g.diameter)
+            assert run_one_trial(cfg, 0).completion_bound == bounds.completion_step_bound(err, g.n, tau, g.diameter)
 
     def test_bounds_block_reports_only_the_delays_trials_run(self):
         from qcs.experiments import bounds_report
@@ -572,13 +594,42 @@ class TestRunners:
         delayed = bounds_report(parse_config({**async_unit, "delay": {"max_delay": 5}}), 0.1)
         assert delayed["max_delay"] == 5 and delayed.items() > block.items()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # trial 0 draws a diameter-4 graph; a sync window runs 20,000 steps
+            {},
+            {"mode": "async", "delay": {"max_delay": 2}, "diameter_bound": 5000},
+        ],
+    )
+    def test_bound_counts_the_windows_a_diameter_bound_runs(self, override):
+        cfg = parse_config({
+            "mode": "sync",
+            "graph": {"random": {"n": 6, "edge_prob": 0.4}},
+            "initial": {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}},
+            "diameter_bound": 20_000,
+            "epsilon": 0.9,
+            "seed": 4,
+            "record_trajectory": False,
+            **override,
+        })
+        window = cfg.diameter_bound * cfg.delay_model().max_delay
+        res = run_experiment(cfg)
+        (trial,) = res.results
+        assert res.bounds_block["diameter"] == trial.diameter == 4
+        assert trial.converged and trial.termination_step >= window
+        assert trial.within_bound is True
+        assert trial.completion_bound >= window
+        block = res.bounds_block
+        assert block.get("completion_step_bound_delayed", block["completion_step_bound"]) == trial.completion_bound
+
     def test_epsilon_step_limit_is_capped(self, monkeypatch):
         from qcs import experiments
-        from qcs.experiments import _trial_bound, _trial_max_steps
+        from qcs.experiments import _trial_max_steps
 
         cfg = parse_config({**MINIMAL, "epsilon": 0.1})
         inst = build_trial_instance(cfg, 0)
-        bound = _trial_bound(cfg, inst)
+        bound = run_one_trial(cfg, 0).completion_bound
         assert 100 * bound > experiments.DEFAULT_MAX_STEPS
         assert _trial_max_steps(cfg, bound) == experiments.DEFAULT_MAX_STEPS
         # a trial that cannot finish under the ceiling is censored, not run on
