@@ -260,7 +260,6 @@ class Engine:
         self.y, self.z = self.y_rows[0], self.z_rows[0]
         self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
         self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
-        self.y_initial = self.y.copy()
         self.estimate = ceil_div(self.y, self.z)
         self.vote_max = self.estimate.copy()
         self.vote_min = floor_div(self.y, self.z)

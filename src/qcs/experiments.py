@@ -20,7 +20,6 @@ import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
@@ -86,7 +85,23 @@ class RandomGraphSpec:
 
 @dataclass(frozen=True)
 class FileGraphSpec:
+    """A graph read from an edge-list file: once per spec object, at first use."""
+
     path: str
+
+    @functools.cached_property
+    def digraph(self) -> Digraph:
+        """The file's graph, shared by every trial of the config."""
+        try:
+            return Digraph.load(self.path)
+        except OSError as exc:
+            raise ConfigError(f"graph.file {self.path}: cannot read ({exc.strerror})") from None
+        except ValueError as exc:
+            raise ConfigError(f"graph.file {self.path}: {exc}") from None
+
+    def __getstate__(self) -> dict:
+        # a pickled spec reads its file again: unpickled arrays would be writable
+        return {"path": self.path}
 
 
 GraphSpec = Union[RandomGraphSpec, FileGraphSpec]
@@ -495,36 +510,20 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TrialInstance:
-    """Everything one trial runs on."""
-
-    graph: Digraph
-    y0: tuple[int, ...]
-    z0: tuple[int, ...]
-    recovery: Optional[object]
-    quotient: Fraction
-
-
-def build_trial_instance(cfg: ExperimentConfig, trial: int) -> TrialInstance:
-    """Materialize the graph and initial values for one trial."""
+def build_trial_instance(cfg: ExperimentConfig, trial: int) -> RunConfig:
+    """One trial's run inputs; run_one_trial sets max_steps once its bound is known."""
     trial_seed = cfg.seed + trial
     if isinstance(cfg.graph, RandomGraphSpec):
         g = generate_random_digraph(
             cfg.graph.n, cfg.graph.edge_prob, seed=trial_seed, max_retries=cfg.graph.max_retries
         )
     else:
-        try:
-            g = Digraph.load(cfg.graph.path)
-        except OSError as exc:
-            raise ConfigError(f"graph.file {cfg.graph.path}: cannot read ({exc.strerror})") from None
-        except ValueError as exc:
-            raise ConfigError(f"graph.file {cfg.graph.path}: {exc}") from None
+        g = cfg.graph.digraph
         cfg._check_lengths(g.n)
     y0, z0, recovery = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
-    return TrialInstance(
-        graph=g, y0=tuple(y0), z0=tuple(z0), recovery=recovery,
-        quotient=bounds.target_quotient(y0, z0),
+    return RunConfig(
+        graph=g, y0=tuple(y0), z0=tuple(z0), seed=trial_seed, diameter_bound=cfg.diameter_bound,
+        record_masses=cfg.records_trajectory(), recovery=recovery, check_invariants=cfg.check_invariants,
     )
 
 
@@ -558,45 +557,35 @@ def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
     return DEFAULT_MAX_STEPS
 
 
-def _trial_bounds(cfg: ExperimentConfig, inst: TrialInstance, epsilon: float) -> dict:
-    """The closed-form bound table of one trial's instance, in the vote
+def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig, epsilon: float) -> dict:
+    """The closed-form bound table of one trial's inputs, in the vote
     windows its trials run; its delayed half appears only under delays (B > 1)."""
     delay = cfg.delay_model()
     delayed = {}
     if delay.max_delay > 1:
-        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(inst.graph.n))
+        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(run_cfg.graph.n))
     return bounds.bounds_report(
-        inst.graph, epsilon, inst.y0, inst.z0, window_basis=cfg.diameter_bound, **delayed
+        run_cfg.graph, epsilon, run_cfg.y0, run_cfg.z0, window_basis=cfg.diameter_bound, **delayed
     )
 
 
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """Build and run a single trial; deterministic in (cfg, trial)."""
-    inst = build_trial_instance(cfg, trial)
+    run_cfg = build_trial_instance(cfg, trial)
     bound = None
     if cfg.epsilon is not None:
-        block = _trial_bounds(cfg, inst, cfg.epsilon)
+        block = _trial_bounds(cfg, run_cfg, cfg.epsilon)
         # the table has a delayed half exactly when the trial runs delays
         bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
-    run_cfg = RunConfig(
-        graph=inst.graph,
-        y0=inst.y0,
-        z0=inst.z0,
-        seed=cfg.seed + trial,
-        diameter_bound=cfg.diameter_bound,
-        max_steps=_trial_max_steps(cfg, bound),
-        record_masses=cfg.records_trajectory(),
-        recovery=inst.recovery,
-        check_invariants=cfg.check_invariants,
-    )
+    run_cfg.max_steps = _trial_max_steps(cfg, bound)
     if cfg.mode == "sync":
         outcome = run_sync(run_cfg)
     else:
         outcome = run_async(run_cfg, cfg.delay)
     within = None if bound is None else outcome.converged and outcome.termination_step <= bound
+    target = bounds.target_quotient(run_cfg.y0, run_cfg.z0)
     series = curve = None
     if outcome.mass_y is not None:
-        target = inst.quotient
         if cfg.error_mode == "reciprocal":
             x_star = float(1 / target) if target != 0 else 0.0
         else:
@@ -615,14 +604,14 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         estimate=int(est.min()),
         spread=int(est.max() - est.min()),
         censored=not outcome.converged,
-        quotient_floor=int(np.floor(inst.quotient)),
-        quotient_ceil=int(-(-inst.quotient.numerator // inst.quotient.denominator)),
+        quotient_floor=int(np.floor(target)),
+        quotient_ceil=int(-(-target.numerator // target.denominator)),
         completion_bound=bound,
         within_bound=within,
         error_series=series,
         error_series_truncated=curve is not None and curve.truncated,
         recovered=recovered,
-        diameter=inst.graph.diameter,
+        diameter=run_cfg.graph.diameter,
     )
 
 
@@ -748,8 +737,16 @@ def write_artifacts(
 
 
 def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
-    """Trial 0's bound table, the one its completion_bound is read from."""
-    return _trial_bounds(cfg, build_trial_instance(cfg, 0), epsilon)
+    """Trial 0's bound table, the one its completion_bound is read from.
+
+    A diameter_bound below trial 0's diameter is refused: its windows
+    are too short for the visit floor the bound counts on.
+    """
+    run_cfg = build_trial_instance(cfg, 0)
+    diameter = run_cfg.graph.diameter
+    if cfg.diameter_bound is not None and cfg.diameter_bound < diameter:
+        raise ConfigError(f"diameter_bound: {cfg.diameter_bound} is below trial 0's diameter {diameter}")
+    return _trial_bounds(cfg, run_cfg, epsilon)
 
 
 def run_experiment(

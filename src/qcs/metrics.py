@@ -93,7 +93,7 @@ class TrialStats:
 
 
 def trial_stats(outcomes: Sequence, bound: Optional[Sequence[int]] = None) -> TrialStats:
-    """Aggregate RunOutcome objects from repeated trials.
+    """Aggregate the RunOutcomes or TrialResults of repeated trials.
 
     `bound` holds one step count per outcome and adds the empirical
     fraction of trials that converged within their own bound (the

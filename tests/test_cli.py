@@ -212,6 +212,17 @@ class TestBoundsCommand:
         report = json.loads((out / "bounds.json").read_text())
         assert report["epsilon"] == 0.1
 
+    def test_diameter_bound_below_trial_0s_diameter_exits_2(self, tmp_path, capsys):
+        # trial 0 of this n = 10 sync config draws a diameter-3 graph; one-step
+        # windows cannot carry the visit floor the step bound counts on
+        cfg = {**MINIMAL, "graph": {"random": {"n": 10, "edge_prob": 0.5}},
+               "initial": {"explicit": {"y0": [3] * 10, "z0": [1] * 10}}, "diameter_bound": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--epsilon", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: diameter_bound: 1 is below trial 0's diameter 3\n"
+        assert not (out / "bounds.json").exists()
+
 
 class TestPresetCommands:
     def test_fig1_smoke(self, tmp_path, capsys):

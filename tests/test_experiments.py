@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -18,7 +20,9 @@ import qcs
 from qcs import (
     ConfigError,
     DelayModel,
+    Digraph,
     TrialError,
+    experiments,
     generate_random_digraph,
     parse_config,
     run_experiment,
@@ -400,6 +404,68 @@ class TestTrialBuilding:
         inst = build_trial_instance(cfg, 0)
         assert inst.graph.out_neighbors == g.out_neighbors
 
+    def test_a_graph_file_is_read_and_measured_once_per_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        generate_random_digraph(9, 0.4, seed=2).save(path)
+        spec = {
+            **MINIMAL,
+            "graph": {"file": str(path)},
+            "initial": {"uniform": {"y0_range": [0, 30], "z0_range": [1, 4]}},
+            "trials": 4,
+            "epsilon": 0.1,
+        }
+        loads, diameters = [], []
+        load, diameter = Digraph.load.__func__, Digraph.diameter.func
+
+        def counted_load(cls, p):
+            loads.append(p)
+            return load(cls, p)
+
+        def counted_diameter(g):
+            diameters.append(g)
+            return diameter(g)
+
+        counted = functools.cached_property(counted_diameter)
+        counted.__set_name__(Digraph, "diameter")
+        monkeypatch.setattr(Digraph, "load", classmethod(counted_load))
+        monkeypatch.setattr(Digraph, "diameter", counted)
+        serial = run_experiment(parse_config(spec), workers=1)
+        # every trial and the bounds block's trial 0 share one graph
+        assert len(loads) == 1 and len(diameters) == 1
+        assert serial.results == run_experiment(parse_config(spec), workers=2).results
+
+    def test_a_graph_file_parsed_again_reads_the_new_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        old, new = generate_random_digraph(6, 0.5, seed=3), generate_random_digraph(7, 0.5, seed=4)
+        old.save(path)
+        uniform = {"uniform": {"y0_range": [0, 9], "z0_range": [1, 3]}}
+        spec = {**MINIMAL, "graph": {"file": str(path)}, "initial": uniform}
+        first = parse_config(spec)
+        g = build_trial_instance(first, 0).graph
+        assert g == old
+        new.save(path)
+        # the graph belongs to the config object that read it, not to its path
+        assert build_trial_instance(first, 1).graph is g
+        assert build_trial_instance(parse_config(spec), 0).graph == new
+
+    def test_run_one_trial_runs_the_record_build_trial_instance_returns(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        generate_random_digraph(6, 0.5, seed=3).save(path)
+        explicit = {"explicit": {"y0": [2] * 6, "z0": [1] * 6}}
+        cfg = parse_config({**MINIMAL, "graph": {"file": str(path)}, "initial": explicit, "epsilon": 0.2, "seed": 5})
+        built, ran = [], []
+        monkeypatch.setattr(
+            experiments, "build_trial_instance", lambda c, t: built.append(build_trial_instance(c, t)) or built[-1]
+        )
+        monkeypatch.setattr(experiments, "run_sync", lambda run_cfg: ran.append(run_cfg) or qcs.run_sync(run_cfg))
+        result = run_one_trial(cfg, 2)
+        assert ran[0] is built[0]
+        assert ran[0].max_steps == min(100 * result.completion_bound, 100_000)
+        again = build_trial_instance(cfg, 2)
+        assert again.graph is ran[0].graph
+        assert dataclasses.replace(again, max_steps=ran[0].max_steps) == ran[0]
+        assert (again.seed, again.diameter_bound, again.record_masses) == (7, None, True)
+
     def test_diameter_bound_below_sampled_diameter_names_both(self):
         cfg = parse_config({**MINIMAL, "diameter_bound": 1})
         g = build_trial_instance(cfg, 0).graph
@@ -576,8 +642,20 @@ class TestRunners:
             inst = build_trial_instance(cfg, 0)
             g = inst.graph
             tau = bounds.windows_for_confidence(0.05, g.diameter, g.max_out_degree)
-            err = bounds.initial_state_error(inst.y0, inst.quotient)
+            err = bounds.initial_state_error(inst.y0, bounds.target_quotient(inst.y0, inst.z0))
             assert run_one_trial(cfg, 0).completion_bound == bounds.completion_step_bound(err, g.n, tau, g.diameter)
+
+    def test_bounds_refuse_a_diameter_bound_below_trial_0s_diameter(self):
+        from qcs.experiments import bounds_report
+
+        cfg = parse_config({**MINIMAL, "diameter_bound": 1, "epsilon": 0.1})
+        assert build_trial_instance(cfg, 0).graph.diameter == 3
+        with pytest.raises(ConfigError, match=r"^diameter_bound: 1 is below trial 0's diameter 3$"):
+            bounds_report(cfg, 0.1)
+        # the trial itself still fails in the engine, with its own message
+        with pytest.raises(TrialError, match=r"trial 0 .*diameter_bound=1 is below the true diameter 3"):
+            run_experiment(cfg)
+        assert "completion_step_bound" in bounds_report(parse_config({**MINIMAL, "diameter_bound": 3}), 0.1)
 
     def test_bounds_block_reports_only_the_delays_trials_run(self):
         from qcs.experiments import bounds_report

@@ -56,7 +56,6 @@ class TestInit:
             eng = make(RunConfig(graph=ring(3), y0=[5, 0, 7], z0=[1, 3, 2]))
             assert eng.y.tolist() == [10, 0, 14]
             assert eng.z.tolist() == [2, 6, 4]
-            assert (eng.y_initial == eng.y).all()
             assert not eng.flag.any()
 
     def test_zero_mass_preserved(self):
