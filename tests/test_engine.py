@@ -168,3 +168,37 @@ class TestPinnedStreams:
         parts += [astuple(entry) for entry in eng.emission_log]
         assert len(eng.emission_log) > 0
         assert _digest(*parts) == self.RECORDED[max_delay]
+
+    # async n = 60, B = 10 runs long enough to draw over three blocks of
+    # 512 delays and to route over three buffers of 2**14 halves
+    LONG = {
+        "uniform": "d690062c90ef2042686fd41841c707eb5f8231a0b6df13d8a629ecf2e529f612",
+        "pmf": "0f4f3ab3cdf15c2de7a176097be693055af4871c55695af285617aa1f9d0f900",
+        "per_node_pmf": "21d0d77a123d1cb4f06e19b36100001099e89c373b69378e35028fb5ad62d73b",
+    }
+
+    @staticmethod
+    def _delay_model(kind: str, n: int) -> DelayModel:
+        if kind == "uniform":
+            return DelayModel(max_delay=10)
+        if kind == "pmf":
+            return DelayModel(max_delay=10, pmf=(0.05,) * 6 + (0.1, 0.1, 0.2, 0.3))
+        rows = np.random.default_rng(n).dirichlet(np.ones(10), n)
+        return DelayModel(max_delay=10, per_node_pmf=tuple(map(tuple, rows.tolist())))
+
+    @pytest.mark.parametrize("kind", sorted(LONG))
+    def test_long_delayed_runs(self, kind):
+        n = 60
+        g, y0, z0 = random_instance(4000, n_range=(n, n), p_range=(0.1, 0.1), y_range=(0, 500), z_range=(10, 60))
+        cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=4000, diameter_bound=g.diameter + 8, record_masses=True)
+        eng = AsyncEngine(cfg, self._delay_model(kind, n))
+        pieces = []
+        draw = eng.route_rng.integers
+        eng.route_rng.integers = lambda low, high: pieces.append(len(high)) or draw(low, high)
+        starts = 0
+        while not eng.all_flagged():
+            eng.step()
+            starts += np.count_nonzero(eng.cycle_start == eng.steps_done)
+        assert starts > 3 * 512 and sum(pieces) > 3 * 2**14
+        out = eng.outcome()
+        assert _digest(*_outcome_parts(out), out.mass_y, out.mass_z) == self.LONG[kind]
