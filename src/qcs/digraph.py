@@ -149,16 +149,15 @@ class Digraph:
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Digraph":
         """Parse the 'n m' / 'src dst' edge-list format (edges in any order)."""
-        rows = [line.split() for line in text.splitlines() if line.strip()]
-        if not rows or len(rows[0]) != 2:
-            raise ValueError("edge-list must start with a 'n m' header line")
-        n, m = int(rows[0][0]), int(rows[0][1])
-        if len(rows) - 1 != m:
-            raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise ValueError(f"malformed edge line: {' '.join(row)!r}")
-        edges = np.array([[int(v) for v in row] for row in rows[1:]], dtype=np.int64).reshape(m, 2)
+        if not _two_tokens_per_line(text):
+            _check_lines(text)
+        tokens = text.split()
+        if not tokens:
+            raise ValueError(_NO_HEADER)
+        n, m = int(tokens[0]), int(tokens[1])
+        if len(tokens) // 2 - 1 != m:
+            raise ValueError(f"header declares {m} edges but {len(tokens) // 2 - 1} lines follow")
+        edges = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
         outside = ((edges < 0) | (edges >= n)).any(axis=1)
         if outside.any():
             src, dst = edges[np.argmax(outside)].tolist()
@@ -178,6 +177,41 @@ class Digraph:
     @classmethod
     def load(cls, path: str | Path) -> "Digraph":
         return cls.from_edge_list_text(Path(path).read_text(encoding="utf-8"))
+
+
+_NO_HEADER = "edge-list must start with a 'n m' header line"
+# the ASCII characters str.split() splits on, and those str.splitlines() breaks on
+_SPACE = np.array([chr(c).isspace() for c in range(128)])
+_BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
+
+
+def _two_tokens_per_line(text: str) -> bool:
+    """Whether every nonblank line of an ASCII text holds exactly two tokens."""
+    if not text.isascii():
+        return False
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _SPACE[chars]
+    start = ~space
+    start[1:] &= space[:-1]
+    # each token's line: the number of line breaks before it
+    line = np.flatnonzero(_BREAK[chars]).searchsorted(np.flatnonzero(start))
+    if line.size % 2:
+        return False
+    first, second = line[0::2], line[1::2]
+    return bool((first == second).all() and (first[1:] > second[:-1]).all())
+
+
+def _check_lines(text: str) -> None:
+    """Raise ValueError naming the first fault of an edge list's lines, line by line."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise ValueError(_NO_HEADER)
+    n, m = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 != m:
+        raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"malformed edge line: {' '.join(row)!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

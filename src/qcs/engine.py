@@ -44,6 +44,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # delays from one generator seeded by (seed, DELAY_STREAM).
 ROUTE_STREAM = 0
 DELAY_STREAM = 1
+# delays are drawn this many at a time (4 KiB): one call to the delay
+# generator, and for a shared pmf one inverse-CDF pass, per block
+_DELAY_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,10 @@ class DelayModel:
         return np.cumsum(np.asarray(rows, dtype=np.float64), axis=1)
 
     def draw_batch(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Delays in {1..max_delay} by inverse CDF: nodes[i] draws with u[i]."""
+        """Delays in {1..max_delay} by inverse CDF: nodes[i] draws with u[i].
+
+        `nodes` is read only under a per-node table.
+        """
         if self.per_node_pmf is None:
             idx = np.searchsorted(self._cdf[0], u, side="right")
         else:
@@ -232,7 +238,8 @@ class Engine:
     next cycle, busy_until is the step its current cycle completes and
     cycle_start the step it began; with B = 1 these are None and
     arrivals land in y/z directly.  y and pend_y are the rows of
-    y_rows, z and pend_z those of z_rows.
+    y_rows, z and pend_z those of z_rows, and those two are the halves
+    of one ledger array, summed once per conservation check.
 
     Flags flip all at once, at flag_step, and a flipped engine no longer
     steps; so every step runs at every node.
@@ -255,8 +262,8 @@ class Engine:
         self.in_csr = g.in_csr
         delayed = delay_model.max_delay > 1
         # initialization doubles both values so z >= 2 everywhere
-        self.y_rows = np.zeros((1 + delayed, self.n), dtype=np.int64)
-        self.z_rows = np.zeros((1 + delayed, self.n), dtype=np.int64)
+        self._ledger = np.zeros((2, 1 + delayed, self.n), dtype=np.int64)
+        self.y_rows, self.z_rows = self._ledger
         self.y, self.z = self.y_rows[0], self.z_rows[0]
         self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
         self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
@@ -270,11 +277,15 @@ class Engine:
             self.busy_until = np.zeros(self.n, dtype=np.int64)
             self.cycle_start = np.zeros(self.n, dtype=np.int64)
             self.delay_rng = np.random.default_rng([cfg.seed, DELAY_STREAM])
+            # the delay stream's values drawn ahead, unused from _delay_next
+            # on: delays under a shared pmf, uniforms under a per-node table
+            self._per_node_delays = delay_model.per_node_pmf is not None
+            self._delay_block = np.empty(0, dtype=np.float64 if self._per_node_delays else np.int64)
+            self._delay_next = 0
             # the nodes whose cycle completed at the last step: at step 1, all
             self._completed = self.nodes
         self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
-        self.expected_y_total = int(self.y.sum())
-        self.expected_z_total = int(self.z.sum())
+        self._expected_totals = [int(self.y.sum()), int(self.z.sum())]
         self.steps_done = 0
         self.flag_step: Optional[int] = None
         # the global vote extrema of the current window, set at its start;
@@ -344,9 +355,8 @@ class Engine:
                 self.z[starting] += self.pend_z[starting]
                 self.pend_y[starting] = 0
                 self.pend_z[starting] = 0
-                lam = self.delay_model.draw_batch(self.delay_rng.random(starting.size), starting)
                 self.cycle_start[starting] = k
-                self.busy_until[starting] = k + lam - 1
+                self.busy_until[starting] = k + self._delays(starting) - 1
             completing = self._completed = (self.busy_until == k).nonzero()[0]
         else:
             completing = self.nodes
@@ -403,6 +413,23 @@ class Engine:
             self._mass_rows[1].append(self.total_z())
         return self
 
+    def _delays(self, starting: np.ndarray) -> np.ndarray:
+        """The delays of the cycles starting at `starting`: the delay
+        stream's next starting.size values, taken from the current block."""
+        per_node = self._per_node_delays
+        end = self._delay_next + starting.size
+        if end > self._delay_block.size:
+            # one draw of random(a + b) is random(a) then random(b), so the
+            # stream reads the same values whatever the block size
+            fresh = self.delay_rng.random(max(_DELAY_BLOCK, starting.size))
+            if not per_node:
+                fresh = self.delay_model.draw_batch(fresh, None)
+            self._delay_block = np.concatenate((self._delay_block[self._delay_next :], fresh))
+            self._delay_next, end = 0, starting.size
+        drawn = self._delay_block[self._delay_next : end]
+        self._delay_next = end
+        return self.delay_model.draw_batch(drawn, starting) if per_node else drawn
+
     def _audit_votes(self, k: int) -> None:
         """At a check, flooded extrema must equal the window-start extrema."""
         if not self._votes_saturated():
@@ -412,12 +439,11 @@ class Engine:
             )
 
     def _check_conservation(self, k: int) -> None:
-        got_y = int(self.y_rows.sum())
-        got_z = int(self.z_rows.sum())
-        if got_y != self.expected_y_total or got_z != self.expected_z_total:
+        got = self._ledger.sum(axis=(1, 2)).tolist()
+        if got != self._expected_totals:
+            (got_y, got_z), (want_y, want_z) = got, self._expected_totals
             raise ConservationError(
-                f"step {k}: mass ledger off, y {got_y} != {self.expected_y_total} "
-                f"or z {got_z} != {self.expected_z_total}"
+                f"step {k}: mass ledger off, y {got_y} != {want_y} or z {got_z} != {want_z}"
             )
 
     def outcome(self) -> RunOutcome:

@@ -41,8 +41,8 @@ _HALVES = np.dtype("<u4")
 _HALF_RANGE = 1 << 32
 # uint64 scalars: a Python int operand costs a type resolution per call
 _TWO, _SHIFT = np.uint64(2), np.uint64(32)
-# the most raw words a fill takes at once: a draw's scratch memory beside
-# its bounds and output stays at 64 KiB, so its peak per piece is numpy's
+# the raw words a stream reads ahead at once, and the rejection scan's
+# block: 64 KiB of scratch memory beside a draw's bounds and output
 _CHUNK_WORDS = 1 << 13
 
 
@@ -51,41 +51,39 @@ class RouteStream:
 
     `integers(0, high)` returns exactly what `np.random.Generator(bg)
     .integers(0, high)` returns for a 1-D array of bounds in 2 ..
-    2**32 - 1, and leaves the stream at the same point.  It follows
-    numpy's rule: each draw takes the next 32-bit half of the stream (the
-    halves of each 64-bit word, low half first) and keeps the high 32
-    bits of half * bound unless the low 32 bits fall below 2**32 mod
-    bound (Lemire's multiply-shift with rejection), in which case it
-    takes the next half.  numpy keeps a word's unused high half inside
-    the bit generator; the stream keeps it itself, so it must own
-    `bit_generator`.  A call reads its halves with one `random_raw` call
-    per 2**14 halves and draws them all in a few array passes instead of
-    numpy's per-element loop.
+    2**32 - 1, and successive calls continue that Generator's sequence.
+    It follows numpy's rule: each draw takes the next 32-bit half of the
+    stream (the halves of each 64-bit word, low half first) and keeps the
+    high 32 bits of half * bound unless the low 32 bits fall below 2**32
+    mod bound (Lemire's multiply-shift with rejection), in which case it
+    takes the next half.  The stream reads its halves from a buffer of
+    `_CHUNK_WORDS` raw words, refilled by one `random_raw` call when it
+    runs out, so the bit generator runs ahead of the draws and the
+    stream must own `bit_generator`.  A call draws all its pieces in a
+    few array passes instead of numpy's per-element loop.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator):
         if type(bit_generator) is not np.random.PCG64:
             raise TypeError(f"a route stream reads PCG64 words, got {type(bit_generator).__name__}")
         self.bit_generator = bit_generator
-        self._spare: Optional[int] = None
+        # the buffered halves; those from _next on are not yet drawn
+        self._halves = np.empty(0, dtype=_HALVES)
+        self._next = 0
 
     def _fill(self, out: np.ndarray) -> None:
         """Write the stream's next out.size halves into the uint64 array `out`."""
         have = 0
-        if self._spare is not None:
-            out[0] = self._spare
-            self._spare = None
-            have = 1
-        while have < out.size:
-            need = out.size - have
-            words = min((need + 1) // 2, _CHUNK_WORDS)
-            halves = self.bit_generator.random_raw(words).astype(_WORDS, copy=False).view(_HALVES)
-            if halves.size > need:
-                self._spare = int(halves[-1])
-                halves = halves[:need]
-            out[have : have + halves.size] = halves
-            have += halves.size
-            del halves
+        while True:
+            take = min(out.size - have, self._halves.size - self._next)
+            out[have : have + take] = self._halves[self._next : self._next + take]
+            have += take
+            self._next += take
+            if have == out.size:
+                return
+            raw = self.bit_generator.random_raw(_CHUNK_WORDS)
+            self._halves = raw.astype(_WORDS, copy=False).view(_HALVES)
+            self._next = 0
 
     def integers(self, low: int, high) -> np.ndarray:
         """One uniform int64 draw from 0 .. high[i] - 1 for each bound."""
@@ -183,9 +181,10 @@ def split_route(
     first, count, targets = slots
     ys = y[nodes]
     zs = z[nodes]
-    if zs.min() <= 1:
-        raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
-    if ys.min() < 0:
+    # one pass guards both z > 1 and y >= 0; the message names the first
+    if np.minimum(zs - 2, ys).min() < 0:
+        if zs.min() <= 1:
+            raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
         raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
     delta, large = np.divmod(ys, zs)
     # the split nodes' slots laid end to end: node i's are block[i] ..
@@ -272,7 +271,8 @@ def flood_votes(
         return
     first = indptr[nodes]
     degrees = indptr[nodes + 1] - first
-    starts = np.cumsum(degrees) - degrees
-    senders = sources[np.arange(int(degrees.sum())) + np.repeat(first - starts, degrees)]
+    ends = degrees.cumsum()
+    starts = ends - degrees
+    senders = sources[np.arange(ends[-1]) + (first - starts).repeat(degrees)]
     vote_max[nodes] = np.maximum(vote_max[nodes], np.maximum.reduceat(vote_max[senders], starts))
     vote_min[nodes] = np.minimum(vote_min[nodes], np.minimum.reduceat(vote_min[senders], starts))

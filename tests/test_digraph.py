@@ -216,6 +216,51 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             Digraph.from_edge_list_text("2 2\n0 1\n0 1\n")
 
+    def test_names_a_bad_line_when_the_token_count_fits(self):
+        # six tokens, as a header and two edge lines would hold
+        with pytest.raises(ValueError, match=r"^malformed edge line: '0 1 2'$"):
+            Digraph.from_edge_list_text("3 2\n0 1 2\n1\n")
+
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(["0", "1", "2", "x"]), max_size=3).map(" ".join),
+            max_size=6,
+        ),
+        breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\x0b", "\x1c", " "]), min_size=6, max_size=6),
+        pad=st.sampled_from(["", " ", "\t", "\x1f"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_lines_as_the_line_scan_does(self, lines, breaks, pad):
+        text = "".join(pad + line + pad + brk for line, brk in zip(lines, breaks))
+        try:
+            expected = line_scan_fault(text)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            Digraph.from_edge_list_text(text)
+            got = None
+        except (ValueError, NotStronglyConnectedError) as exc:
+            got = str(exc)
+        if expected is None:
+            assert got is None or not got.startswith(("edge-list", "header", "malformed"))
+        else:
+            assert got == expected
+
+
+def line_scan_fault(text):
+    """The line fault the per-line parser named first, or None; int()
+    errors of the header propagate, as they did there."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows or len(rows[0]) != 2:
+        return "edge-list must start with a 'n m' header line"
+    _, m = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 != m:
+        return f"header declares {m} edges but {len(rows) - 1} lines follow"
+    for row in rows[1:]:
+        if len(row) != 2:
+            return f"malformed edge line: {' '.join(row)!r}"
+    return None
+
 
 # sha256 of the little-endian int64 bytes of out_csr (indptr, then targets),
 # recorded from the tuple-based generator the CSR one replaced

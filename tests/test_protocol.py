@@ -544,8 +544,8 @@ class TestRouteStream:
             assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
 
     def test_draws_past_one_fill(self):
-        # more halves than one random_raw call reads, after an odd call
-        # that leaves a high half over; then bounds of 2**31 + 1, which
+        # more halves than one buffer of raw words holds, after an odd
+        # call that leaves a word's high half unread; then bounds of 2**31 + 1, which
         # reject about half their draws, past the first 2**14-draw scan
         # block and at the very end, so rejections shift tails across
         # fill boundaries (here 6 rejections, all from index 16,384 on)
