@@ -149,6 +149,7 @@ class Digraph:
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Digraph":
         """Parse the 'n m' / 'src dst' edge-list format (edges in any order)."""
+        # a text that fails the array check is scanned line by line to name its fault
         if not _two_tokens_per_line(text):
             _check_lines(text)
         tokens = text.split()
@@ -202,11 +203,11 @@ def _two_tokens_per_line(text: str) -> bool:
 
 
 def _check_lines(text: str) -> None:
-    """Raise ValueError naming the first fault of an edge list's lines, line by line."""
+    """Raise ValueError at the first faulty line of an edge list, if any."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError(_NO_HEADER)
-    n, m = int(rows[0][0]), int(rows[0][1])
+    _, m = int(rows[0][0]), int(rows[0][1])  # n is parsed first, as the parser does
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
     for row in rows[1:]:

@@ -416,19 +416,18 @@ class Engine:
     def _delays(self, starting: np.ndarray) -> np.ndarray:
         """The delays of the cycles starting at `starting`: the delay
         stream's next starting.size values, taken from the current block."""
-        per_node = self._per_node_delays
         end = self._delay_next + starting.size
         if end > self._delay_block.size:
             # one draw of random(a + b) is random(a) then random(b), so the
             # stream reads the same values whatever the block size
             fresh = self.delay_rng.random(max(_DELAY_BLOCK, starting.size))
-            if not per_node:
+            if not self._per_node_delays:
                 fresh = self.delay_model.draw_batch(fresh, None)
             self._delay_block = np.concatenate((self._delay_block[self._delay_next :], fresh))
             self._delay_next, end = 0, starting.size
         drawn = self._delay_block[self._delay_next : end]
         self._delay_next = end
-        return self.delay_model.draw_batch(drawn, starting) if per_node else drawn
+        return self.delay_model.draw_batch(drawn, starting) if self._per_node_delays else drawn
 
     def _audit_votes(self, k: int) -> None:
         """At a check, flooded extrema must equal the window-start extrema."""

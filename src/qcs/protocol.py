@@ -181,7 +181,7 @@ def split_route(
     first, count, targets = slots
     ys = y[nodes]
     zs = z[nodes]
-    # one pass guards both z > 1 and y >= 0; the message names the first
+    # z > 1 and y >= 0 in one test; a failure names a bad z before a bad y
     if np.minimum(zs - 2, ys).min() < 0:
         if zs.min() <= 1:
             raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
