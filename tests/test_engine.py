@@ -8,7 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qcs import AsyncEngine, DelayModel, Digraph, RunConfig, SyncEngine, ceil_div, engine, floor_div, protocol
+from qcs import AsyncEngine, ConservationError, DelayModel, Digraph, RunConfig, SyncEngine, ceil_div, engine, floor_div, protocol
 
 from conftest import random_instance, ring
 
@@ -24,6 +24,20 @@ class TestUnitDelays:
         eng = make(RunConfig(graph=g, y0=y0, z0=z0, seed=5))
         assert eng.pend_y is None and eng.busy_until is None and eng.cycle_start is None
         assert eng.run().converged
+
+
+class TestLedger:
+    @pytest.mark.parametrize(
+        "max_delay, row", [(1, "y"), (1, "z"), (3, "y"), (3, "z"), (3, "pend_y"), (3, "pend_z")]
+    )
+    def test_a_unit_off_anywhere_fails_the_next_step(self, max_delay, row):
+        g, y0, z0 = random_instance(7)
+        cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=7)
+        eng = SyncEngine(cfg) if max_delay == 1 else AsyncEngine(cfg, DelayModel(max_delay))
+        eng.step()
+        getattr(eng, row)[-1] += 1
+        with pytest.raises(ConservationError, match=r"^step 2: mass ledger off, y \d+ != \d+ or z \d+ != \d+$"):
+            eng.step()
 
 
 def saturated(vote_max, vote_min) -> bool:
@@ -199,6 +213,6 @@ class TestPinnedStreams:
         while not eng.all_flagged():
             eng.step()
             starts += np.count_nonzero(eng.cycle_start == eng.steps_done)
-        assert starts > 3 * 512 and sum(pieces) > 3 * 2**14
+        assert starts > 3 * engine._DELAY_BLOCK and sum(pieces) > 3 * 2 * protocol._CHUNK_WORDS
         out = eng.outcome()
         assert _digest(*_outcome_parts(out), out.mass_y, out.mass_z) == self.LONG[kind]

@@ -244,6 +244,9 @@ class TestSplitBatch:
             split_route(np.array([4, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0))
         with pytest.raises(ProtocolError, match="y >= 0"):
             split_route(np.array([4, -1]), np.array([3, 3]), both, slots, np.random.default_rng(0))
+        # with both faults, the token count is named
+        with pytest.raises(ProtocolError, match="z > 1"):
+            split_route(np.array([-1, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0))
 
     def test_masses_near_int64_stay_exact(self):
         y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
@@ -545,10 +548,11 @@ class TestRouteStream:
 
     def test_draws_past_one_fill(self):
         # more halves than one buffer of raw words holds, after an odd
-        # call that leaves a word's high half unread; then bounds of 2**31 + 1, which
-        # reject about half their draws, past the first 2**14-draw scan
-        # block and at the very end, so rejections shift tails across
-        # fill boundaries (here 6 rejections, all from index 16,384 on)
+        # call that leaves a word's high half unread; then bounds of
+        # 2**31 + 1, which reject about half their draws, past the first
+        # 2**14-draw scan block and at the very end, so rejections shift
+        # tails across fill boundaries (here 6 rejections, all from index
+        # 16,384 on)
         stream, gen = stream_pair(11)
         rng = np.random.default_rng(3)
         heavy = rng.integers(2, 1000, size=40_000)
