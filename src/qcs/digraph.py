@@ -35,36 +35,32 @@ class Digraph:
 
     def __init__(self, n: int, out_neighbors: Sequence[Sequence[int]]):
         try:
-            degrees, targets = _flatten(out_neighbors)
+            sources, targets = _edge_arrays(out_neighbors)
         except OverflowError:
             raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}") from None
-        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        self._set_edges(n, indptr, targets)
+        if n >= 2 and len(out_neighbors) != n:  # n < 2 is refused first, in _set_edges
+            raise ValueError(f"out_neighbors has {len(out_neighbors)} rows for n={n}")
+        self._set_edges(n, sources, targets)
 
     @classmethod
-    def _from_csr(
-        cls, n: int, indptr: np.ndarray, targets: np.ndarray, strongly_connected: bool = False
-    ) -> "Digraph":
-        """Build from CSR arrays; `strongly_connected=True` skips a check already made."""
+    def _from_edges(cls, n: int, sources: np.ndarray, targets: np.ndarray) -> "Digraph":
         g = cls.__new__(cls)
-        g._set_edges(n, indptr, targets, strongly_connected)
+        g._set_edges(n, sources, targets)
         return g
 
-    def _set_edges(
-        self, n: int, indptr: np.ndarray, targets: np.ndarray, strongly_connected: bool = False
-    ) -> None:
-        """The one construction path: validate the CSR arrays and store them."""
+    def _set_edges(self, n: int, sources: np.ndarray, targets: np.ndarray) -> None:
+        """The one construction path: check the edges sources[k] -> targets[k],
+        sources ascending, and store them as CSR arrays."""
         if n < 2:
             raise ValueError(f"digraph needs at least 2 nodes, got n={n}")
-        if len(indptr) != n + 1:
-            raise ValueError(f"out_neighbors has {len(indptr) - 1} rows for n={n}")
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         _check_edges(n, sources, targets)
-        if not strongly_connected and not _strongly_connected(n, sources, targets):
+        # fewer edges than nodes leaves some node with no out-edge
+        if targets.size < n or not _strongly_connected(n, sources, targets):
             raise NotStronglyConnectedError(
                 "digraph is not strongly connected; every ordered pair must be reachable"
             )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
         self.__dict__.update(n=n, out_csr=(_frozen(indptr), _frozen(targets)), _sources=_frozen(sources))
 
     def __setattr__(self, name: str, value) -> None:
@@ -163,14 +159,16 @@ class Digraph:
         if outside.any():
             src, dst = edges[np.argmax(outside)].tolist()
             raise ValueError(f"edge ({src}, {dst}) outside node range 0..{n - 1}")
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        repeated = (np.diff(edges, axis=0) == 0).all(axis=1)
+        if n > _MAX_KEYED_N:
+            raise ValueError(f"header n={n} is too large; edge lists hold at most {_MAX_KEYED_N} nodes")
+        # src * n + dst orders edges as (src, dst) pairs do, and fits int64 while n * n does
+        key = edges[:, 0] * n + edges[:, 1]
+        key.sort()
+        repeated = np.diff(key) == 0
         if repeated.any():
-            src, dst = edges[np.argmax(repeated)].tolist()
+            src, dst = divmod(int(key[np.argmax(repeated)]), n)
             raise ValueError(f"duplicate edge ({src}, {dst})")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges[:, 0], minlength=n), out=indptr[1:])
-        return cls._from_csr(n, indptr, np.ascontiguousarray(edges[:, 1]))
+        return cls._from_edges(n, *np.divmod(key, n))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_edge_list_text(), encoding="utf-8")
@@ -181,6 +179,7 @@ class Digraph:
 
 
 _NO_HEADER = "edge-list must start with a 'n m' header line"
+_MAX_KEYED_N = 3_037_000_499  # the largest n with n * n below 2**63
 # the ASCII characters str.split() splits on, and those str.splitlines() breaks on
 _SPACE = np.array([chr(c).isspace() for c in range(128)])
 _BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
@@ -220,11 +219,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _flatten(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Row lengths and the concatenated rows of adjacency lists, as int64 arrays."""
+def _edge_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of adjacency lists as int64 (sources, targets) arrays, in row order."""
     degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum()))
-    return degrees, targets
+    return np.repeat(np.arange(len(rows), dtype=np.int64), degrees), targets
 
 
 def _csr_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -278,8 +277,7 @@ def is_strongly_connected(out_neighbors: Sequence[Sequence[int]] | Digraph) -> b
     n = len(out_neighbors)
     if n == 0:
         return False
-    degrees, targets = _flatten(out_neighbors)
-    return _strongly_connected(n, np.repeat(np.arange(n, dtype=np.int64), degrees), targets)
+    return _strongly_connected(n, *_edge_arrays(out_neighbors))
 
 
 def generate_random_digraph(
@@ -308,11 +306,10 @@ def generate_random_digraph(
         mat = rng.random((n, n)) < edge_prob
         np.fill_diagonal(mat, False)
         # row-major order: sources ascending, targets ascending within a row
-        sources, targets = np.divmod(np.flatnonzero(mat), n)
-        if _strongly_connected(n, sources, targets):
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.count_nonzero(mat, axis=1), out=indptr[1:])
-            return Digraph._from_csr(n, indptr, targets, strongly_connected=True)
+        try:
+            return Digraph._from_edges(n, *np.divmod(np.flatnonzero(mat), n))
+        except NotStronglyConnectedError:
+            continue
     raise GraphGenerationError(
         f"no strongly connected digraph with n={n}, edge_prob={edge_prob} "
         f"after max_retries={max_retries} draws"

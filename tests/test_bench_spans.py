@@ -57,5 +57,6 @@ def test_spans_install_and_undo_on_current_qcs(monkeypatch):
     # a name is registered when its wrapper is built; only a span shows a call
     calls = Counter(rec.names[i] for i in rec.name)
     for name in ("sync_engine.step", "async_engine.step", "bounds.completion_step_bound_delayed",
-                 "digraph.generate", "experiments.run_one_trial", "experiments.build_trial_instance"):
+                 "digraph.generate", "digraph.diameter", "experiments.run_one_trial",
+                 "experiments.build_trial_instance"):
         assert calls[name] > 0, name

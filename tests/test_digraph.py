@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +434,57 @@ class TestMalformedInputs:
             Digraph.from_edge_list_text("2 2\n0 1\n1 2\n")
         with pytest.raises(NotStronglyConnectedError):
             Digraph.from_edge_list_text("2 1\n0 1\n")
+
+
+# parses each text under a 2 GiB address-space limit and prints the error
+# each one raises, so an n-sized allocation fails with MemoryError in the
+# child instead of using up the machine's memory
+_LIMITED_PARSE = """
+import json, resource, sys
+from qcs import Digraph
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+errors = []
+for text in json.loads(sys.argv[1]):
+    try:
+        Digraph.from_edge_list_text(text)
+        errors.append(None)
+    except Exception as exc:
+        errors.append([type(exc).__name__, str(exc)])
+print(json.dumps(errors))
+"""
+
+
+class TestLargeHeaders:
+    """A header's n is refused before any array of n entries is built."""
+
+    NOT_CONNECTED = ["NotStronglyConnectedError", "digraph is not strongly connected; every ordered pair must be reachable"]
+    CASES = {
+        # 19 bytes: fewer edges than nodes leaves a node with no out-edge
+        "1000000000 1\n0 1\n": NOT_CONNECTED,
+        "3037000499 1\n0 1\n": NOT_CONNECTED,
+        "3037000500 1\n0 1\n": [
+            "ValueError", "header n=3037000500 is too large; edge lists hold at most 3037000499 nodes"
+        ],
+        "4000000000 2\n0 1\n1 0\n": [
+            "ValueError", "header n=4000000000 is too large; edge lists hold at most 3037000499 nodes"
+        ],
+    }
+
+    def test_refused_under_a_memory_limit(self):
+        texts = list(self.CASES)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_PARSE, json.dumps(texts)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert dict(zip(texts, json.loads(proc.stdout))) == self.CASES
+
+    def test_negative_header_without_edges_needs_two_nodes(self):
+        with pytest.raises(ValueError, match=r"^digraph needs at least 2 nodes, got n=-3$"):
+            Digraph.from_edge_list_text("-3 0\n")
+
+    def test_names_the_first_duplicate_in_edge_order(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+            Digraph.from_edge_list_text("3 6\n2 0\n2 0\n1 2\n0 1\n1 2\n1 0\n")

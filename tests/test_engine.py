@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from qcs import AsyncEngine, ConservationError, DelayModel, Digraph, RunConfig, SyncEngine, ceil_div, engine, floor_div, protocol
+from qcs import (
+    AsyncEngine,
+    ConservationError,
+    DelayModel,
+    Digraph,
+    InvariantError,
+    RunConfig,
+    SyncEngine,
+    ceil_div,
+    engine,
+    floor_div,
+    protocol,
+)
 
 from conftest import random_instance, ring
 
@@ -91,6 +103,30 @@ class TestEventDrivenFlooding:
         monkeypatch.setattr(engine, "flood_votes", lambda *args: calls.append(args))
         out = SyncEngine(RunConfig(graph=ring(4), y0=[4, 8, 12, 4], z0=[1, 2, 3, 1], seed=1)).run()
         assert out.converged and calls == []
+
+
+class TestVoteAudit:
+    """With flooding switched off, the audit refuses the first flip check."""
+
+    CFG = RunConfig(graph=ring(5), y0=[0, 10, 20, 30, 40], z0=[1] * 5, seed=3)
+
+    @pytest.mark.parametrize(
+        "make, step", [(SyncEngine, 4), (lambda cfg: AsyncEngine(cfg, DelayModel(max_delay=3)), 12)]
+    )
+    def test_unflooded_votes_raise(self, make, step, monkeypatch):
+        monkeypatch.setattr(engine, "flood_votes", lambda *args: None)
+        with pytest.raises(
+            InvariantError,
+            match=rf"^step {step}: vote flooding missed the global extrema \(40, 0\) within one window$",
+        ):
+            make(self.CFG).run()
+
+    def test_without_the_audit_the_run_flips_on_its_own_votes(self, monkeypatch):
+        # each node still votes its own estimate, so the flip check sees no spread
+        monkeypatch.setattr(engine, "flood_votes", lambda *args: None)
+        out = SyncEngine(replace(self.CFG, check_invariants=False)).run()
+        assert out.converged and out.termination_step == 4
+        assert out.final_estimate.tolist() == [0, 10, 20, 30, 40]
 
 
 class TestBenchmarkPatchPoints:

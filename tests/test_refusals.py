@@ -1,0 +1,102 @@
+"""Argument and config checks that no run or other test reaches.
+
+Each row names one refused input and the exact error it gets, so a check
+that stops firing, or fires with another message, shows.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from qcs import (
+    ConfigError,
+    FederatedInstance,
+    InvalidInstanceError,
+    ProtocolError,
+    SchedulingInstance,
+    bounds,
+    generate_random_digraph,
+    generic_init,
+    is_strongly_connected,
+    metrics,
+    parse_config,
+    protocol,
+)
+
+from conftest import ring
+
+MINIMAL = {
+    "mode": "sync",
+    "graph": {"random": {"n": 10, "edge_prob": 0.5}},
+    "initial": {"explicit": {"y0": [3] * 10, "z0": [1] * 10}},
+}
+
+
+def config(**override):
+    return lambda: parse_config({**MINIMAL, **override})
+
+
+REFUSALS = {
+    "bounds.delay_prob_zero": (lambda: bounds.visit_prob_bound_delayed(2, 2, 0), ValueError,
+                               "min_max_delay_prob must be in (0, 1], got 0"),
+    "bounds.delay_prob_above_one": (lambda: bounds.visit_prob_bound_delayed(2, 2, 1.5), ValueError,
+                                    "min_max_delay_prob must be in (0, 1], got 1.5"),
+    "bounds.no_tokens": (lambda: bounds.target_quotient([1, 2], [0, 0]), ValueError,
+                         "total token count must be positive"),
+    "bounds.start_outside": (lambda: bounds.token_walk_probability(ring(3), 3, 0, 1), ValueError,
+                             "start/target must be node ids in 0..2"),
+    "bounds.target_outside": (lambda: bounds.token_walk_probability(ring(3), 0, -1, 1), ValueError,
+                              "start/target must be node ids in 0..2"),
+    "bounds.negative_steps": (lambda: bounds.token_walk_probability(ring(3), 0, 0, -1), ValueError,
+                              "steps must be >= 0, got -1"),
+    "metrics.bound_per_outcome": (lambda: metrics.trial_stats([1, 2], [5]), ValueError,
+                                  "trial_stats: 1 bounds for 2 outcomes"),
+    "protocol.ceil_div_by_zero": (lambda: protocol.ceil_div(1, 0), ProtocolError,
+                                  "division by token count 0 <= 0"),
+    "protocol.route_bounds_2d": (lambda: protocol.RouteStream(np.random.PCG64(0)).integers(0, [[2, 3]]),
+                                 ValueError, "route bounds must be a 1-D array, got shape (1, 2)"),
+    "digraph.no_retries": (lambda: generate_random_digraph(5, 0.5, seed=0, max_retries=0), ValueError,
+                           "max_retries must be positive, got 0"),
+    "applications.scheduling_empty": (lambda: SchedulingInstance((), (), ()), InvalidInstanceError,
+                                      "instance has no nodes"),
+    "applications.scheduling_negative": (lambda: SchedulingInstance((1, -1), (0, 0), (1, 1)),
+                                         InvalidInstanceError, "node 1: negative workload or occupancy"),
+    "applications.federated_empty": (lambda: FederatedInstance((), ()), InvalidInstanceError,
+                                     "instance has no nodes"),
+    "applications.federated_negative": (lambda: FederatedInstance((1, 1), (0, -1)), InvalidInstanceError,
+                                        "node 1: negative parameter -1; shift parameters to be nonnegative"),
+    "applications.generic_negative_rho": (lambda: generic_init([1, 1], [1, -1]), InvalidInstanceError,
+                                          "node 1: negative rho -1 unsupported"),
+    "config.edge_prob_zero": (config(graph={"random": {"n": 10, "edge_prob": 0}}), ConfigError,
+                              "graph.random.edge_prob: must be in (0, 1], got 0.0"),
+    "config.edge_prob_above_one": (config(graph={"random": {"n": 10, "edge_prob": 1.5}}), ConfigError,
+                                   "graph.random.edge_prob: must be in (0, 1], got 1.5"),
+    "config.one_value_range": (config(initial={"uniform": {"y0_range": [1], "z0_range": [1, 2]}}), ConfigError,
+                               "initial.uniform.y0_range: expected a [low, high] integer pair"),
+    "config.graph_without_kind": (config(graph={}), ConfigError,
+                                  "graph: expected exactly one of 'random' or 'file'"),
+    "config.graph_with_two_kinds": (config(graph={"random": {"n": 10, "edge_prob": 0.5}, "file": "g.txt"}),
+                                    ConfigError, "graph: expected exactly one of 'random' or 'file'"),
+    "config.unknown_graph_kind": (config(graph={"ring": {"n": 10}}), ConfigError,
+                                  "graph: unknown graph kind 'ring'"),
+    "config.initial_without_kind": (config(initial={}), ConfigError,
+                                    "initial: expected exactly one initial-value kind"),
+    "config.no_mode": (lambda: parse_config({k: v for k, v in MINIMAL.items() if k != "mode"}), ConfigError,
+                       "config: missing required key 'mode'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused_with_its_message(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error
+    assert str(info.value) == message
+
+
+def test_values_that_are_not_refusals():
+    assert is_strongly_connected([]) is False
+    assert (ring(3) == 3) is False
+    assert repr(ring(3)) == "Digraph(n=3, edges=3)"
