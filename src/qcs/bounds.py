@@ -62,13 +62,10 @@ def visit_prob_bound_delayed(
 
 
 def _windows_for(epsilon: Rational, per_window: Fraction) -> int:
+    """per_window is one of the visit bounds above, so in (0, 1/2]."""
     eps = _as_fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if per_window >= 1:
-        return 1  # degenerate: the visit is certain within one window
-    if per_window <= 0:
-        raise ValueError("per-window probability bound must be positive")
     quotient = math.log(float(eps)) / math.log(float(1 - per_window))
     tau = max(1, math.ceil(quotient - _CEIL_SNAP))
     # defensive +1 at representability boundaries: bump until the

@@ -2,9 +2,9 @@
 
 Subcommands: run, sweep, bounds, fig1, fig2-desk, fig3, app-scheduling,
 app-federated.  Every command builds ExperimentConfigs and hands them to
-qcs.experiments.  QCS_LOG_LEVEL in {error, warn, info, debug} controls
-diagnostics; debug additionally forces per-step conservation assertions
-on even when a config switched them off.
+qcs.experiments.  QCS_LOG_LEVEL in {error, warn, info, debug} sets the
+log level and nothing else; a config's check_invariants key alone turns
+the per-step audits on or off.
 
 Instance file schemas (JSON):
   scheduling:  {"nodes": [{"l": 40, "u": 0, "pi_max": 100}, ...]}
@@ -54,7 +54,7 @@ _LOG_LEVELS = {
 }
 
 
-def _setup_logging() -> str:
+def _setup_logging() -> None:
     name = os.environ.get("QCS_LOG_LEVEL", "warn").lower()
     if name not in _LOG_LEVELS:
         print(
@@ -66,7 +66,6 @@ def _setup_logging() -> str:
         level=_LOG_LEVELS[name],
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return name
 
 
 _COMMON = {
@@ -90,7 +89,7 @@ def _workers(args) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _override(cfg: ExperimentConfig, args, debug: bool) -> ExperimentConfig:
+def _override(cfg: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
@@ -98,17 +97,17 @@ def _override(cfg: ExperimentConfig, args, debug: bool) -> ExperimentConfig:
         changes["trials"] = args.trials
     if getattr(args, "graph_file", None) is not None:
         changes["graph"] = FileGraphSpec(path=str(args.graph_file))
-    if debug:
-        changes["check_invariants"] = True
+    if getattr(args, "epsilon", None) is not None:
+        changes["epsilon"] = args.epsilon
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
-def _run_configs(args, debug: bool, label: str, *cfgs: ExperimentConfig) -> int:
-    """Run each config under the --seed, --trials, --graph-file and debug
+def _run_configs(args, label: str, *cfgs: ExperimentConfig) -> int:
+    """Run each config under the --seed, --trials and --graph-file
     overrides and print its stats.  Several configs (a preset's sync/async
     pair) write to --out/<mode> and print as `label-<mode>`."""
     for cfg in cfgs:
-        cfg = _override(cfg, args, debug)
+        cfg = _override(cfg, args)
         out, name = args.out, label
         if len(cfgs) > 1:
             out, name = None if out is None else out / cfg.mode, f"{label}-{cfg.mode}"
@@ -151,8 +150,8 @@ def load_federated_instance(path: Path) -> FederatedInitial:
     return _load_instance(path, FederatedInitial, columns)
 
 
-def _cmd_run(args, debug: bool) -> int:
-    return _run_configs(args, debug, "run", parse_config(args.config))
+def _cmd_run(args) -> int:
+    return _run_configs(args, "run", parse_config(args.config))
 
 
 def _run_sweep(args, **grid) -> int:
@@ -179,7 +178,7 @@ def _flag_ints(flag: str, text: str, floor: int) -> list[int]:
     return values
 
 
-def _cmd_sweep(args, debug: bool) -> int:
+def _cmd_sweep(args) -> int:
     return _run_sweep(
         args,
         sizes=_flag_ints("--sizes", args.sizes, 2),
@@ -188,15 +187,15 @@ def _cmd_sweep(args, debug: bool) -> int:
     )
 
 
-def _cmd_bounds(args, debug: bool) -> int:
+def _cmd_bounds(args) -> int:
     if args.epsilon is not None:
         _in_open_unit("--epsilon", args.epsilon)
-    cfg = _override(parse_config(args.config), args, debug)
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
-    if epsilon is None:
+    # --epsilon replaces the config's, so the config's checks on it apply
+    cfg = _override(parse_config(args.config), args)
+    if cfg.epsilon is None:
         print("bounds: an epsilon is required (config key or --epsilon)", file=sys.stderr)
         return 2
-    report = experiments.bounds_report(cfg, epsilon)
+    report = experiments.bounds_report(cfg, cfg.epsilon)
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key:<{width}}  {value}")
@@ -208,11 +207,11 @@ def _cmd_bounds(args, debug: bool) -> int:
     return 0
 
 
-def _cmd_fig1(args, debug: bool) -> int:
-    return _run_configs(args, debug, "fig1", experiments.fig1_config())
+def _cmd_fig1(args) -> int:
+    return _run_configs(args, "fig1", experiments.fig1_config())
 
 
-def _cmd_fig2_desk(args, debug: bool) -> int:
+def _cmd_fig2_desk(args) -> int:
     if not args.full_scale:
         return _run_sweep(args)
     sizes, delays = experiments.FIG2_FULL_SIZES, experiments.FIG2_FULL_DELAYS
@@ -223,11 +222,11 @@ def _cmd_fig2_desk(args, debug: bool) -> int:
     return _run_sweep(args, sizes=sizes, delays=delays)
 
 
-def _cmd_fig3(args, debug: bool) -> int:
-    return _run_configs(args, debug, "fig3", *experiments.fig3_configs().values())
+def _cmd_fig3(args) -> int:
+    return _run_configs(args, "fig3", *experiments.fig3_configs().values())
 
 
-def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
+def _run_app(args, initial, n: int) -> TrialResult:
     """Trial 0 of a one-trial config on `initial`, as `qcs run` would run it."""
     if args.mode == "async":
         _at_least("--max-delay", args.max_delay, 1)
@@ -238,7 +237,7 @@ def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
         delay=DelayModel(max_delay=args.max_delay) if args.mode == "async" else None,
         record_trajectory=False,
     )
-    res = experiments.run_one_trial(_override(cfg, args, debug), 0)
+    res = experiments.run_one_trial(_override(cfg, args), 0)
     if res.converged:
         print(f"converged at step {res.termination_step} (diameter {res.diameter})")
     else:
@@ -246,9 +245,9 @@ def _run_app(args, debug: bool, initial, n: int) -> TrialResult:
     return res
 
 
-def _cmd_app_scheduling(args, debug: bool) -> int:
+def _cmd_app_scheduling(args) -> int:
     spec = load_scheduling_instance(args.instance)
-    res = _run_app(args, debug, spec, len(spec.workloads))
+    res = _run_app(args, spec, len(spec.workloads))
     if not res.converged:
         return 1
     workloads = [int(v) for v in res.recovered]
@@ -258,9 +257,9 @@ def _cmd_app_scheduling(args, debug: bool) -> int:
     return 0
 
 
-def _cmd_app_federated(args, debug: bool) -> int:
+def _cmd_app_federated(args) -> int:
     spec = load_federated_instance(args.instance)
-    res = _run_app(args, debug, spec, len(spec.dataset_sizes))
+    res = _run_app(args, spec, len(spec.dataset_sizes))
     if not res.converged:
         return 1
     aggregate = federated_recover(res.estimate)
@@ -283,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("sweep", help="n x B async sweep over scheduling workloads")
-    p.add_argument("--sizes", default="50,100,200,300")
-    p.add_argument("--delays", default="5,10,15")
+    p.add_argument("--sizes", default=",".join(map(str, experiments.FIG2_DESK_SIZES)))
+    p.add_argument("--delays", default=",".join(map(str, experiments.FIG2_DESK_DELAYS)))
     p.add_argument("--edge-prob", type=float, default=0.5)
     _add_common(p, "trials", "out", "workers")
     p.set_defaults(fn=_cmd_sweep)
@@ -323,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    level = _setup_logging()
+    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, debug=(level == "debug"))
+        return args.fn(args)
     except QcsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

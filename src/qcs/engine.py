@@ -39,6 +39,10 @@ logger = logging.getLogger(__name__)
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
+# the step cap when none is given, and experiments' ceiling on 100x a
+# completion bound (1e9-1e15 steps), so that a stuck trial is censored
+DEFAULT_MAX_STEPS = 100_000
+
 # Sub-stream tags: a run draws all its routing from one PCG64 stream
 # seeded by (seed, ROUTE_STREAM), read through a RouteStream, and all its
 # delays from one generator seeded by (seed, DELAY_STREAM).
@@ -86,7 +90,7 @@ class RunConfig:
     z0: Sequence[int]
     seed: int = 0
     diameter_bound: Optional[int] = None
-    max_steps: int = 100_000
+    max_steps: int = DEFAULT_MAX_STEPS
     record_trajectory: bool = False
     record_masses: bool = False
     recovery: Optional[Callable[[int, int], float]] = None
@@ -241,8 +245,9 @@ class Engine:
     y_rows, z and pend_z those of z_rows, and those two are the halves
     of one ledger array, summed once per conservation check.
 
-    Flags flip all at once, at flag_step, and a flipped engine no longer
-    steps; so every step runs at every node.
+    Termination is the one value flag_step: every node's flag flips
+    there at once, and a flipped engine no longer steps; so every step
+    runs at every node.
     """
 
     def __init__(self, cfg: RunConfig, delay_model: DelayModel = UNIT_DELAY):
@@ -270,7 +275,6 @@ class Engine:
         self.estimate = ceil_div(self.y, self.z)
         self.vote_max = self.estimate.copy()
         self.vote_min = floor_div(self.y, self.z)
-        self.flag = np.zeros(self.n, dtype=bool)
         self.pend_y = self.pend_z = self.busy_until = self.cycle_start = None
         if delayed:
             self.pend_y, self.pend_z = self.y_rows[1], self.z_rows[1]
@@ -314,7 +318,7 @@ class Engine:
             estimate=self.estimate.copy(),
             vote_max=self.vote_max.copy(),
             vote_min=self.vote_min.copy(),
-            flag=self.flag.astype(np.int8),
+            flag=np.full(self.n, self.flag_step is not None, dtype=np.int8),
         )
 
     def all_flagged(self) -> bool:
@@ -377,9 +381,6 @@ class Engine:
         if splitting.size:
             estimate, dst, c_y, c_z, who = split_route(self.y, self.z, splitting, self.slots, self.route_rng)
             self.estimate[splitting] = estimate
-            # flags are all clear while the engine steps, unless set from outside
-            if self.cfg.check_invariants and np.count_nonzero(self.flag) and self.flag[dst].any():
-                raise InvariantError(f"step {k}: mass arrived at a terminated node")
             np.add.at(self.pend_y if delayed else self.y, dst, c_y)
             np.add.at(self.pend_z if delayed else self.z, dst, c_z)
             if self.emission_log is not None:
@@ -393,7 +394,6 @@ class Engine:
             flipping = np.count_nonzero(self.vote_max - self.vote_min <= 1)
             if flipping == self.n:
                 self.estimate[:] = self.vote_min
-                self.flag[:] = True
                 self.flag_step = k
                 logger.debug("all nodes terminated at step %d", k)
             elif flipping:

@@ -28,7 +28,7 @@ import numpy as np
 from . import applications, bounds, metrics
 from .async_engine import run_async
 from .digraph import Digraph, generate_random_digraph
-from .engine import UNIT_DELAY, DelayModel, RunConfig
+from .engine import DEFAULT_MAX_STEPS, UNIT_DELAY, DelayModel, RunConfig
 from .errors import ConfigError, TrialError
 from .sync_engine import run_sync
 
@@ -37,11 +37,6 @@ logger = logging.getLogger(__name__)
 # entropy tag for initial-value sampling, distinct from the engine's
 # ROUTE_STREAM (0) and DELAY_STREAM (1) tags under the same trial seed
 _INIT_STREAM = 2
-
-# the run length when max_steps is unset, and the ceiling on 100x the
-# completion bound when epsilon is set: those bounds reach 1e9-1e15 steps,
-# so without it a stuck trial would never be censored
-DEFAULT_MAX_STEPS = 100_000
 
 # field metadata naming a field's config key, where the two differ
 _KEY = "key"
@@ -321,6 +316,13 @@ class ExperimentConfig:
             raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
         if self.epsilon is not None:
             _in_open_unit("epsilon", self.epsilon)
+            # epsilon's delayed bounds charge each hop the chance of the maximum delay
+            delay = self.delay_model()  # unit delays under sync
+            rows = {"delay.pmf": delay.pmf} if delay.per_node_pmf is None else {
+                f"delay.per_node_pmf[{j}]": row for j, row in enumerate(delay.per_node_pmf)}
+            for key, row in rows.items():
+                if row is not None and row[-1] == 0:
+                    raise ConfigError(f"{key}: the maximum delay has probability 0; epsilon's bounds need it > 0")
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct', got {self.error_mode!r}")
         if (
@@ -706,17 +708,14 @@ def write_artifacts(
     paths["outcomes"] = str(path)
 
     series_rows = [
-        (r.trial, k, e)
+        {"trial": r.trial, "k": k, "e_k": repr(e)}
         for r in result.results
         if r.error_series is not None
         for k, e in enumerate(r.error_series)
     ]
     if series_rows:
         epath = out / "error_series.csv"
-        with epath.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "k", "e_k"])
-            writer.writerows([t, k, repr(e)] for t, k, e in series_rows)
+        _write_csv(epath, series_rows)
         paths["error_series"] = str(epath)
 
     summary = {

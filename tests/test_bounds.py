@@ -119,6 +119,16 @@ class TestWindowsForConfidence:
                     assert miss**tau <= Fraction(str(eps))
                     assert tau >= 1
 
+    def test_exact_check_bumps_past_the_float_ceiling(self):
+        # miss = 3/4; an epsilon a hair below (3/4)^10 sits within the snap
+        # tolerance of 10 windows in floats, and only the exact check sees
+        # that (3/4)^10 > epsilon, so one window is added
+        edge = Fraction(3, 4) ** 10
+        assert windows_for_confidence(edge, 1, 3) == 10
+        hair_below = edge * (1 - Fraction(1, 10**12))
+        assert math.ceil(math.log(float(hair_below)) / math.log(3 / 4) - 1e-9) == 10
+        assert windows_for_confidence(hair_below, 1, 3) == 11
+
     def test_delayed_reduction_and_monotonicity(self):
         assert windows_for_confidence_delayed(0.01, 2, 2, 1) == windows_for_confidence(0.01, 2, 2)
         t1 = windows_for_confidence_delayed(0.01, 2, 2, 0.5)

@@ -76,6 +76,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "mode" in capsys.readouterr().err
 
+    def test_epsilon_reports_the_fraction_within_the_bound(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "trials": 2, "epsilon": 0.1}), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--workers", "1"]) == 0
+        assert "run: fraction within completion bound = 1.000" in capsys.readouterr().out
+
     def test_format_json(self, config_file, tmp_path):
         out = tmp_path / "j"
         main(["run", "--config", str(config_file), "--out", str(out), "--format", "json", "--workers", "1"])
@@ -172,6 +178,13 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err == f"error: instance file i.json: {message}\n"
 
+    def test_instance_without_a_node_list_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "i.json").write_text(json.dumps({"nodes": 5}), encoding="utf-8")
+        assert main(["app-scheduling", "--instance", "i.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance file i.json: expected an object with a 'nodes' list of objects\n"
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -222,6 +235,15 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--epsilon", "0.1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: diameter_bound: 1 is below trial 0's diameter 3\n"
         assert not (out / "bounds.json").exists()
+
+    def test_epsilon_flag_meets_the_configs_checks(self, tmp_path, capsys):
+        # the maximum delay is never drawn, so the delayed bounds have no
+        # visit floor; --epsilon gets the refusal an epsilon key would
+        cfg = {**MINIMAL, "mode": "async", "delay": {"max_delay": 3, "pmf": [0.5, 0.5, 0.0]}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--epsilon", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: delay.pmf: the maximum delay has probability 0; epsilon's bounds need it > 0\n"
 
 
 class TestPresetCommands:
@@ -296,6 +318,12 @@ class TestPresetCommands:
         assert main(["sweep", *argv]) == 0
         assert got == want
 
+    def test_desk_preset_is_the_trimmed_grid(self, monkeypatch):
+        got = []
+        monkeypatch.setattr(experiments, "run_sweep", lambda cells, **kw: got.extend(cells) or [])
+        assert main(["fig2-desk"]) == 0
+        assert got == experiments.fig2_grid(trials=50, seed=0)
+
     def test_full_scale_desk_preset_covers_the_published_grid(self, monkeypatch):
         got = []
         monkeypatch.setattr(experiments, "run_sweep", lambda cells, **kw: got.extend(cells) or [])
@@ -350,6 +378,13 @@ class TestEnvironment:
         assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", "1"]) == 0
         assert "QCS_LOG_LEVEL" in capsys.readouterr().err
 
-    def test_debug_level_accepted(self, monkeypatch, config_file, tmp_path):
+    def test_debug_level_accepted(self, monkeypatch, tmp_path):
+        # the log level sets logging only; check_invariants stays as configured
         monkeypatch.setenv("QCS_LOG_LEVEL", "debug")
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "d"), "--workers", "1"]) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "check_invariants": False}), encoding="utf-8")
+        seen = []
+        run = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, **kw: seen.append(cfg) or run(cfg, **kw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "d"), "--workers", "1"]) == 0
+        assert [cfg.check_invariants for cfg in seen] == [False]

@@ -37,6 +37,11 @@ def config(**override):
     return lambda: parse_config({**MINIMAL, **override})
 
 
+# delay pmfs under which the maximum delay B = 3 is never drawn
+NEVER_MAX = {"max_delay": 3, "pmf": [0.5, 0.5, 0.0]}
+NEVER_MAX_AT_3 = {"max_delay": 3, "per_node_pmf": [[0.2, 0.3, 0.5]] * 3 + [[0.5, 0.5, 0.0]] * 7}
+
+
 REFUSALS = {
     "bounds.delay_prob_zero": (lambda: bounds.visit_prob_bound_delayed(2, 2, 0), ValueError,
                                "min_max_delay_prob must be in (0, 1], got 0"),
@@ -82,6 +87,11 @@ REFUSALS = {
                                   "graph: unknown graph kind 'ring'"),
     "config.initial_without_kind": (config(initial={}), ConfigError,
                                     "initial: expected exactly one initial-value kind"),
+    "config.max_delay_never_drawn": (config(mode="async", delay=NEVER_MAX, epsilon=0.1), ConfigError,
+                                     "delay.pmf: the maximum delay has probability 0; epsilon's bounds need it > 0"),
+    "config.max_delay_never_drawn_at_node": (
+        config(mode="async", delay=NEVER_MAX_AT_3, epsilon=0.1), ConfigError,
+        "delay.per_node_pmf[3]: the maximum delay has probability 0; epsilon's bounds need it > 0"),
     "config.no_mode": (lambda: parse_config({k: v for k, v in MINIMAL.items() if k != "mode"}), ConfigError,
                        "config: missing required key 'mode'"),
 }
@@ -100,3 +110,9 @@ def test_values_that_are_not_refusals():
     assert is_strongly_connected([]) is False
     assert (ring(3) == 3) is False
     assert repr(ring(3)) == "Digraph(n=3, edges=3)"
+
+
+def test_a_max_delay_never_drawn_needs_epsilon_and_delays_to_be_refused():
+    # without epsilon no bound is asked for, and a sync run ignores its delay
+    assert parse_config({**MINIMAL, "mode": "async", "delay": NEVER_MAX}).epsilon is None
+    assert parse_config({**MINIMAL, "delay": NEVER_MAX_AT_3, "epsilon": 0.1}).mode == "sync"
