@@ -246,6 +246,68 @@ class TestBoundsCommand:
         assert err == "error: delay.pmf: the maximum delay has probability 0; epsilon's bounds need it > 0\n"
 
 
+# a strongly connected 6-node graph of diameter 3
+PIN_GRAPH = "6 14\n0 2\n0 3\n0 4\n0 5\n1 0\n1 2\n1 3\n2 5\n3 1\n4 1\n4 3\n5 1\n5 2\n5 4\n"
+
+
+class TestBoundTablePins:
+    """sha256 of every bound table and step statistic the CLI writes.
+
+    For each config the digest covers `qcs bounds --out`'s bounds.json,
+    the bounds and stats blocks of `qcs run`'s summary.json and its
+    outcomes.csv.  Recorded at commit 64c2dab; how the bound chain is
+    computed may change, but no byte of these artifacts may.
+    """
+
+    BASE = {
+        "mode": "async",
+        "graph": {"random": {"n": 8, "edge_prob": 0.5}},
+        "initial": {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}},
+        "trials": 3,
+        "seed": 11,
+        "epsilon": 0.05,
+    }
+    CONFIGS = {
+        "sync": {"mode": "sync"},
+        "sync-diameter-bound": {"mode": "sync", "diameter_bound": 5},
+        "async-b1": {"delay": {"max_delay": 1}},
+        "async-b3": {"delay": {"max_delay": 3}},
+        "async-b5-diameter-bound": {"delay": {"max_delay": 5}, "diameter_bound": 6},
+        "async-b7": {"delay": {"max_delay": 7}, "epsilon": 0.3},
+        "pmf": {"delay": {"max_delay": 4, "pmf": [0.4, 0.3, 0.2, 0.1]}},
+        "per-node-pmf": {"delay": {"max_delay": 3, "per_node_pmf": [
+            [0.5, 0.25, 0.25], [0.2, 0.2, 0.6], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.1, 0.8],
+            [0.6, 0.3, 0.1], [0.25, 0.25, 0.5], [0.3, 0.3, 0.4], [0.05, 0.05, 0.9]]}},
+        "graph-file": {"delay": {"max_delay": 2}, "graph": {"file": "g.txt"}},
+    }
+    PINS = {
+        "sync": "7c5c940179377360abb3cc459c8fecc074d3912b12e2d08ff800e3b6131cd61e",
+        "sync-diameter-bound": "a56868e42f2635609fb9af93ce41f0aa785f7af48d58a4a95a6ce973f533b4bf",
+        "async-b1": "7c5c940179377360abb3cc459c8fecc074d3912b12e2d08ff800e3b6131cd61e",
+        "async-b3": "286ab15ae918b03c7ce0654a7d9694606fa22e472901c9532970bf7d76c94828",
+        "async-b5-diameter-bound": "79e2f5a286c4f3f29292ddea72f0fd06f8c318f8aa50b7e774f675aafba77b49",
+        "async-b7": "8bb23686371aded28e75a24e89162326a570fc74f120c658bc071b31524cec93",
+        "pmf": "f7d9e202ce55c218fb272a771e0643ceb90c84d329f7624376c43affa3d6dc10",
+        "per-node-pmf": "3b8caa337df986f11c3694980b5d82e659fec4066d0c9abeea8c5ac1b6b227ef",
+        "graph-file": "bf32fc0bd7b83cd295a6facee7badf65d51d74a9cadb981c81fda4dbc7525530",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_cli_bound_tables_are_pinned(self, tmp_path, monkeypatch, capsys, name):
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text(PIN_GRAPH, encoding="utf-8")
+        (tmp_path / "cfg.json").write_text(json.dumps({**self.BASE, **self.CONFIGS[name]}), encoding="utf-8")
+        assert main(["bounds", "--config", "cfg.json", "--out", "b"]) == 0
+        assert main(["run", "--config", "cfg.json", "--workers", "1", "--out", "r"]) == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        h = hashlib.sha256((tmp_path / "b" / "bounds.json").read_bytes())
+        h.update(json.dumps([summary["bounds"], summary["stats"]]).encode())
+        h.update((tmp_path / "r" / "outcomes.csv").read_bytes())
+        assert h.hexdigest() == self.PINS[name]
+
+
 class TestPresetCommands:
     def test_fig1_smoke(self, tmp_path, capsys):
         out = tmp_path / "fig1"
