@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .digraph import Digraph
+from .engine import UNIT_DELAY, DelayModel
 
 Rational = Union[int, float, Fraction]
 
@@ -185,14 +186,14 @@ def bounds_report(
     epsilon: Rational,
     y0: Sequence[int],
     z0: Sequence[int],
-    max_delay: Optional[int] = None,
-    min_max_delay_prob: Optional[Rational] = None,
+    delay: DelayModel = UNIT_DELAY,
     window_basis: Optional[int] = None,
 ) -> dict:
-    """All closed-form quantities for one instance, JSON-ready.
+    """All closed-form quantities for one instance under `delay`, JSON-ready.
 
-    Delayed quantities appear when max_delay is given; the max-delay
-    probability defaults to the uniform pmf value 1/max_delay.
+    One chain, visit floor then window count then step bound, runs at
+    unit delays and, when delay's B exceeds 1, again under delay (its
+    `_delayed` keys), charging each hop delay.min_max_delay_prob(n).
 
     window_basis is the D of a run's D*B-step vote windows (a diameter
     bound), None for the exact diameter.  Window counts use the exact
@@ -204,7 +205,6 @@ def bounds_report(
     diam = g.diameter
     basis = diam if window_basis is None else window_basis
     deg = g.max_out_degree
-    windows = windows_for_confidence(epsilon, diam, deg)
     report = {
         "n": g.n,
         "diameter": diam,
@@ -212,22 +212,17 @@ def bounds_report(
         "epsilon": float(_as_fraction(epsilon)),
         "target_quotient": float(quotient),
         "initial_state_error": err,
-        "visit_prob_bound": float(visit_prob_bound(diam, deg)),
-        "windows": windows,
-        "completion_step_bound": completion_step_bound(err, g.n, windows, basis),
     }
-    if max_delay is not None:
-        bp = Fraction(1, max_delay) if min_max_delay_prob is None else min_max_delay_prob
-        windows_d = windows_for_confidence_delayed(epsilon, diam, deg, bp)
-        report.update(
-            {
-                "max_delay": max_delay,
-                "min_max_delay_prob": float(_as_fraction(bp)),
-                "visit_prob_bound_delayed": float(visit_prob_bound_delayed(diam, deg, bp)),
-                "windows_delayed": windows_d,
-                "completion_step_bound_delayed": completion_step_bound_delayed(
-                    err, g.n, windows_d, basis, max_delay
-                ),
-            }
+    chains = [("", 1, 1)]
+    if delay.max_delay > 1:
+        chains.append(("_delayed", delay.max_delay, delay.min_max_delay_prob(g.n)))
+    for suffix, max_delay, p in chains:
+        if suffix:
+            report.update(max_delay=max_delay, min_max_delay_prob=float(p))
+        windows = windows_for_confidence_delayed(epsilon, diam, deg, p)
+        report[f"visit_prob_bound{suffix}"] = float(visit_prob_bound_delayed(diam, deg, p))
+        report[f"windows{suffix}"] = windows
+        report[f"completion_step_bound{suffix}"] = completion_step_bound_delayed(
+            err, g.n, windows, basis, max_delay
         )
     return report

@@ -195,7 +195,7 @@ def _cmd_bounds(args) -> int:
     if cfg.epsilon is None:
         print("bounds: an epsilon is required (config key or --epsilon)", file=sys.stderr)
         return 2
-    report = experiments.bounds_report(cfg, cfg.epsilon)
+    report = experiments.bounds_report(cfg)
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key:<{width}}  {value}")

@@ -307,13 +307,8 @@ class ExperimentConfig:
         for key in ("max_steps", "diameter_bound"):
             if getattr(self, key) is not None:
                 _at_least(key, getattr(self, key), 1)
-        # a trial refuses a step cap below one vote window, D*B steps; D is only
-        # known per trial, and with epsilon set the 100x-bound cap holds a window
-        window = (self.diameter_bound or 1) * self.delay_model().max_delay
-        cap = self.max_steps or DEFAULT_MAX_STEPS
-        if window > cap:
-            key = "diameter_bound" if self.diameter_bound is not None else "delay.max_delay"
-            raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
+        # D is known only per trial, where run_one_trial checks the window again
+        self.check_window(self.diameter_bound or 1, self.max_steps or DEFAULT_MAX_STEPS)
         if self.epsilon is not None:
             _in_open_unit("epsilon", self.epsilon)
             # epsilon's delayed bounds charge each hop the chance of the maximum delay
@@ -353,6 +348,17 @@ class ExperimentConfig:
             rows = len(self.delay.per_node_pmf)
             if rows != n:
                 raise ConfigError(f"delay.per_node_pmf: {rows} rows for a graph with {n} nodes")
+
+    def check_window(self, diameter: int, cap: int) -> None:
+        """Refuse a step cap below one vote window, diameter*B steps."""
+        max_delay = self.delay_model().max_delay
+        window = diameter * max_delay
+        if window > cap:
+            if self.diameter_bound is not None:
+                key = "diameter_bound"
+            else:
+                key = "delay.max_delay" if max_delay > 1 else "max_steps"
+            raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
 
     def delay_model(self) -> DelayModel:
         """The delay model trials run under: unit delays under sync."""
@@ -543,7 +549,6 @@ class TrialResult:
     quotient_floor: int
     quotient_ceil: int
     completion_bound: Optional[int] = None
-    within_bound: Optional[bool] = None
     error_series: Optional[tuple[float, ...]] = None
     error_series_truncated: bool = False
     recovered: Optional[tuple[float, ...]] = None
@@ -559,15 +564,12 @@ def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
     return DEFAULT_MAX_STEPS
 
 
-def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig, epsilon: float) -> dict:
-    """The closed-form bound table of one trial's inputs, in the vote
-    windows its trials run; its delayed half appears only under delays (B > 1)."""
-    delay = cfg.delay_model()
-    delayed = {}
-    if delay.max_delay > 1:
-        delayed = dict(max_delay=delay.max_delay, min_max_delay_prob=delay.min_max_delay_prob(run_cfg.graph.n))
+def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> dict:
+    """The closed-form bound table of one trial's inputs, under its delay
+    model and in the vote windows its trials run."""
     return bounds.bounds_report(
-        run_cfg.graph, epsilon, run_cfg.y0, run_cfg.z0, window_basis=cfg.diameter_bound, **delayed
+        run_cfg.graph, cfg.epsilon, run_cfg.y0, run_cfg.z0, cfg.delay_model(),
+        window_basis=cfg.diameter_bound,
     )
 
 
@@ -576,15 +578,15 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     run_cfg = build_trial_instance(cfg, trial)
     bound = None
     if cfg.epsilon is not None:
-        block = _trial_bounds(cfg, run_cfg, cfg.epsilon)
+        block = _trial_bounds(cfg, run_cfg)
         # the table has a delayed half exactly when the trial runs delays
         bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
     run_cfg.max_steps = _trial_max_steps(cfg, bound)
+    cfg.check_window(cfg.diameter_bound or run_cfg.graph.diameter, run_cfg.max_steps)
     if cfg.mode == "sync":
         outcome = run_sync(run_cfg)
     else:
         outcome = run_async(run_cfg, cfg.delay)
-    within = None if bound is None else outcome.converged and outcome.termination_step <= bound
     target = bounds.target_quotient(run_cfg.y0, run_cfg.z0)
     series = curve = None
     if outcome.mass_y is not None:
@@ -609,7 +611,6 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         quotient_floor=int(np.floor(target)),
         quotient_ceil=int(-(-target.numerator // target.denominator)),
         completion_bound=bound,
-        within_bound=within,
         error_series=series,
         error_series_truncated=curve is not None and curve.truncated,
         recovered=recovered,
@@ -735,7 +736,7 @@ def write_artifacts(
     return paths
 
 
-def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
+def bounds_report(cfg: ExperimentConfig) -> dict:
     """Trial 0's bound table, the one its completion_bound is read from.
 
     A diameter_bound below trial 0's diameter is refused: its windows
@@ -745,7 +746,7 @@ def bounds_report(cfg: ExperimentConfig, epsilon: float) -> dict:
     diameter = run_cfg.graph.diameter
     if cfg.diameter_bound is not None and cfg.diameter_bound < diameter:
         raise ConfigError(f"diameter_bound: {cfg.diameter_bound} is below trial 0's diameter {diameter}")
-    return _trial_bounds(cfg, run_cfg, epsilon)
+    return _trial_bounds(cfg, run_cfg)
 
 
 def run_experiment(
@@ -756,10 +757,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run all trials, aggregate, and (optionally) write artifacts."""
     results = run_trials(cfg, workers=workers)
-    eps = cfg.epsilon
-    bound = None if eps is None else [r.completion_bound for r in results]
+    bound = None if cfg.epsilon is None else [r.completion_bound for r in results]
     stats = metrics.trial_stats(results, bound=bound)
-    bounds_block = None if eps is None else bounds_report(cfg, eps)
+    bounds_block = None if cfg.epsilon is None else bounds_report(cfg)
     result = ExperimentResult(
         config=cfg, results=results, stats=stats, bounds_block=bounds_block
     )

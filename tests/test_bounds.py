@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qcs import (
+    DelayModel,
     completion_step_bound,
     completion_step_bound_delayed,
     generate_random_digraph,
@@ -244,7 +245,7 @@ class TestTokenWalkProbability:
 class TestBoundsReport:
     def test_keys_and_consistency(self):
         g = generate_random_digraph(8, 0.5, seed=1)
-        rep = bounds_report(g, 0.05, [10] * 8, [2] * 8, max_delay=5)
+        rep = bounds_report(g, 0.05, [10] * 8, [2] * 8, DelayModel(max_delay=5))
         assert rep["n"] == 8
         assert rep["diameter"] == g.diameter
         assert rep["windows_delayed"] >= rep["windows"]
@@ -253,10 +254,22 @@ class TestBoundsReport:
 
     def test_window_basis_scales_the_step_bounds_only(self):
         g = generate_random_digraph(8, 0.5, seed=1)
-        exact = bounds_report(g, 0.05, [10] * 8, [2] * 8, max_delay=5)
-        wide = bounds_report(g, 0.05, [10] * 8, [2] * 8, max_delay=5, window_basis=g.diameter + 7)
+        exact = bounds_report(g, 0.05, [10] * 8, [2] * 8, DelayModel(max_delay=5))
+        wide = bounds_report(g, 0.05, [10] * 8, [2] * 8, DelayModel(max_delay=5), window_basis=g.diameter + 7)
         steps = ("completion_step_bound", "completion_step_bound_delayed")
         # window counts and the reported diameter stay those of the exact D
         assert {k: v for k, v in wide.items() if k not in steps} == {k: v for k, v in exact.items() if k not in steps}
         for key in steps:
             assert wide[key] * g.diameter == exact[key] * (g.diameter + 7)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 5)])
+    def test_monotone_in_the_diameter(self, epsilon, p):
+        # a larger D never gives fewer windows or an earlier completion step
+        for deg in range(1, 7):
+            windows = {d: windows_for_confidence_delayed(epsilon, d, deg, p) for d in range(1, 7)}
+            for d in range(1, 6):
+                assert windows[d] <= windows[d + 1]
+                for b in (1, 5):
+                    step = completion_step_bound_delayed(7, 10, windows[d], d, b)
+                    assert step <= completion_step_bound_delayed(7, 10, windows[d + 1], d + 1, b)

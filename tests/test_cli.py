@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from qcs import DelayModel, cli, experiments
+from qcs import DelayModel, bounds, cli, experiments
 from qcs.cli import load_federated_instance, load_scheduling_instance, main
 from qcs.experiments import ExperimentConfig, RandomGraphSpec, SchedulingUniformInitial
 
@@ -245,6 +246,29 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err == "error: delay.pmf: the maximum delay has probability 0; epsilon's bounds need it > 0\n"
 
+    @pytest.mark.parametrize("delay", [
+        {"max_delay": 3},
+        {"max_delay": 3, "per_node_pmf": [[0.5, 0.25, 0.25], [0.2, 0.2, 0.6]] * 4},
+    ])
+    def test_one_table_for_every_caller(self, tmp_path, monkeypatch, delay):
+        monkeypatch.chdir(tmp_path)
+        spec = {**MINIMAL, "mode": "async", "delay": delay, "epsilon": 0.05, "trials": 2}
+        (tmp_path / "cfg.json").write_text(json.dumps(spec), encoding="utf-8")
+        cfg = experiments.parse_config(spec)
+        inst = experiments.build_trial_instance(cfg, 0)
+        args = (inst.graph, cfg.epsilon, inst.y0, inst.z0)
+        table = bounds.bounds_report(*args, cfg.delay_model(), window_basis=cfg.diameter_bound)
+        assert table["max_delay"] == 3
+        assert main(["bounds", "--config", "cfg.json", "--out", "b"]) == 0
+        assert main(["run", "--config", "cfg.json", "--workers", "1", "--out", "r"]) == 0
+        assert experiments.bounds_report(cfg) == table
+        assert json.loads((tmp_path / "r" / "summary.json").read_text())["bounds"] == table
+        assert json.loads((tmp_path / "b" / "bounds.json").read_text()) == table
+        # unit delays by default: the plain chain alone
+        plain = bounds.bounds_report(*args)
+        assert not any(key.endswith("_delayed") for key in plain)
+        assert plain == {k: v for k, v in table.items() if k in plain}
+
 
 # a strongly connected 6-node graph of diameter 3
 PIN_GRAPH = "6 14\n0 2\n0 3\n0 4\n0 5\n1 0\n1 2\n1 3\n2 5\n3 1\n4 1\n4 3\n5 1\n5 2\n5 4\n"
@@ -294,8 +318,6 @@ class TestBoundTablePins:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_cli_bound_tables_are_pinned(self, tmp_path, monkeypatch, capsys, name):
-        import hashlib
-
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.txt").write_text(PIN_GRAPH, encoding="utf-8")
         (tmp_path / "cfg.json").write_text(json.dumps({**self.BASE, **self.CONFIGS[name]}), encoding="utf-8")

@@ -619,7 +619,7 @@ class TestRunners:
         cfg = parse_config({**MINIMAL, "epsilon": 0.1, "seed": 2})
         res = run_one_trial(cfg, 0)
         assert res.completion_bound is not None
-        assert res.within_bound is True
+        assert qcs.trial_stats([res], bound=[res.completion_bound]).fraction_within_bound == 1.0
 
     def test_max_steps_defaults(self):
         from qcs.experiments import _trial_max_steps
@@ -651,25 +651,25 @@ class TestRunners:
         cfg = parse_config({**MINIMAL, "diameter_bound": 1, "epsilon": 0.1})
         assert build_trial_instance(cfg, 0).graph.diameter == 3
         with pytest.raises(ConfigError, match=r"^diameter_bound: 1 is below trial 0's diameter 3$"):
-            bounds_report(cfg, 0.1)
+            bounds_report(cfg)
         # the trial itself still fails in the engine, with its own message
         with pytest.raises(TrialError, match=r"trial 0 .*diameter_bound=1 is below the true diameter 3"):
             run_experiment(cfg)
-        assert "completion_step_bound" in bounds_report(parse_config({**MINIMAL, "diameter_bound": 3}), 0.1)
+        assert "completion_step_bound" in bounds_report(parse_config({**MINIMAL, "diameter_bound": 3, "epsilon": 0.1}))
 
     def test_bounds_block_reports_only_the_delays_trials_run(self):
         from qcs.experiments import bounds_report
 
         uniform = {"uniform": {"y0_range": [0, 40], "z0_range": [1, 4]}}
         sync = {**MINIMAL, "initial": uniform, "epsilon": 0.1}
-        block = bounds_report(parse_config(sync), 0.1)
+        block = bounds_report(parse_config(sync))
         assert "completion_step_bound_delayed" not in block
         # a sync trial runs unit delays whatever its delay block says
-        assert bounds_report(parse_config({**sync, "delay": {"max_delay": 5}}), 0.1) == block
+        assert bounds_report(parse_config({**sync, "delay": {"max_delay": 5}})) == block
         # at B = 1 the delayed half would repeat the sync half
         async_unit = {**sync, "mode": "async", "delay": {"max_delay": 1}}
-        assert bounds_report(parse_config(async_unit), 0.1) == block
-        delayed = bounds_report(parse_config({**async_unit, "delay": {"max_delay": 5}}), 0.1)
+        assert bounds_report(parse_config(async_unit)) == block
+        delayed = bounds_report(parse_config({**async_unit, "delay": {"max_delay": 5}}))
         assert delayed["max_delay"] == 5 and delayed.items() > block.items()
 
     @pytest.mark.parametrize(
@@ -696,7 +696,7 @@ class TestRunners:
         (trial,) = res.results
         assert res.bounds_block["diameter"] == trial.diameter == 4
         assert trial.converged and trial.termination_step >= window
-        assert trial.within_bound is True
+        assert res.stats.fraction_within_bound == 1.0
         assert trial.completion_bound >= window
         block = res.bounds_block
         assert block.get("completion_step_bound_delayed", block["completion_step_bound"]) == trial.completion_bound
@@ -719,7 +719,7 @@ class TestRunners:
         capped = run_one_trial(parse_config(spread), 0)
         assert capped.censored and not capped.converged
         assert capped.steps_run == full.termination_step - 1
-        assert capped.within_bound is False
+        assert qcs.trial_stats([capped], bound=[capped.completion_bound]).fraction_within_bound == 0.0
 
 
 class TestTrialFailures:

@@ -22,6 +22,7 @@ from qcs import (
     metrics,
     parse_config,
     protocol,
+    run_one_trial,
 )
 
 from conftest import ring
@@ -92,6 +93,12 @@ REFUSALS = {
     "config.max_delay_never_drawn_at_node": (
         config(mode="async", delay=NEVER_MAX_AT_3, epsilon=0.1), ConfigError,
         "delay.per_node_pmf[3]: the maximum delay has probability 0; epsilon's bounds need it > 0"),
+    # trial 0 draws a diameter-3 graph: a window of 3 * 40,000 steps
+    "config.window_over_trial_cap": (lambda: run_one_trial(parse_config(
+        {**MINIMAL, "mode": "async", "delay": {"max_delay": 40_000}}), 0), ConfigError,
+        "delay.max_delay: one vote window of 120000 steps exceeds the step cap of 100000"),
+    "config.sync_window_over_trial_cap": (lambda: run_one_trial(parse_config({**MINIMAL, "max_steps": 2}), 0),
+                                          ConfigError, "max_steps: one vote window of 3 steps exceeds the step cap of 2"),
     "config.no_mode": (lambda: parse_config({k: v for k, v in MINIMAL.items() if k != "mode"}), ConfigError,
                        "config: missing required key 'mode'"),
 }
