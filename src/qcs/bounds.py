@@ -25,6 +25,7 @@ Rational = Union[int, float, Fraction]
 # float ceiling with the snap tolerance is then the final answer.
 _EXACT_VERIFY_LIMIT = 4096
 _CEIL_SNAP = 1e-9
+_FLOAT_FLOOR = Fraction(1, 10**290)  # visit floors below it count windows exactly
 
 # n above which the walk oracle switches from exact rationals to floats
 _EXACT_WALK_LIMIT = 12
@@ -67,7 +68,12 @@ def _windows_for(epsilon: Rational, per_window: Fraction) -> int:
     eps = _as_fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    quotient = math.log(float(eps)) / math.log(float(1 - per_window))
+    if per_window < _FLOAT_FLOOR:
+        # log(eps) / p would overflow a float; there -log(1 - p) is p to
+        # within a factor 1 + p, far below float precision
+        return math.ceil(Fraction(-math.log(float(eps))) / per_window)
+    # log1p keeps -log(1 - p) from rounding to 0 once p is below 2**-53
+    quotient = math.log(float(eps)) / math.log1p(-float(per_window))
     tau = max(1, math.ceil(quotient - _CEIL_SNAP))
     # defensive +1 at representability boundaries: bump until the
     # confidence inequality (1-p)^tau <= eps verifiably holds

@@ -33,7 +33,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
-from .protocol import RouteStream, ceil_div, flood_votes, floor_div, routing_slots, split_route
+from .protocol import RouteStream, ceil_div, flood_votes, floor_div, route_messages, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
 
@@ -270,6 +270,8 @@ class Engine:
         self._ledger = np.zeros((2, 1 + delayed, self.n), dtype=np.int64)
         self.y_rows, self.z_rows = self._ledger
         self.y, self.z = self.y_rows[0], self.z_rows[0]
+        # the rows arrivals land in: queued under delays, else y and z
+        self._inbox = (self.y_rows[-1], self.z_rows[-1])
         self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
         self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
         self.estimate = ceil_div(self.y, self.z)
@@ -379,12 +381,10 @@ class Engine:
         # has nothing to split this cycle.
         splitting = completing[self.z[completing] > 1] if delayed else (self.z > 1).nonzero()[0]
         if splitting.size:
-            estimate, dst, c_y, c_z, who = split_route(self.y, self.z, splitting, self.slots, self.route_rng)
+            estimate, pieces, values = split_route(self.y, self.z, splitting, self.slots, self.route_rng, self._inbox)
             self.estimate[splitting] = estimate
-            np.add.at(self.pend_y if delayed else self.y, dst, c_y)
-            np.add.at(self.pend_z if delayed else self.z, dst, c_z)
             if self.emission_log is not None:
-                src = splitting[who]
+                src, dst, c_y, c_z = route_messages(self.slots, pieces, values)
                 emitted = self.cycle_start[src] if delayed else np.full(src.size, k)
                 columns = (c.tolist() for c in (src, dst, c_y, c_z, emitted))
                 self.emission_log.extend(map(InFlightEntry, *columns, repeat(k + 1)))

@@ -564,25 +564,28 @@ def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
     return DEFAULT_MAX_STEPS
 
 
-def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> dict:
-    """The closed-form bound table of one trial's inputs, under its delay
-    model and in the vote windows its trials run."""
-    return bounds.bounds_report(
-        run_cfg.graph, cfg.epsilon, run_cfg.y0, run_cfg.z0, cfg.delay_model(),
-        window_basis=cfg.diameter_bound,
-    )
+def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> tuple[Optional[dict], Optional[int]]:
+    """One trial's closed-form bound table, under its delay model and in
+    the vote windows it runs, and its completion bound (both None without
+    an epsilon).  Sets run_cfg.max_steps to the trial's step cap, which
+    must hold one vote window."""
+    block = bound = None
+    if cfg.epsilon is not None:
+        block = bounds.bounds_report(
+            run_cfg.graph, cfg.epsilon, run_cfg.y0, run_cfg.z0, cfg.delay_model(),
+            window_basis=cfg.diameter_bound,
+        )
+        # the table has a delayed half exactly when the trial runs delays
+        bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
+    run_cfg.max_steps = _trial_max_steps(cfg, bound)
+    cfg.check_window(cfg.diameter_bound or run_cfg.graph.diameter, run_cfg.max_steps)
+    return block, bound
 
 
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """Build and run a single trial; deterministic in (cfg, trial)."""
     run_cfg = build_trial_instance(cfg, trial)
-    bound = None
-    if cfg.epsilon is not None:
-        block = _trial_bounds(cfg, run_cfg)
-        # the table has a delayed half exactly when the trial runs delays
-        bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
-    run_cfg.max_steps = _trial_max_steps(cfg, bound)
-    cfg.check_window(cfg.diameter_bound or run_cfg.graph.diameter, run_cfg.max_steps)
+    _, bound = _trial_bounds(cfg, run_cfg)
     if cfg.mode == "sync":
         outcome = run_sync(run_cfg)
     else:
@@ -740,13 +743,14 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     """Trial 0's bound table, the one its completion_bound is read from.
 
     A diameter_bound below trial 0's diameter is refused: its windows
-    are too short for the visit floor the bound counts on.
+    are too short for the visit floor the bound counts on.  So is a step
+    cap below one vote window, as trial 0's run would refuse it.
     """
     run_cfg = build_trial_instance(cfg, 0)
     diameter = run_cfg.graph.diameter
     if cfg.diameter_bound is not None and cfg.diameter_bound < diameter:
         raise ConfigError(f"diameter_bound: {cfg.diameter_bound} is below trial 0's diameter {diameter}")
-    return _trial_bounds(cfg, run_cfg)
+    return _trial_bounds(cfg, run_cfg)[0]
 
 
 def run_experiment(

@@ -139,115 +139,105 @@ def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
     """The routing slots of every node, laid out from the out-edge CSR.
 
     Node j owns count[j] = out-degree + 1 slots, first[j] ..
-    first[j] + count[j] - 1 of `dst`: its out-neighbors in order, then j
-    itself.  Returns (first, count, dst).
+    first[j] + count[j] - 1 of `to`, the slots' receivers: its
+    out-neighbors in order, then its own slot, the virtual receiver
+    n + j.  Returns (first, count, to).
     """
     indptr, targets = out_csr
     nodes = np.arange(indptr.size - 1)
     count = np.diff(indptr) + 1
     first = indptr[:-1] + nodes
-    dst = np.empty(targets.size + nodes.size, dtype=np.int64)
+    to = np.empty(targets.size + nodes.size, dtype=np.int64)
     # out-edge e of node j moves up by the j own slots laid out before it
-    dst[np.arange(targets.size) + nodes.repeat(count - 1)] = targets
-    dst[first + count - 1] = nodes
-    return first, count, dst
+    to[np.arange(targets.size) + nodes.repeat(count - 1)] = targets
+    to[first + count - 1] = nodes + nodes.size
+    return first, count, to
 
 
 def split_route(
-    y: np.ndarray,
-    z: np.ndarray,
-    nodes: np.ndarray,
-    slots: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rng: Union[np.random.Generator, RouteStream],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split every node in the nonempty `nodes` in place and address its pieces.
+    y: np.ndarray, z: np.ndarray, nodes: np.ndarray, slots: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rng: Union[np.random.Generator, RouteStream], inbox: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every node in the nonempty `nodes` in place and deliver its pieces.
 
-    y and z are whole-network state arrays, `nodes` holds distinct ids in
-    ascending order and `slots` is the layout of `routing_slots`.  Node j
-    splits y[j] into z[j] near-equal pieces, floor(y/z) or ceil(y/z) with
-    exactly (y mod z) large ones.  It keeps one minimum-value piece; each
-    of its other z[j] - 1 pieces draws one of j's slots uniformly.  `rng`
-    is a Generator or a RouteStream; one rng.integers call draws the
-    pieces of all nodes, node by node in the given order, and the first
-    (y mod z) pieces a node routes are its large ones.  Pieces drawn to
-    the same slot are coalesced; self-drawn pieces join the kept pair,
-    which the node is left holding.
-
-    Returns (estimate, dst, c_y, c_z, who).  estimate[i] is ceil(y/z)
-    of nodes[i] before its split.  The nonempty messages are laid out by
-    sender as in `nodes`, then by out-neighbor order; message m was sent
-    by nodes[who[m]].
+    y and z hold the n nodes `slots` lays out (`routing_slots`), `nodes`
+    distinct ids in ascending order.  Node j splits y[j] into z[j]
+    near-equal pieces, floor(y/z) or ceil(y/z) with exactly (y mod z)
+    large ones.  It keeps one minimum-value piece; each of its other
+    z[j] - 1 pieces draws one of j's slots uniformly.  `rng` is a
+    Generator or a RouteStream; one rng.integers call draws the pieces of
+    all nodes, node by node in the given order, and the first (y mod z)
+    pieces a node routes are its large ones.  Pieces drawn to
+    out-neighbors are added into inbox = (into_y, into_z), n entries each
+    (y and z themselves deliver at once); self-drawn pieces join the kept
+    pair, which the node is left holding.  Returns (estimate, pieces,
+    values): ceil(y/z) of each node before its split, and each routed
+    piece's slot and value in draw order, for `route_messages`.
     """
-    first, count, targets = slots
-    ys = y[nodes]
-    zs = z[nodes]
+    first, count, to = slots
+    n = y.size
+    ys, zs = y[nodes], z[nodes]
     # z > 1 and y >= 0 in one test; a failure names a bad z before a bad y
     if np.minimum(zs - 2, ys).min() < 0:
         if zs.min() <= 1:
             raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
         raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
     delta, large = np.divmod(ys, zs)
-    # the split nodes' slots laid end to end: node i's are block[i] ..
-    # end[i] - 1, its own the last.  When every node splits in order that
-    # is the whole layout.
-    whole = nodes.size == y.size
-    if whole:
-        width, block = count, first
-        end = first + count
-    else:
-        width = count[nodes]
-        end = width.cumsum()
-        block = end - width
+    if nodes.size < n:
+        first, count = first[nodes], count[nodes]
     routed = zs - 1
-    draws = rng.integers(0, width.repeat(routed))
-    # a piece's key is 2 * slot, plus 1 if large; each node's routed
-    # pieces come as two runs, large then small
-    runs = np.empty(2 * nodes.size, dtype=np.int64)
-    runs[0::2] = large
-    runs[1::2] = routed - large
-    base = np.empty(2 * nodes.size, dtype=np.int64)
-    base[1::2] = 2 * block
-    base[0::2] = base[1::2] + 1
-    draws += draws
-    draws += base.repeat(runs)
-    total = int(end[-1])
-    counts = np.bincount(draws, minlength=2 * total).reshape(total, 2)
-    large_count = counts[:, 1]
-    slot_z = counts[:, 0] + large_count
-    # the kept pair is the own slot plus the minimum-value piece kept back
-    own = end - 1
-    kept_z = slot_z[own] + 1
-    z[nodes] = kept_z
-    y[nodes] = delta * kept_z + large_count[own]
-    slot_z[own] = 0
-    sent = slot_z.nonzero()[0]
-    who = end.searchsorted(sent, side="right")
-    dst = targets[sent] if whole else targets[sent + (first[nodes] - block)[who]]
-    c_z = slot_z[sent]
-    c_y = delta[who] * c_z + large_count[sent]
-    return delta + (large > 0), dst, c_y, c_z, who
+    pieces = rng.integers(0, count.repeat(routed))
+    pieces += first.repeat(routed)
+    # each node's routed pieces come as two runs, large then small
+    runs = np.empty((2, 2 * nodes.size), dtype=np.int64)
+    runs[0, 0::2], runs[0, 1::2] = large, routed - large
+    runs[1, 0::2], runs[1, 1::2] = delta + 1, delta
+    values = runs[1].repeat(runs[0])
+    # receivers 0 .. n - 1 take the arrivals, n + j is node j's own slot
+    receiver = to[pieces]
+    tokens = np.bincount(receiver, minlength=2 * n)
+    mass = np.zeros(2 * n, dtype=np.int64)
+    np.add.at(mass, receiver, values)
+    # the kept pair, self-drawn pieces plus the minimum-value piece kept
+    # back, is written before a delivery into y and z themselves
+    z[nodes] = tokens[nodes + n] + 1
+    y[nodes] = mass[nodes + n] + delta
+    into_y, into_z = inbox
+    into_y += mass[:n]
+    into_z += tokens[:n]
+    return delta + (large > 0), pieces, values
 
 
-def split_pieces(
-    y: int,
-    z: int,
-    degree: int,
-    rng: np.random.Generator,
-) -> tuple[int, int, np.ndarray, np.ndarray]:
+def route_messages(
+    slots: tuple[np.ndarray, np.ndarray, np.ndarray], pieces: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The messages of one split_route call: its pieces coalesced by slot.
+
+    Returns (src, dst, c_y, c_z), one entry per out-neighbor slot that
+    drew a piece, in slot order: by sender, then by out-neighbor order.
+    Self-drawn pieces stay with their sender.
+    """
+    first, _, to = slots
+    c_z = np.bincount(pieces, minlength=to.size)
+    c_y = np.zeros(to.size, dtype=np.int64)
+    np.add.at(c_y, pieces, values)
+    sent = np.flatnonzero((c_z > 0) & (to < first.size))
+    return first.searchsorted(sent, side="right") - 1, to[sent], c_y[sent], c_z[sent]
+
+
+def split_pieces(y: int, z: int, degree: int, rng: np.random.Generator) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Partition mass y into z near-equal pieces and route them.
 
     The one-node case of split_route, for a node with `degree`
     out-neighbors.  Returns (kept_y, kept_z, c_y, c_z) where c_y/c_z are
     per-slot totals of length `degree` (slot i = i-th out-neighbor).
     """
-    ys = np.array([y], dtype=np.int64)
-    zs = np.array([z], dtype=np.int64)
-    # node 0 with out-neighbors 1 .. degree
-    slots = (np.zeros(1, dtype=np.int64), np.array([degree + 1]), np.roll(np.arange(degree + 1), -1))
-    _, dst, c_y, c_z, _ = split_route(ys, zs, np.zeros(1, dtype=np.int64), slots, rng)
-    per_slot = np.zeros((2, degree), dtype=np.int64)
-    per_slot[:, dst - 1] = c_y, c_z
-    return int(ys[0]), int(zs[0]), per_slot[0], per_slot[1]
+    # node 0 with out-neighbors 1 .. degree, which have none
+    state, inbox = np.zeros((2, 2, degree + 1), dtype=np.int64)
+    state[:, 0] = y, z
+    slots = routing_slots((np.r_[0, np.full(degree + 1, degree)], np.arange(1, degree + 1)))
+    split_route(*state, np.zeros(1, dtype=np.int64), slots, rng, inbox)
+    return int(state[0, 0]), int(state[1, 0]), inbox[0, 1:], inbox[1, 1:]
 
 
 def flood_votes(

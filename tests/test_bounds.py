@@ -138,6 +138,16 @@ class TestWindowsForConfidence:
         miss = 1 - visit_prob_bound_delayed(2, 2, 0.2)
         assert miss**t2 <= Fraction(1, 100)
 
+    @pytest.mark.parametrize("exponent", [17, 40, 400])
+    def test_visit_floors_below_float_resolution(self, exponent):
+        # below 2**-53 a float 1 - p rounds to 1, and below about 1e-306
+        # log(eps) / p leaves the float range; the count still follows
+        # -log(1 - p) = p, to within a factor 1 + p
+        p = Fraction(1, 10**exponent)
+        tau = windows_for_confidence_delayed(0.1, 1, 1, 2 * p)
+        assert abs(tau * p / Fraction(math.log(10)) - 1) < Fraction(1, 10**12)
+        assert windows_for_confidence_delayed(0.01, 1, 1, 2 * p) > tau
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             windows_for_confidence(0.0, 1, 1)

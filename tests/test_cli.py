@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -236,6 +237,33 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--epsilon", "0.1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: diameter_bound: 1 is below trial 0's diameter 3\n"
         assert not (out / "bounds.json").exists()
+
+    def test_step_cap_below_one_window_exits_2(self, tmp_path, capsys):
+        # trial 0 draws a diameter-3 graph, so a sync run refuses 2 steps;
+        # the table it would be run under is refused alike
+        cfg = {**MINIMAL, "graph": {"random": {"n": 10, "edge_prob": 0.5}},
+               "initial": {"explicit": {"y0": [3] * 10, "z0": [1] * 10}}, "max_steps": 2, "epsilon": 0.1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: max_steps: one vote window of 3 steps exceeds the step cap of 2\n"
+        assert not (out / "bounds.json").exists()
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--workers", "1"]) == 2
+
+    def test_visit_floor_below_float_resolution(self, tmp_path, monkeypatch):
+        # trial 0 draws a graph whose visit floor under B = 1000 is about
+        # 1e-18, where a float 1 - p is 1
+        monkeypatch.chdir(tmp_path)
+        cfg = {"mode": "async", "graph": {"random": {"n": 8, "edge_prob": 0.3}},
+               "initial": {"explicit": {"y0": [3, 1, 4, 1, 5, 9, 2, 6], "z0": [1] * 8}},
+               "delay": {"max_delay": 1000}, "epsilon": 0.1, "trials": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bounds", "--config", "cfg.json", "--out", "b"]) == 0
+        table = json.loads((tmp_path / "b" / "bounds.json").read_text())
+        assert 0 < table["visit_prob_bound_delayed"] < 2**-53
+        assert table["windows_delayed"] * table["visit_prob_bound_delayed"] == pytest.approx(math.log(10))
+        assert main(["run", "--config", "cfg.json", "--workers", "1", "--out", "r"]) == 0
+        assert json.loads((tmp_path / "r" / "summary.json").read_text())["bounds"] == table
 
     def test_epsilon_flag_meets_the_configs_checks(self, tmp_path, capsys):
         # the maximum delay is never drawn, so the delayed bounds have no

@@ -21,7 +21,7 @@ from qcs import (
     split_pieces,
 )
 from qcs.engine import _validate_config
-from qcs.protocol import RouteStream, flood_votes, routing_slots, split_route
+from qcs.protocol import RouteStream, flood_votes, route_messages, routing_slots, split_route
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -36,6 +36,15 @@ def exhaustive_near_equal_partitions(y: int, z: int) -> set[tuple[int, ...]]:
         if big * hi + (z - big) * lo == y:
             out.add(tuple(sorted([hi] * big + [lo] * (z - big))))
     return out
+
+
+def split_and_send(y, z, nodes, slots, rng):
+    """split_route into a fresh inbox, and its messages: (estimate,
+    (src, dst, c_y, c_z), inbox), where inbox[0]/inbox[1] are the y/z
+    delivered to each node."""
+    inbox = np.zeros((2, y.size), dtype=np.int64)
+    estimate, pieces, values = split_route(y, z, nodes, slots, rng, inbox)
+    return estimate, route_messages(slots, pieces, values), inbox
 
 
 class TestDivisionHelpers:
@@ -100,10 +109,11 @@ class TestSplit:
         for seed in range(10):
             y = np.zeros(4, dtype=np.int64)
             z = np.array([4, 2, 2, 2], dtype=np.int64)
-            est, dst, c_y, c_z, who = split_route(y, z, np.array([0]), slots, np.random.default_rng(seed))
+            est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, np.array([0]), slots, np.random.default_rng(seed))
             assert y[0] == 0 and (c_y == 0).all() and est[0] == 0
             assert z[0] + int(c_z.sum()) == 4
-            assert (c_z >= 1).all() and np.bincount(who, minlength=1)[0] == len(dst)
+            assert (c_z >= 1).all() and (src == 0).all()
+            assert (inbox[0] == 0).all() and inbox[1, dst].tolist() == c_z.tolist()
 
     def test_split_requires_plural_tokens(self):
         with pytest.raises(ProtocolError):
@@ -192,9 +202,10 @@ class TestSplitBatch:
     def test_batch_properties(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        est, dst, c_y, c_z, who = split_route(y, z, split, slots, np.random.default_rng(seed))
-        assert len(who) == len(dst) == len(c_y) == len(c_z)
-        src = split[who]
+        est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, split, slots, np.random.default_rng(seed))
+        assert len(src) == len(dst) == len(c_y) == len(c_z)
+        # the inbox holds each receiver's message totals
+        assert inbox.tolist() == [np.bincount(dst, weights=c, minlength=y.size).tolist() for c in (c_y, c_z)]
         # messages travel on out-edges only, ordered by sender then by
         # out-neighbor order, and none is empty
         keys = [(s_, out[s_].index(d_)) for s_, d_ in zip(src.tolist(), dst.tolist())]
@@ -226,8 +237,7 @@ class TestSplitBatch:
     def test_batch_is_the_per_node_rule_on_one_stream(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        _, dst, c_y, c_z, who = split_route(y, z, split, slots, np.random.default_rng(seed))
-        src = split[who]
+        _, (src, dst, c_y, c_z), _ = split_and_send(y, z, split, slots, np.random.default_rng(seed))
         # the batch takes its pieces node by node from the stream, each as
         # split_pieces, the one-node case, would for the same generator state
         rng = np.random.default_rng(seed)
@@ -240,39 +250,44 @@ class TestSplitBatch:
     def test_rejects_a_single_token_or_negative_mass_anywhere(self):
         slots = routing_slots(bidirectional_pair().out_csr)
         both = np.array([0, 1])
+        inbox = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ProtocolError, match="z > 1"):
-            split_route(np.array([4, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0))
+            split_route(np.array([4, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0), inbox)
         with pytest.raises(ProtocolError, match="y >= 0"):
-            split_route(np.array([4, -1]), np.array([3, 3]), both, slots, np.random.default_rng(0))
+            split_route(np.array([4, -1]), np.array([3, 3]), both, slots, np.random.default_rng(0), inbox)
         # with both faults, the token count is named
         with pytest.raises(ProtocolError, match="z > 1"):
-            split_route(np.array([-1, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0))
+            split_route(np.array([-1, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0), inbox)
+        assert (inbox == 0).all()
 
     def test_masses_near_int64_stay_exact(self):
         y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
         z = np.array([7, 3], dtype=np.int64)
         slots = routing_slots(bidirectional_pair().out_csr)
-        est, dst, c_y, c_z, who = split_route(y, z, np.array([0, 1]), slots, np.random.default_rng(4))
-        sent = np.bincount(who, minlength=2)
-        mass = c_y.tolist()
-        assert int(y[0]) + sum(mass[:sent[0]]) == 2**62 + 5
-        assert int(y[1]) + sum(mass[sent[0]:]) == 2**61 + 3
+        est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, np.array([0, 1]), slots, np.random.default_rng(4))
+        # on a pair, each node's messages are the other's arrivals
+        assert src.tolist() == [1 - d for d in dst.tolist()]
+        assert int(y[0]) + int(inbox[0, 1]) == 2**62 + 5
+        assert int(y[1]) + int(inbox[0, 0]) == 2**61 + 3
+        assert inbox[0, dst].tolist() == c_y.tolist()
         assert est.tolist() == [-(-(2**62 + 5) // 7), -(-(2**61 + 3) // 3)]
 
     def test_slots_list_out_neighbors_then_self(self):
         g, _, _ = random_instance(710)
         first, count, dst = routing_slots(g.out_csr)
         for j in range(g.n):
-            assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [j]
+            # the own slot names the virtual receiver n + j
+            assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [g.n + j]
         assert first[-1] + count[-1] == len(dst)
 
     def test_slots_equal_the_insert_layout(self):
-        # the layout as np.insert builds it: node j's own id after its out-edges
+        # the layout as np.insert builds it: node j's own slot, receiver
+        # n + j, after its out-edges
         for seed in range(30):
             g, _, _ = random_instance(seed + 730, n_range=(2, 40), p_range=(0.35, 1.0))
             indptr, targets = g.out_csr
             first, count, dst = routing_slots(g.out_csr)
-            assert dst.tolist() == np.insert(targets, indptr[1:], np.arange(g.n)).tolist()
+            assert dst.tolist() == np.insert(targets, indptr[1:], np.arange(g.n) + g.n).tolist()
             assert first.tolist() == (indptr[:-1] + np.arange(g.n)).tolist()
             assert count.tolist() == (np.diff(indptr) + 1).tolist()
             assert dst.dtype == np.int64
@@ -284,14 +299,100 @@ class TestSplitBatch:
             g, y0, z0 = random_instance(seed + 740)
             y = 2 * np.array(y0, dtype=np.int64)
             z = 2 * np.array(z0, dtype=np.int64)
-            whole = split_route(y.copy(), z.copy(), np.arange(g.n), routing_slots(g.out_csr),
-                                np.random.default_rng(seed))
             indptr, targets = g.out_csr
             padded = (np.append(indptr, indptr[-1]), targets)
             y1, z1 = np.append(y, 0), np.append(z, 0)
-            part = split_route(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed))
-            for a, b in zip(whole, part):
+            whole = split_and_send(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(seed))
+            part = split_and_send(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed))
+            assert whole[0].tolist() == part[0].tolist()
+            for a, b in zip(whole[1], part[1]):
                 assert a.tolist() == b.tolist()
+            assert (y1[:-1] == y).all() and (z1[:-1] == z).all() and y1[-1] == z1[-1] == 0
+            assert whole[2].tolist() == part[2][:, :-1].tolist() and (part[2][:, -1] == 0).all()
+
+
+def reference_split(g, y, z, nodes, seed):
+    """The split of `nodes`, piece by piece in Python, from the draws
+    split_route takes with a Generator seeded `seed`: (estimates, kept
+    pairs by node, messages as (src, dst, c_y, c_z) by sender, then by
+    out-neighbor order)."""
+    widths = np.array([len(g.out_neighbors[j]) + 1 for j in nodes.tolist()], dtype=np.int64)
+    draws = iter(np.random.default_rng(seed).integers(0, widths.repeat(z[nodes] - 1)).tolist())
+    estimates, kept, messages = [], {}, {}
+    for j in nodes.tolist():
+        yj, zj = int(y[j]), int(z[j])
+        delta, large = divmod(yj, zj)
+        estimates.append(-(-yj // zj))
+        kept_y, kept_z = delta, 1
+        for i in range(zj - 1):
+            slot = next(draws)
+            value = delta + 1 if i < large else delta
+            if slot == len(g.out_neighbors[j]):
+                kept_y, kept_z = kept_y + value, kept_z + 1
+            else:
+                msg = messages.setdefault((j, slot), [j, g.out_neighbors[j][slot], 0, 0])
+                msg[2] += value
+                msg[3] += 1
+        kept[j] = (kept_y, kept_z)
+    return estimates, kept, [tuple(messages[key]) for key in sorted(messages)]
+
+
+class TestDeliveryByReceiver:
+    """split_route's by-receiver delivery against a per-piece reference
+    and route_messages, on whole, partial and single-node batches."""
+
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_kernel_matches_the_per_piece_rule(self, delayed):
+        for seed in range(60):
+            g, y0, z0 = random_instance(seed + 760, n_range=(2, 12), y_range=(0, 10**4), z_range=(1, 12))
+            y = 2 * np.array(y0, dtype=np.int64)
+            z = 2 * np.array(z0, dtype=np.int64)
+            pick = np.random.default_rng(seed)
+            nodes = (
+                np.arange(g.n),
+                np.flatnonzero(pick.random(g.n) < 0.5),
+                pick.integers(g.n, size=1),
+            )[seed % 3]
+            if not nodes.size:
+                continue
+            estimates, kept, messages = reference_split(g, y, z, nodes, seed)
+            held_y, held_z = y.copy(), z.copy()
+            for j, (kept_y, kept_z) in kept.items():
+                held_y[j], held_z[j] = kept_y, kept_z
+            total = (int(y.sum()), int(z.sum()))
+            slots = routing_slots(g.out_csr)
+            pend = np.zeros((2, g.n), dtype=np.int64)
+            inbox = pend if delayed else (y, z)
+            est, pieces, values = split_route(y, z, nodes, slots, np.random.default_rng(seed), inbox)
+            src, dst, c_y, c_z = route_messages(slots, pieces, values)
+            assert est.tolist() == estimates
+            assert list(zip(*(a.tolist() for a in (src, dst, c_y, c_z)))) == messages
+            # what each receiver got is the sum of the messages to it
+            arrived = np.zeros((2, g.n), dtype=np.int64)
+            for _, d, cy, cz in messages:
+                arrived[:, d] += (cy, cz)
+            if delayed:
+                assert (pend == arrived).all()
+                assert (y == held_y).all() and (z == held_z).all()
+            else:
+                assert (y == held_y + arrived[0]).all() and (z == held_z + arrived[1]).all()
+            assert (int(y.sum() + pend[0].sum()), int(z.sum() + pend[1].sum())) == total
+
+    def test_recording_leaves_the_run_unchanged(self):
+        # the emission log is built beside the run, never in its path
+        for make in ENGINES:
+            for seed in range(8):
+                g, y0, z0 = random_instance(seed + 790, n_range=(2, 12))
+                plain, recording = (
+                    make(RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=record))
+                    for record in (False, True)
+                )
+                plain.run(), recording.run()
+                assert recording.emission_log is not None and plain.emission_log is None
+                assert (plain.flag_step, plain.steps_done) == (recording.flag_step, recording.steps_done)
+                for name in ("_ledger", "estimate", "vote_max", "vote_min", "busy_until", "cycle_start"):
+                    a, b = getattr(plain, name), getattr(recording, name)
+                    assert (a is None and b is None) or a.tolist() == b.tolist()
 
 
 class TestRouteAndFlood:
@@ -303,9 +404,10 @@ class TestRouteAndFlood:
             total = (int(y.sum()), int(z.sum()))
             nodes = np.flatnonzero(np.arange(g.n) % 3 != 1)
             before_y, before_z = y.copy(), z.copy()
-            _, dst, c_y, c_z, who = split_route(y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed))
-            src = nodes[who]
-            assert len(who) == len(dst)
+            _, (src, dst, c_y, c_z), inbox = split_and_send(
+                y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed)
+            )
+            assert len(src) == len(dst)
             assert (c_z >= 1).all()
             assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
             # ordered by sender, then by out-neighbor order
@@ -313,18 +415,21 @@ class TestRouteAndFlood:
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             untouched = np.setdiff1d(np.arange(g.n), nodes)
             assert (y[untouched] == before_y[untouched]).all()
-            np.add.at(y, dst, c_y)
-            np.add.at(z, dst, c_z)
-            assert (int(y.sum()), int(z.sum())) == total
+            # the inbox holds each receiver's message totals
+            sums = np.zeros((2, g.n), dtype=np.int64)
+            np.add.at(sums[0], dst, c_y)
+            np.add.at(sums[1], dst, c_z)
+            assert (inbox == sums).all()
+            assert (int((y + inbox[0]).sum()), int((z + inbox[1]).sum())) == total
 
     def test_sender_index_per_message(self):
         g, y0, z0 = random_instance(705)
         y = 2 * np.array(y0, dtype=np.int64)
         z = 2 * np.array(z0, dtype=np.int64)
-        _, dst, _, _, who = split_route(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
-        # one sender index per message, nondecreasing, each on an out-edge of its sender
-        assert len(who) == len(dst) and (np.diff(who) >= 0).all()
-        assert all(d in g.out_neighbors[s] for s, d in zip(who.tolist(), dst.tolist()))
+        _, (src, dst, _, _), _ = split_and_send(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
+        # one sender per message, nondecreasing, each on an out-edge of its sender
+        assert len(src) == len(dst) and (np.diff(src) >= 0).all()
+        assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
 
     def test_flood_matches_the_per_node_merge(self):
         for seed in range(10):
@@ -493,8 +598,8 @@ class TestMessages:
         for seed in range(20):
             y = np.full(9, 5, dtype=np.int64)
             z = np.full(9, 3, dtype=np.int64)
-            _, dst, c_y, c_z, who = split_route(y, z, np.array([0, 4]), slots, np.random.default_rng(seed))
-            assert (np.bincount(who, minlength=2) <= 2).all()
+            _, (src, dst, c_y, c_z), _ = split_and_send(y, z, np.array([0, 4]), slots, np.random.default_rng(seed))
+            assert set(src.tolist()) <= {0, 4} and (np.bincount(src, minlength=5) <= 2).all()
             assert (c_z >= 1).all()
 
     def test_vote_message_orders_pair(self):
