@@ -11,6 +11,7 @@ machine-check the probability bounds on small graphs.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -82,6 +83,15 @@ def _windows_for(epsilon: Rational, per_window: Fraction) -> int:
         while miss**tau > eps:
             tau += 1
     return tau
+
+
+def _reported(floor: Fraction) -> Union[float, str]:
+    """A visit floor as a float, or to 17 digits in a string where a float underflows."""
+    if floor >= sys.float_info.min:
+        return float(floor)
+    from decimal import Decimal, localcontext  # here: most runs never need the module
+    with localcontext(prec=17):
+        return f"{(Decimal(floor.numerator) / floor.denominator).normalize():e}"
 
 
 def windows_for_confidence(epsilon: Rational, diam: int, max_out_degree: int) -> int:
@@ -226,7 +236,7 @@ def bounds_report(
         if suffix:
             report.update(max_delay=max_delay, min_max_delay_prob=float(p))
         windows = windows_for_confidence_delayed(epsilon, diam, deg, p)
-        report[f"visit_prob_bound{suffix}"] = float(visit_prob_bound_delayed(diam, deg, p))
+        report[f"visit_prob_bound{suffix}"] = _reported(visit_prob_bound_delayed(diam, deg, p))
         report[f"windows{suffix}"] = windows
         report[f"completion_step_bound{suffix}"] = completion_step_bound_delayed(
             err, g.n, windows, basis, max_delay

@@ -243,7 +243,9 @@ class Engine:
     cycle_start the step it began; with B = 1 these are None and
     arrivals land in y/z directly.  y and pend_y are the rows of
     y_rows, z and pend_z those of z_rows, and those two are the halves
-    of one ledger array, summed once per conservation check.
+    of one ledger array, summed once per conservation check.  vote_max
+    and vote_min are the rows of one votes array, compared at once with
+    the window's extrema.
 
     Termination is the one value flag_step: every node's flag flips
     there at once, and a flipped engine no longer steps; so every step
@@ -268,6 +270,7 @@ class Engine:
         delayed = delay_model.max_delay > 1
         # initialization doubles both values so z >= 2 everywhere
         self._ledger = np.zeros((2, 1 + delayed, self.n), dtype=np.int64)
+        self._ledger_rows = self._ledger.reshape(2, -1)
         self.y_rows, self.z_rows = self._ledger
         self.y, self.z = self.y_rows[0], self.z_rows[0]
         # the rows arrivals land in: queued under delays, else y and z
@@ -275,8 +278,8 @@ class Engine:
         self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
         self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
         self.estimate = ceil_div(self.y, self.z)
-        self.vote_max = self.estimate.copy()
-        self.vote_min = floor_div(self.y, self.z)
+        self._votes = np.stack((self.estimate, floor_div(self.y, self.z)))
+        self.vote_max, self.vote_min = self._votes
         self.pend_y = self.pend_z = self.busy_until = self.cycle_start = None
         if delayed:
             self.pend_y, self.pend_z = self.y_rows[1], self.z_rows[1]
@@ -294,9 +297,9 @@ class Engine:
         self._expected_totals = [int(self.y.sum()), int(self.z.sum())]
         self.steps_done = 0
         self.flag_step: Optional[int] = None
-        # the global vote extrema of the current window, set at its start;
-        # flooding runs until every node holds both
-        self._window_max = self._window_min = 0
+        # the global vote extrema of the current window, set at its start,
+        # in the votes' layout: flooding runs until the two arrays match
+        self._extrema = np.zeros((2, self.n), dtype=np.int64)
         self._flooding = True
         record = cfg.record_trajectory
         self.trajectory: Optional[list[TrajectoryRecord]] = [self._snapshot(0)] if record else None
@@ -328,10 +331,7 @@ class Engine:
 
     def _votes_saturated(self) -> bool:
         """Whether every node holds the window's global vote extrema."""
-        return not (
-            np.count_nonzero(self.vote_max != self._window_max)
-            or np.count_nonzero(self.vote_min != self._window_min)
-        )
+        return not np.count_nonzero(self._votes != self._extrema)
 
     def step(self) -> Engine:
         """Run one protocol step and return the engine (a no-op once flagged)."""
@@ -344,11 +344,12 @@ class Engine:
         # node resets its votes from its full visible holdings
         # ((k-1) mod window == 0 covers a one-step window too)
         if (k - 1) % self.window == 0:
-            y, z = self.total_y(), self.total_z()
-            self.vote_max[:] = ceil_div(y, z)
-            self.vote_min[:] = floor_div(y, z)
-            self._window_max = int(self.vote_max.max())
-            self._window_min = int(self.vote_min.min())
+            y, z = np.add.reduce(self._ledger, axis=1)
+            # z >= 1 at every node, as a split keeps a token: ceil is floor + (remainder > 0)
+            np.divmod(y, z, out=(self.vote_min, y))
+            np.add(self.vote_min, y > 0, out=self.vote_max)
+            self._extrema[0] = np.maximum.reduce(self.vote_max)
+            self._extrema[1] = np.minimum.reduce(self.vote_min)
             self._flooding = not self._votes_saturated()
 
         if delayed:
@@ -362,7 +363,7 @@ class Engine:
                 self.pend_y[starting] = 0
                 self.pend_z[starting] = 0
                 self.cycle_start[starting] = k
-                self.busy_until[starting] = k + self._delays(starting) - 1
+                self.busy_until[starting] = self._delays(starting) + k
             completing = self._completed = (self.busy_until == k).nonzero()[0]
         else:
             completing = self.nodes
@@ -397,11 +398,13 @@ class Engine:
                 self.flag_step = k
                 logger.debug("all nodes terminated at step %d", k)
             elif flipping:
+                raise InvariantError(f"step {k}: termination flags did not flip simultaneously")
+            # the audit: flooded extrema must equal the window-start extrema
+            if self.cfg.check_invariants and not self._votes_saturated():
                 raise InvariantError(
-                    f"step {k}: termination flags did not flip simultaneously"
+                    f"step {k}: vote flooding missed the global extrema "
+                    f"{tuple(self._extrema[:, 0].tolist())} within one window"
                 )
-            if self.cfg.check_invariants:
-                self._audit_votes(k)
 
         if self.cfg.check_invariants:
             self._check_conservation(k)
@@ -414,31 +417,23 @@ class Engine:
         return self
 
     def _delays(self, starting: np.ndarray) -> np.ndarray:
-        """The delays of the cycles starting at `starting`: the delay
-        stream's next starting.size values, taken from the current block."""
+        """The delays, less one, of the cycles starting at `starting`: the
+        delay stream's next starting.size values, from the current block."""
         end = self._delay_next + starting.size
         if end > self._delay_block.size:
             # one draw of random(a + b) is random(a) then random(b), so the
             # stream reads the same values whatever the block size
             fresh = self.delay_rng.random(max(_DELAY_BLOCK, starting.size))
             if not self._per_node_delays:
-                fresh = self.delay_model.draw_batch(fresh, None)
+                fresh = self.delay_model.draw_batch(fresh, None) - 1
             self._delay_block = np.concatenate((self._delay_block[self._delay_next :], fresh))
             self._delay_next, end = 0, starting.size
         drawn = self._delay_block[self._delay_next : end]
         self._delay_next = end
-        return self.delay_model.draw_batch(drawn, starting) if self._per_node_delays else drawn
-
-    def _audit_votes(self, k: int) -> None:
-        """At a check, flooded extrema must equal the window-start extrema."""
-        if not self._votes_saturated():
-            raise InvariantError(
-                f"step {k}: vote flooding missed the global extrema "
-                f"({self._window_max}, {self._window_min}) within one window"
-            )
+        return self.delay_model.draw_batch(drawn, starting) - 1 if self._per_node_delays else drawn
 
     def _check_conservation(self, k: int) -> None:
-        got = self._ledger.sum(axis=(1, 2)).tolist()
+        got = np.add.reduce(self._ledger_rows, axis=1).tolist()
         if got != self._expected_totals:
             (got_y, got_z), (want_y, want_z) = got, self._expected_totals
             raise ConservationError(

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, ClassVar, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,9 +70,14 @@ class RandomGraphSpec:
     n: int
     edge_prob: float
     max_retries: int = 100
+    # the generator draws an n x n float64 matrix: 2 GiB at this n
+    MAX_N: ClassVar[int] = 16_384
 
     def __post_init__(self) -> None:
         _at_least("graph.random.n", self.n, 2)
+        if self.n > self.MAX_N:
+            raise ConfigError(f"graph.random.n: must be <= {self.MAX_N}, got {self.n}: its n x n "
+                              f"edge draw would take {self.n**2 * 8 / 2**30:.2f} GiB")
         if not 0 < self.edge_prob <= 1:
             raise ConfigError(f"graph.random.edge_prob: must be in (0, 1], got {self.edge_prob}")
         _at_least("graph.random.max_retries", self.max_retries, 1)
@@ -683,11 +688,11 @@ def _stats_row(st: metrics.TrialStats) -> dict:
     }
 
 
-def _write_csv(path: Path, rows: Sequence[dict]) -> None:
-    """rows as a CSV file whose header is the first row's keys."""
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """A CSV file of the header, then one line per row."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -705,21 +710,21 @@ def write_artifacts(
     rows = _outcomes_rows(result.results)
     if fmt == "csv":
         path = out / "outcomes.csv"
-        _write_csv(path, rows)
+        _write_csv(path, rows[0], map(dict.values, rows))
     else:
         path = out / "outcomes.json"
         path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     paths["outcomes"] = str(path)
 
     series_rows = [
-        {"trial": r.trial, "k": k, "e_k": repr(e)}
+        (r.trial, k, repr(e))
         for r in result.results
         if r.error_series is not None
         for k, e in enumerate(r.error_series)
     ]
     if series_rows:
         epath = out / "error_series.csv"
-        _write_csv(epath, series_rows)
+        _write_csv(epath, ("trial", "k", "e_k"), series_rows)
         paths["error_series"] = str(epath)
 
     summary = {
@@ -859,5 +864,5 @@ def run_sweep(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep_summary.csv", rows)
+        _write_csv(out / "sweep_summary.csv", rows[0], map(dict.values, rows))
     return rows

@@ -44,6 +44,10 @@ _TWO, _SHIFT = np.uint64(2), np.uint64(32)
 # the raw words a stream reads ahead at once, and the rejection scan's
 # block: 64 KiB of scratch memory beside a draw's bounds and output
 _CHUNK_WORDS = 1 << 13
+# the edges up to which a flooding hop into some nodes folds every in-edge:
+# that pass still wins at 2,422 edges, and gathering wins at 4,988 with a
+# fifth of the nodes hopping (flood_crossover in BENCH_step_trim.json)
+WHOLE_GRAPH_EDGES = 2500
 
 
 class RouteStream:
@@ -73,17 +77,17 @@ class RouteStream:
 
     def _fill(self, out: np.ndarray) -> None:
         """Write the stream's next out.size halves into the uint64 array `out`."""
-        have = 0
-        while True:
-            take = min(out.size - have, self._halves.size - self._next)
-            out[have : have + take] = self._halves[self._next : self._next + take]
+        have, end = 0, self._next + out.size
+        while end > self._halves.size:
+            # the buffer runs out: take what it holds, then refill it
+            take = self._halves.size - self._next
+            out[have : have + take] = self._halves[self._next :]
             have += take
-            self._next += take
-            if have == out.size:
-                return
             raw = self.bit_generator.random_raw(_CHUNK_WORDS)
             self._halves = raw.astype(_WORDS, copy=False).view(_HALVES)
-            self._next = 0
+            self._next, end = 0, out.size - have
+        out[have:] = self._halves[self._next : end]
+        self._next = end
 
     def integers(self, low: int, high) -> np.ndarray:
         """One uniform int64 draw from 0 .. high[i] - 1 for each bound."""
@@ -93,13 +97,12 @@ class RouteStream:
         if bounds.ndim != 1:
             raise ValueError(f"route bounds must be a 1-D array, got shape {bounds.shape}")
         width = bounds.view(np.uint64)
-        draw = np.empty(width.size, dtype=_WORDS)
-        if not draw.size:
-            return draw.view(np.int64)
         # the bounds 2 .. 2**32 - 1 are those whose uint64 (bound - 2)
         # stays below 2**32 - 2: one pass checks both ends
-        np.subtract(width, _TWO, out=draw)
-        most = int(draw.max()) + 2
+        draw = np.subtract(width, _TWO, dtype=_WORDS)
+        if not draw.size:
+            return draw.view(np.int64)
+        most = int(np.maximum.reduce(draw)) + 2
         if most >= _HALF_RANGE:
             raise ValueError(
                 f"route bounds must lie in 2 .. 2**32 - 1, got {bounds.min()} .. {bounds.max()}"
@@ -109,7 +112,7 @@ class RouteStream:
         # only a low half below the bound can fall below 2**32 mod bound
         low_half = draw.view(_HALVES)[0::2]
         first = 0
-        while low_half[first:].min() < most:
+        while np.minimum.reduce(low_half[first:]) < most:
             first = _first_rejected(low_half, width, first)
             if first is None:
                 break
@@ -178,20 +181,21 @@ def split_route(
     n = y.size
     ys, zs = y[nodes], z[nodes]
     # z > 1 and y >= 0 in one test; a failure names a bad z before a bad y
-    if np.minimum(zs - 2, ys).min() < 0:
+    if np.minimum.reduce(np.minimum(zs - 2, ys)) < 0:
         if zs.min() <= 1:
             raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
         raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
-    delta, large = np.divmod(ys, zs)
+    # each node's routed pieces come as two runs, large then small: row 0
+    # holds the runs' lengths, row 1 their values
+    runs = np.empty((2, 2 * nodes.size), dtype=np.int64)
+    delta, large = np.divmod(ys, zs, out=(runs[1, 1::2], runs[0, 0::2]))
     if nodes.size < n:
         first, count = first[nodes], count[nodes]
     routed = zs - 1
+    np.subtract(routed, large, out=runs[0, 1::2])
+    np.add(delta, 1, out=runs[1, 0::2])
     pieces = rng.integers(0, count.repeat(routed))
     pieces += first.repeat(routed)
-    # each node's routed pieces come as two runs, large then small
-    runs = np.empty((2, 2 * nodes.size), dtype=np.int64)
-    runs[0, 0::2], runs[0, 1::2] = large, routed - large
-    runs[1, 0::2], runs[1, 1::2] = delta + 1, delta
     values = runs[1].repeat(runs[0])
     # receivers 0 .. n - 1 take the arrivals, n + j is node j's own slot
     receiver = to[pieces]
@@ -200,8 +204,8 @@ def split_route(
     np.add.at(mass, receiver, values)
     # the kept pair, self-drawn pieces plus the minimum-value piece kept
     # back, is written before a delivery into y and z themselves
-    z[nodes] = tokens[nodes + n] + 1
-    y[nodes] = mass[nodes + n] + delta
+    z[nodes] = tokens[n:][nodes] + 1
+    y[nodes] = mass[n:][nodes] + delta
     into_y, into_z = inbox
     into_y += mass[:n]
     into_z += tokens[:n]
@@ -250,14 +254,18 @@ def flood_votes(
 
     Each node folds in its in-neighbors' votes as they stood before the
     hop.  Every node needs an in-neighbor, which strong connectivity with
-    n >= 2 guarantees.
+    n >= 2 guarantees.  Up to WHOLE_GRAPH_EDGES edges, or into every
+    node, the hop folds all in-edges and keeps the result at `nodes`;
+    otherwise it gathers the in-edges of `nodes` alone.
     """
     if nodes.size == 0:
         return
     indptr, sources = in_csr
-    if nodes.size == vote_max.size:
-        np.maximum(vote_max, np.maximum.reduceat(vote_max[sources], indptr[:-1]), out=vote_max)
-        np.minimum(vote_min, np.minimum.reduceat(vote_min[sources], indptr[:-1]), out=vote_min)
+    if nodes.size == vote_max.size or sources.size <= WHOLE_GRAPH_EDGES:
+        keep = slice(None) if nodes.size == vote_max.size else nodes
+        hi = np.maximum(vote_max, np.maximum.reduceat(vote_max[sources], indptr[:-1]))
+        lo = np.minimum(vote_min, np.minimum.reduceat(vote_min[sources], indptr[:-1]))
+        vote_max[keep], vote_min[keep] = hi[keep], lo[keep]
         return
     first = indptr[nodes]
     degrees = indptr[nodes + 1] - first

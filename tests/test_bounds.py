@@ -272,6 +272,18 @@ class TestBoundsReport:
         for key in steps:
             assert wide[key] * g.diameter == exact[key] * (g.diameter + 7)
 
+    def test_a_floor_below_the_float_range_is_reported_exactly(self):
+        # ring(104) has D = 103 and out-degree 1: under B = 1000 the visit
+        # floor is 2**-103 * 1000**-103, about 1e-340, where a float is 0.0
+        g = ring(104)
+        rep = bounds_report(g, 0.1, [1] * 104, [1] * 104, DelayModel(max_delay=1000))
+        floor = visit_prob_bound_delayed(103, 1, Fraction(1, 1000))
+        reported = Fraction(rep["visit_prob_bound_delayed"])
+        assert reported > 0 and abs(reported / floor - 1) < Fraction(1, 10**16)
+        assert rep["windows_delayed"] == math.ceil(Fraction(-math.log(0.1)) / floor)
+        # a floor in the float range is reported as a float
+        assert rep["visit_prob_bound"] == float(visit_prob_bound(103, 1))
+
     @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3])
     @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 5)])
     def test_monotone_in_the_diameter(self, epsilon, p):

@@ -21,7 +21,7 @@ from qcs import (
     split_pieces,
 )
 from qcs.engine import _validate_config
-from qcs.protocol import RouteStream, flood_votes, route_messages, routing_slots, split_route
+from qcs.protocol import WHOLE_GRAPH_EDGES, RouteStream, flood_votes, route_messages, routing_slots, split_route
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -432,8 +432,13 @@ class TestRouteAndFlood:
         assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
 
     def test_flood_matches_the_per_node_merge(self):
-        for seed in range(10):
-            g, y0, z0 = random_instance(seed + 720)
+        # graphs of up to 20 nodes lie below WHOLE_GRAPH_EDGES, and those of
+        # 75 to 90 nodes at p >= 0.5 above it, so both paths run
+        for seed in range(20):
+            small = seed < 10
+            g, y0, z0 = random_instance(seed + 720, n_range=(3, 20) if small else (75, 90),
+                                        p_range=(0.3, 0.8) if small else (0.5, 0.8))
+            assert (g.in_csr[1].size <= WHOLE_GRAPH_EDGES) == small
             rng = np.random.default_rng(seed)
             hi = rng.integers(0, 100, g.n)
             lo = hi - rng.integers(0, 5, g.n)
@@ -657,6 +662,13 @@ class TestRouteStream:
         heavy[[16_384, 16_390, 20_000, 24_999, 32_773, 35_000, 39_990, 39_998, 39_999]] = 2**31 + 1
         for high in (np.array([5]), rng.integers(2, 1000, size=40_001), heavy, rng.integers(2, 2**32, size=3)):
             assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
+        # a buffer holds 2 * 2**13 halves: a call that ends exactly at its
+        # end, then one that refills it (no draw here is rejected)
+        stream, gen = stream_pair(13)
+        for size, end in ((2**14 - 10, 2**14 - 10), (10, 2**14), (7, 7)):
+            high = rng.integers(2, 1000, size=size)
+            assert stream.integers(0, high).tolist() == gen.integers(0, high).tolist()
+            assert stream._next == end
 
     @pytest.mark.parametrize(
         "high", [[1], [4, 1, 4], [0], [-3], [2**32], [5, 2**40]], ids=str

@@ -74,6 +74,12 @@ REFUSALS = {
                                         "node 1: negative parameter -1; shift parameters to be nonnegative"),
     "applications.generic_negative_rho": (lambda: generic_init([1, 1], [1, -1]), InvalidInstanceError,
                                           "node 1: negative rho -1 unsupported"),
+    "config.random_n_past_the_limit": (config(graph={"random": {"n": 16_385, "edge_prob": 0.5}}), ConfigError,
+                                       "graph.random.n: must be <= 16384, got 16385: its n x n edge draw "
+                                       "would take 2.00 GiB"),
+    "config.random_n_of_the_failed_trial": (config(graph={"random": {"n": 30_000, "edge_prob": 0.5}}), ConfigError,
+                                            "graph.random.n: must be <= 16384, got 30000: its n x n edge draw "
+                                            "would take 6.71 GiB"),
     "config.edge_prob_zero": (config(graph={"random": {"n": 10, "edge_prob": 0}}), ConfigError,
                               "graph.random.edge_prob: must be in (0, 1], got 0.0"),
     "config.edge_prob_above_one": (config(graph={"random": {"n": 10, "edge_prob": 1.5}}), ConfigError,
@@ -117,6 +123,12 @@ def test_values_that_are_not_refusals():
     assert is_strongly_connected([]) is False
     assert (ring(3) == 3) is False
     assert repr(ring(3)) == "Digraph(n=3, edges=3)"
+
+
+def test_a_random_graph_at_the_size_limit_parses():
+    uniform = {"uniform": {"y0_range": [0, 9], "z0_range": [1, 2]}}
+    cfg = parse_config({**MINIMAL, "graph": {"random": {"n": 16_384, "edge_prob": 0.5}}, "initial": uniform})
+    assert cfg.graph.n == cfg.graph.MAX_N == 16_384
 
 
 def test_a_max_delay_never_drawn_needs_epsilon_and_delays_to_be_refused():
