@@ -60,7 +60,7 @@ class Digraph:
                 "digraph is not strongly connected; every ordered pair must be reachable"
             )
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        np.add.accumulate(np.bincount(sources, minlength=n), out=indptr[1:])
         self.__dict__.update(n=n, out_csr=(_frozen(indptr), _frozen(targets)), _sources=_frozen(sources))
 
     def __setattr__(self, name: str, value) -> None:
@@ -133,7 +133,7 @@ class Digraph:
         # that holds the ids, numpy radix-sorts 8- and 16-bit keys
         order = np.argsort(targets.astype(np.min_scalar_type(self.n - 1)), kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=self.n), out=indptr[1:])
+        np.add.accumulate(np.bincount(targets, minlength=self.n), out=indptr[1:])
         return _frozen(indptr), _frozen(self._sources[order])
 
     def to_edge_list_text(self) -> str:
@@ -233,6 +233,8 @@ def _csr_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...],
 
 def _check_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> None:
     """Raise ValueError unless every row is sorted, distinct, in range and loop-free."""
+    if _edges_ordered(n, sources, targets):
+        return  # else scan for the first fault, to name it
     outside = (targets < 0) | (targets >= n)
     if outside.any():
         k = int(np.argmax(outside))
@@ -245,18 +247,26 @@ def _check_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> None:
         raise ValueError(f"neighbors of node {sources[np.argmax(unsorted)]} must be sorted and distinct")
 
 
+def _edges_ordered(n: int, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """_check_edges's one test for int64 edges, sources ascending: with every target in 0..n-1 (a negative
+    one is huge as uint64) and loop-free, keys src * n + dst strictly increase iff each row does."""
+    key = sources * n
+    key += targets
+    return not (np.maximum.reduce(targets.view(np.uint64), initial=0) >= n or np.count_nonzero(key[1:] <= key[:-1])
+                or np.count_nonzero(targets == sources))
+
+
 def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
     """True iff node 0 reaches every node along the edges tails[k] -> heads[k]."""
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    frontier = reached.copy()
-    while not reached.all():
-        hit = np.zeros(n, dtype=bool)
-        hit[heads[frontier[tails]]] = True
-        frontier = hit & ~reached
-        if not frontier.any():
+    count = 1
+    # each pass follows every edge out of the reached set, in four calls
+    while count < n:
+        reached[heads[reached[tails]]] = True
+        count, before = np.count_nonzero(reached), count
+        if count == before:
             return False
-        reached |= frontier
     return True
 
 
@@ -304,7 +314,7 @@ def generate_random_digraph(
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
         mat = rng.random((n, n)) < edge_prob
-        np.fill_diagonal(mat, False)
+        mat.flat[:: n + 1] = False
         # row-major order: sources ascending, targets ascending within a row
         try:
             return Digraph._from_edges(n, *np.divmod(np.flatnonzero(mat), n))

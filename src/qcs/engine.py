@@ -33,7 +33,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
-from .protocol import RouteStream, ceil_div, flood_votes, floor_div, route_messages, routing_slots, split_route
+from .protocol import RouteStream, flood_votes, route_messages, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +117,8 @@ class RunOutcome:
     mass_z: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _validate_config(cfg: RunConfig) -> int:
-    """Common config validation; returns the window basis (D used)."""
+def _validate_config(cfg: RunConfig) -> tuple[int, np.ndarray, np.ndarray]:
+    """Common config validation; returns the window basis (D used) and y0, z0 as arrays (of objects past int64)."""
     n = cfg.graph.n
     if len(cfg.y0) != n or len(cfg.z0) != n:
         raise ValueError(
@@ -127,16 +127,15 @@ def _validate_config(cfg: RunConfig) -> int:
         )
     y0, z0 = np.asarray(cfg.y0), np.asarray(cfg.z0)
     # the first bad node is named, its token count checked before its mass
-    bad = (z0 < 1) | (y0 < 0)
-    if bad.any():
-        j = int(bad.argmax())
+    if np.minimum.reduce(z0) < 1 or np.minimum.reduce(y0) < 0:
+        j = int(((z0 < 1) | (y0 < 0)).argmax())
         if z0[j] < 1:
             raise ValueError(f"z0[{j}]={cfg.z0[j]} < 1: every node needs a token")
         raise ValueError(f"y0[{j}]={cfg.y0[j]} < 0: negative masses unsupported")
     # every per-node and in-transit quantity of a run is bounded by the
     # doubled totals, so they alone must fit the int64 state arrays
     for name, values in (("y0", y0), ("z0", z0)):
-        doubled = 2 * sum(map(int, values.tolist()))
+        doubled = 2 * sum(values.tolist())
         if doubled > INT64_MAX:
             raise MassOverflowError(
                 f"2*sum({name})={doubled} exceeds the int64 maximum {INT64_MAX}; "
@@ -148,7 +147,7 @@ def _validate_config(cfg: RunConfig) -> int:
             f"diameter_bound={d_used} is below the true diameter "
             f"{cfg.graph.diameter}; vote windows would be too short"
         )
-    return d_used
+    return d_used, y0, z0
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ class Engine:
     def __init__(self, cfg: RunConfig, delay_model: DelayModel = UNIT_DELAY):
         self.cfg = cfg
         self.delay_model = delay_model
-        self.d_used = _validate_config(cfg)
+        self.d_used, y0, z0 = _validate_config(cfg)
         self.window = self.d_used * delay_model.max_delay
         if cfg.max_steps < self.window:
             raise ValueError(
@@ -268,18 +267,19 @@ class Engine:
         self.slots = routing_slots(g.out_csr)
         self.in_csr = g.in_csr
         delayed = delay_model.max_delay > 1
-        # initialization doubles both values so z >= 2 everywhere
         self._ledger = np.zeros((2, 1 + delayed, self.n), dtype=np.int64)
         self._ledger_rows = self._ledger.reshape(2, -1)
-        self.y_rows, self.z_rows = self._ledger
+        self.y_rows, self.z_rows = self._ledger[0], self._ledger[1]
         self.y, self.z = self.y_rows[0], self.z_rows[0]
         # the rows arrivals land in: queued under delays, else y and z
         self._inbox = (self.y_rows[-1], self.z_rows[-1])
-        self.y[:] = 2 * np.asarray(cfg.y0, dtype=np.int64)
-        self.z[:] = 2 * np.asarray(cfg.z0, dtype=np.int64)
-        self.estimate = ceil_div(self.y, self.z)
-        self._votes = np.stack((self.estimate, floor_div(self.y, self.z)))
-        self.vote_max, self.vote_min = self._votes
+        # initialization doubles both values so z >= 2 everywhere
+        self.y[:], self.z[:] = y0, z0
+        self._ledger += self._ledger
+        self._votes = np.empty((2, self.n), dtype=np.int64)
+        self.vote_max, self.vote_min = self._votes[0], self._votes[1]
+        self._refresh_votes(self.y.copy(), self.z)
+        self.estimate = self.vote_max.copy()
         self.pend_y = self.pend_z = self.busy_until = self.cycle_start = None
         if delayed:
             self.pend_y, self.pend_z = self.y_rows[1], self.z_rows[1]
@@ -294,7 +294,7 @@ class Engine:
             # the nodes whose cycle completed at the last step: at step 1, all
             self._completed = self.nodes
         self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
-        self._expected_totals = [int(self.y.sum()), int(self.z.sum())]
+        self._expected_totals = np.add.reduce(self._ledger_rows, axis=1).tolist()
         self.steps_done = 0
         self.flag_step: Optional[int] = None
         # the global vote extrema of the current window, set at its start,
@@ -329,6 +329,11 @@ class Engine:
     def all_flagged(self) -> bool:
         return self.flag_step is not None
 
+    def _refresh_votes(self, y: np.ndarray, z: np.ndarray) -> None:
+        """Votes floor(y/z) and ceil(y/z) = floor + sign(remainder), as a split keeps z >= 1; overwrites y."""
+        np.divmod(y, z, out=(self.vote_min, y))
+        np.add(self.vote_min, np.sign(y, out=y), out=self.vote_max)
+
     def _votes_saturated(self) -> bool:
         """Whether every node holds the window's global vote extrema."""
         return not np.count_nonzero(self._votes != self._extrema)
@@ -344,10 +349,7 @@ class Engine:
         # node resets its votes from its full visible holdings
         # ((k-1) mod window == 0 covers a one-step window too)
         if (k - 1) % self.window == 0:
-            y, z = np.add.reduce(self._ledger, axis=1)
-            # z >= 1 at every node, as a split keeps a token: ceil is floor + (remainder > 0)
-            np.divmod(y, z, out=(self.vote_min, y))
-            np.add(self.vote_min, y > 0, out=self.vote_max)
+            self._refresh_votes(*np.add.reduce(self._ledger, axis=1))
             self._extrema[0] = np.maximum.reduce(self.vote_max)
             self._extrema[1] = np.minimum.reduce(self.vote_min)
             self._flooding = not self._votes_saturated()
@@ -383,7 +385,7 @@ class Engine:
         splitting = completing[self.z[completing] > 1] if delayed else (self.z > 1).nonzero()[0]
         if splitting.size:
             estimate, pieces, values = split_route(self.y, self.z, splitting, self.slots, self.route_rng, self._inbox)
-            self.estimate[splitting] = estimate
+            self.estimate[splitting if splitting.size < self.n else slice(None)] = estimate
             if self.emission_log is not None:
                 src, dst, c_y, c_z = route_messages(self.slots, pieces, values)
                 emitted = self.cycle_start[src] if delayed else np.full(src.size, k)

@@ -222,8 +222,7 @@ class SchedulingInitial(InitialSpec):
 
     def values(self, n, rng):
         inst = applications.SchedulingInstance(self.workloads, self.occupied, self.capacity)
-        y0, z0 = applications.scheduling_init(inst)
-        return y0, z0, applications.make_scheduling_recovery(inst)
+        return (*applications.scheduling_init(inst), applications.make_scheduling_recovery(inst))
 
 
 @dataclass(frozen=True)
@@ -259,12 +258,10 @@ class SchedulingUniformInitial(InitialSpec):
         _at_least("initial.scheduling_uniform.occupied", self.occupied, 0)
 
     def values(self, n, rng):
-        pattern = self.capacity_pattern
-        return SchedulingInitial(
-            workloads=_draw(rng, self.load_range, n),
-            occupied=(self.occupied,) * n,
-            capacity=tuple(pattern[j % len(pattern)] for j in range(n)),
-        ).values(n, rng)
+        # the draws go to the instance, which checks them, as the ranges were checked at parse time
+        capacity = (self.capacity_pattern * -(-n // len(self.capacity_pattern)))[:n]
+        inst = applications.SchedulingInstance(_draw(rng, self.load_range, n), (self.occupied,) * n, capacity)
+        return (*applications.scheduling_init(inst), applications.make_scheduling_recovery(inst))
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ class FederatedUniformInitial(InitialSpec):
 
     def values(self, n, rng):
         sizes, params = _draw(rng, self.size_range, n), _draw(rng, self.param_range, n)
-        return FederatedInitial(sizes, params).values(n, rng)
+        return (*applications.federated_init(applications.FederatedInstance(sizes, params)), None)
 
 
 # every class above that derives from InitialSpec, by config name
@@ -606,17 +603,18 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         series = tuple(float(v) for v in curve.values)
     recovered = None
     if outcome.converged and outcome.recovered_solution is not None:
-        recovered = tuple(float(v) for v in outcome.recovered_solution)
+        recovered = tuple(map(float, outcome.recovered_solution))
     est = outcome.final_estimate
+    low, high = int(np.minimum.reduce(est)), int(np.maximum.reduce(est))
     return TrialResult(
         trial=trial,
         converged=outcome.converged,
         termination_step=outcome.termination_step,
         steps_run=outcome.steps_run,
-        estimate=int(est.min()),
-        spread=int(est.max() - est.min()),
+        estimate=low,
+        spread=high - low,
         censored=not outcome.converged,
-        quotient_floor=int(np.floor(target)),
+        quotient_floor=target.numerator // target.denominator,
         quotient_ceil=int(-(-target.numerator // target.denominator)),
         completion_bound=bound,
         error_series=series,

@@ -148,13 +148,13 @@ def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
     """
     indptr, targets = out_csr
     nodes = np.arange(indptr.size - 1)
-    count = np.diff(indptr) + 1
+    degree = indptr[1:] - indptr[:-1]
     first = indptr[:-1] + nodes
     to = np.empty(targets.size + nodes.size, dtype=np.int64)
     # out-edge e of node j moves up by the j own slots laid out before it
-    to[np.arange(targets.size) + nodes.repeat(count - 1)] = targets
-    to[first + count - 1] = nodes + nodes.size
-    return first, count, to
+    to[np.arange(targets.size) + nodes.repeat(degree)] = targets
+    to[indptr[1:] + nodes] = nodes + nodes.size
+    return first, degree + 1, to
 
 
 def split_route(
@@ -179,7 +179,8 @@ def split_route(
     """
     first, count, to = slots
     n = y.size
-    ys, zs = y[nodes], z[nodes]
+    whole = nodes.size == n  # every node splits (the usual sync step): y and z are read and written whole
+    ys, zs = (y, z) if whole else (y[nodes], z[nodes])
     # z > 1 and y >= 0 in one test; a failure names a bad z before a bad y
     if np.minimum.reduce(np.minimum(zs - 2, ys)) < 0:
         if zs.min() <= 1:
@@ -189,7 +190,7 @@ def split_route(
     # holds the runs' lengths, row 1 their values
     runs = np.empty((2, 2 * nodes.size), dtype=np.int64)
     delta, large = np.divmod(ys, zs, out=(runs[1, 1::2], runs[0, 0::2]))
-    if nodes.size < n:
+    if not whole:
         first, count = first[nodes], count[nodes]
     routed = zs - 1
     np.subtract(routed, large, out=runs[0, 1::2])
@@ -204,12 +205,16 @@ def split_route(
     np.add.at(mass, receiver, values)
     # the kept pair, self-drawn pieces plus the minimum-value piece kept
     # back, is written before a delivery into y and z themselves
-    z[nodes] = tokens[n:][nodes] + 1
-    y[nodes] = mass[n:][nodes] + delta
+    if whole:
+        np.add(tokens[n:], 1, out=z)
+        np.add(mass[n:], delta, out=y)
+    else:
+        z[nodes] = tokens[n:][nodes] + 1
+        y[nodes] = mass[n:][nodes] + delta
     into_y, into_z = inbox
     into_y += mass[:n]
     into_z += tokens[:n]
-    return delta + (large > 0), pieces, values
+    return delta + np.sign(large), pieces, values
 
 
 def route_messages(

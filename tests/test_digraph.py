@@ -24,6 +24,8 @@ from qcs import (
     token_walk_probability,
 )
 
+from qcs.digraph import _check_edges, _edges_ordered
+
 from conftest import complete, ring
 
 
@@ -392,6 +394,74 @@ class TestCsrMatchesReference:
             g.n = 4
         with pytest.raises(ValueError):
             g.out_csr[1][0] = 2
+
+
+def scan_fault(n, sources, targets):
+    """The fault the per-edge scans named first, or None: the whole of
+    the edge check before the one-test key check was put in front of it."""
+    outside = (targets < 0) | (targets >= n)
+    if outside.any():
+        k = int(np.argmax(outside))
+        return f"node {sources[k]} has out-neighbor {targets[k]} outside 0..{n - 1}"
+    loops = targets == sources
+    if loops.any():
+        return f"self-loop at node {sources[np.argmax(loops)]} is not allowed"
+    unsorted = (np.diff(targets) <= 0) & (sources[1:] == sources[:-1])
+    if unsorted.any():
+        return f"neighbors of node {sources[np.argmax(unsorted)]} must be sorted and distinct"
+    return None
+
+
+@st.composite
+def edge_arrays(draw, max_n=7):
+    """(n, sources, targets) of adjacency rows, sources ascending: each row
+    valid (sorted, distinct, in range, loop-free) or any list of ids, which
+    may be unsorted, repeat an id, hold a self-loop or an id outside
+    0..n-1; any row may be empty."""
+    n = draw(st.integers(2, max_n))
+    rows = []
+    for j in range(n):
+        if draw(st.booleans()):
+            rows.append(sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n))) - {j}))
+        else:
+            rows.append(draw(st.lists(st.integers(-2, n + 1), max_size=n + 1)))
+    sources = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in rows])
+    return n, sources, np.array([v for r in rows for v in r], dtype=np.int64)
+
+
+class TestEdgeKeyCheck:
+    """The one-test key check accepts exactly the edges the scans accept,
+    and a refused edge set is named by the scans' first fault."""
+
+    @given(edge_arrays())
+    @settings(max_examples=1000, deadline=None)
+    def test_key_check_and_scans_agree(self, case):
+        n, sources, targets = case
+        fault = scan_fault(n, sources, targets)
+        assert _edges_ordered(n, sources, targets) == (fault is None)
+        if fault is None:
+            assert _check_edges(n, sources, targets) is None
+        else:
+            with pytest.raises(ValueError) as err:
+                _check_edges(n, sources, targets)
+            assert str(err.value) == fault
+
+    @pytest.mark.parametrize("n, rows, fault", [
+        (3, [[1, 2], [], [0]], None),
+        (3, [[2, 1], [0], [0]], "neighbors of node 0 must be sorted and distinct"),
+        (3, [[1, 1], [0], [0]], "neighbors of node 0 must be sorted and distinct"),
+        (3, [[1], [1], [0]], "self-loop at node 1 is not allowed"),
+        (3, [[1], [-1], [0]], "node 1 has out-neighbor -1 outside 0..2"),
+        (3, [[1], [0], [3]], "node 2 has out-neighbor 3 outside 0..2"),
+        # a row that runs past n can keep the keys increasing into the next row
+        (3, [[1, 4], [], [0]], "node 0 has out-neighbor 4 outside 0..2"),
+        (3, [[], [], []], None),
+    ], ids=["valid", "unsorted", "repeated", "self-loop", "negative", "past-n", "past-n-keys-increasing", "no-edges"])
+    def test_each_fault_kind(self, n, rows, fault):
+        sources = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in rows])
+        targets = np.array([v for r in rows for v in r], dtype=np.int64)
+        assert scan_fault(n, sources, targets) == fault
+        assert _edges_ordered(n, sources, targets) == (fault is None)
 
 
 class TestMalformedInputs:

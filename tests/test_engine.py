@@ -7,6 +7,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcs import (
     AsyncEngine,
@@ -14,6 +16,7 @@ from qcs import (
     DelayModel,
     Digraph,
     InvariantError,
+    MassOverflowError,
     RunConfig,
     SyncEngine,
     ceil_div,
@@ -103,6 +106,60 @@ class TestEventDrivenFlooding:
         monkeypatch.setattr(engine, "flood_votes", lambda *args: calls.append(args))
         out = SyncEngine(RunConfig(graph=ring(4), y0=[4, 8, 12, 4], z0=[1, 2, 3, 1], seed=1)).run()
         assert out.converged and calls == []
+
+
+def assert_initial_state(eng, y0, z0):
+    """The engine's state before step 1, against Python integers: doubled
+    values, votes and estimate from ceil_div/floor_div, the ledger totals."""
+    y2, z2 = [2 * v for v in y0], [2 * v for v in z0]
+    assert eng.y.tolist() == y2 and eng.z.tolist() == z2
+    ceil = [ceil_div(y, z) for y, z in zip(y2, z2)]
+    assert eng.vote_max.tolist() == ceil and eng.estimate.tolist() == ceil
+    assert eng.vote_min.tolist() == [floor_div(y, z) for y, z in zip(y2, z2)]
+    assert eng._expected_totals == [sum(y2), sum(z2)]
+    assert all(type(v) is int for v in eng._expected_totals)
+
+
+def make_engine(cfg, max_delay):
+    return SyncEngine(cfg) if max_delay == 1 else AsyncEngine(cfg, DelayModel(max_delay=max_delay))
+
+
+class TestInitialState:
+    """Votes and estimate come from one divmod of the doubled values, and
+    the ledger totals from one sum over the ledger."""
+
+    @pytest.mark.parametrize("max_delay", [1, 3])
+    @pytest.mark.parametrize("y0, z0", [
+        ([0, 0, 5, 7], [1, 1, 1, 2]),
+        ([0, 3, 2**61 - 1, 1], [1, 2, 1, 2**61 - 5]),
+        ([2**61, 2**61 - 8, 0, 2], [3, 1, 2**61 + 1, 1]),
+        ([2**62 - 4, 0, 1, 0], [1, 1, 1, 2**62 - 4]),
+    ])
+    def test_edges_of_the_value_range(self, y0, z0, max_delay):
+        assert_initial_state(make_engine(RunConfig(graph=ring(4), y0=y0, z0=z0, seed=1), max_delay), y0, z0)
+
+    @pytest.mark.parametrize("max_delay", [1, 3])
+    def test_step_1_refreshes_to_the_same_votes(self, max_delay):
+        g, y0, z0 = random_instance(11)
+        eng = make_engine(RunConfig(graph=g, y0=y0, z0=z0, seed=11), max_delay)
+        before = eng._votes.copy()
+        eng.step()
+        assert eng._extrema[:, 0].tolist() == [before[0].max(), before[1].min()]
+
+    @pytest.mark.parametrize("max_delay", [1, 3])
+    @given(values=st.lists(st.tuples(st.integers(0, 2**61), st.integers(1, 2**61)), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_any_values_that_fit(self, values, max_delay):
+        y0, z0 = (list(col) for col in zip(*values))
+        assume(2 * max(sum(y0), sum(z0)) <= engine.INT64_MAX)
+        assert_initial_state(make_engine(RunConfig(graph=ring(4), y0=y0, z0=z0, seed=1), max_delay), y0, z0)
+
+    def test_numpy_inputs_and_the_overflow_refusal(self):
+        y0, z0 = np.array([0, 9, 2**61, 4]), np.array([1, 2, 7, 2**61])
+        assert_initial_state(SyncEngine(RunConfig(graph=ring(4), y0=y0, z0=z0)), y0.tolist(), z0.tolist())
+        # totals past int64 still take the object-array path to MassOverflowError
+        with pytest.raises(MassOverflowError, match=r"2\*sum\(y0\)"):
+            SyncEngine(RunConfig(graph=ring(4), y0=[2**63, 2**64, 0, 1], z0=[1] * 4))
 
 
 class TestVoteAudit:

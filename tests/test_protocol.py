@@ -721,7 +721,7 @@ class TestConfigValidation:
         expected = old_first_bad_node(y0, z0)
         cfg = RunConfig(graph=ring(5), y0=y0, z0=z0)
         if expected is None:
-            assert _validate_config(cfg) == cfg.graph.diameter
+            assert _validate_config(cfg)[0] == cfg.graph.diameter
         else:
             with pytest.raises(ValueError) as err:
                 _validate_config(cfg)
