@@ -1,23 +1,24 @@
 """The protocol engine: mass splitting, vote flooding and termination.
 
-Each node works in cycles: it locks in the mass it holds, draws a
-processing delay in {1..B}, and only when the cycle completes does it
-split the locked batch and transmit the pieces (a piece from a cycle
+Each node works in cycles: it locks in the mass it holds as its batch,
+draws a processing delay in {1..B}, and only when the cycle completes
+does it split the batch and transmit the pieces (a piece from a cycle
 begun at step s lands at its receiver at step s + delay).  While
-processing, the batch stays in the node's buffer and counts toward its
-visible state, so at every vote-refresh instant the token-weighted mean
-of node ratios equals the conserved global quotient; mass arriving
-mid-cycle queues up and joins the node's next cycle.  At its completion
+processing, the batch stays in the node's held pair, so at every
+vote-refresh instant the token-weighted mean of node ratios equals the
+conserved global quotient; mass arriving mid-cycle joins the held pair
+behind the batch and the node's next cycle.  At its completion
 instants a node folds in its in-neighbors' currently exposed votes, so
 the same per-cycle delay governs both mass and votes.  Vote windows
 stretch to D*B steps so the extrema still flood the whole network
 between refresh and check; all nodes flip their flags at one window
 boundary, and afterwards the engine is quiescent.
 
-With B = 1 every node completes a cycle every step and its arrivals
-join its state at once: that is the synchronous protocol, and the
-engine then keeps no arrival queue or cycle bookkeeping and draws no
-delays.
+Every step is one masked pass over all n nodes: the nodes that complete
+a cycle split their batches at once.  With B = 1 every node completes
+every step and its batch is its whole held pair: that is the
+synchronous protocol, which runs the same step with the batch rows
+aliasing the held rows, keeps no cycle bookkeeping and draws no delays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
-from .protocol import RouteStream, flood_votes, route_messages, routing_slots, split_route
+from .protocol import RouteStream, flood_votes, route_bound, route_messages, routing_slots, split_route, voting_csr
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +58,7 @@ _DELAY_BLOCK = 512
 class TrajectoryRecord:
     """Every node's state at the end of a step: masses, votes, estimates, flags.
 
-    y and z include queued arrivals, so they alone carry the conservation ledger.
+    y and z are the held pairs, so they alone carry the conservation ledger.
     """
 
     step: int
@@ -236,19 +237,19 @@ class InFlightEntry:
 class Engine:
     """Mutable run state of the protocol under a delay model.
 
-    y/z hold each node's locked batch (after a split: the kept part).
-    Under delays (B > 1) pend_y/pend_z queue the arrivals for the node's
-    next cycle, busy_until is the step its current cycle completes and
-    cycle_start the step it began; with B = 1 these are None and
-    arrivals land in y/z directly.  y and pend_y are the rows of
-    y_rows, z and pend_z those of z_rows, and those two are the halves
-    of one ledger array, summed once per conservation check.  vote_max
-    and vote_min are the rows of one votes array, compared at once with
-    the window's extrema.
+    held is one (2, n) array of each node's visible (y, z), its locked
+    batch and the arrivals behind it: the ledger, which the vote refresh,
+    mass record and snapshots read; y and z are its rows.  batch holds
+    the locked batches, copied from held under the mask of the nodes
+    starting a cycle; with B = 1 batch is held itself.  A step splits
+    under two masks over all n nodes: the nodes whose cycle completes
+    (all with B = 1), and of those the ones whose batch has z > 1.  Under
+    delays busy_until is the step a node's cycle completes and
+    cycle_start the step it began, else None.  vote_max and vote_min are
+    the rows of one votes array, compared at once with the extrema.
 
     Termination is the one value flag_step: every node's flag flips
-    there at once, and a flipped engine no longer steps; so every step
-    runs at every node.
+    there at once, and a flipped engine no longer steps.
     """
 
     def __init__(self, cfg: RunConfig, delay_model: DelayModel = UNIT_DELAY):
@@ -265,24 +266,26 @@ class Engine:
         delay_model.min_max_delay_prob(self.n)  # validates per-node table size
         self.nodes = np.arange(self.n)
         self.slots = routing_slots(g.out_csr)
-        self.in_csr = g.in_csr
-        delayed = delay_model.max_delay > 1
-        self._ledger = np.zeros((2, 1 + delayed, self.n), dtype=np.int64)
-        self._ledger_rows = self._ledger.reshape(2, -1)
-        self.y_rows, self.z_rows = self._ledger[0], self._ledger[1]
-        self.y, self.z = self.y_rows[0], self.z_rows[0]
-        # the rows arrivals land in: queued under delays, else y and z
-        self._inbox = (self.y_rows[-1], self.z_rows[-1])
+        self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
+        # every draw's bounds are slot counts, so one check covers them all
+        self._route_draw = partial(self.route_rng.draw, most=route_bound(self.slots[1]))
+        self.voting = voting_csr(g.in_csr)
+        self.held = np.zeros((2, self.n), dtype=np.int64)
+        self.y, self.z = self.held
         # initialization doubles both values so z >= 2 everywhere
         self.y[:], self.z[:] = y0, z0
-        self._ledger += self._ledger
+        self.held += self.held
         self._votes = np.empty((2, self.n), dtype=np.int64)
         self.vote_max, self.vote_min = self._votes[0], self._votes[1]
         self._refresh_votes(self.y.copy(), self.z)
-        self.estimate = self.vote_max.copy()
-        self.pend_y = self.pend_z = self.busy_until = self.cycle_start = None
-        if delayed:
-            self.pend_y, self.pend_z = self.y_rows[1], self.z_rows[1]
+        # each node's last split batch (before its first: its doubled pair)
+        self._last_split = self.held.copy()
+        # the nodes whose cycle completed at the last step (at step 1, all)
+        # as a mask and as ids
+        self._done, self._completed = np.ones(self.n, dtype=bool), self.nodes
+        self.batch, self.busy_until, self.cycle_start = self.held, None, None
+        if delay_model.max_delay > 1:
+            self.batch = self.held.copy()
             self.busy_until = np.zeros(self.n, dtype=np.int64)
             self.cycle_start = np.zeros(self.n, dtype=np.int64)
             self.delay_rng = np.random.default_rng([cfg.seed, DELAY_STREAM])
@@ -291,10 +294,7 @@ class Engine:
             self._per_node_delays = delay_model.per_node_pmf is not None
             self._delay_block = np.empty(0, dtype=np.float64 if self._per_node_delays else np.int64)
             self._delay_next = 0
-            # the nodes whose cycle completed at the last step: at step 1, all
-            self._completed = self.nodes
-        self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
-        self._expected_totals = np.add.reduce(self._ledger_rows, axis=1).tolist()
+        self._expected_totals = np.add.reduce(self.held, axis=1).tolist()
         self.steps_done = 0
         self.flag_step: Optional[int] = None
         # the global vote extrema of the current window, set at its start,
@@ -305,26 +305,18 @@ class Engine:
         self.trajectory: Optional[list[TrajectoryRecord]] = [self._snapshot(0)] if record else None
         # each transmitted message, by step, sender and out-neighbor order
         self.emission_log: Optional[list[InFlightEntry]] = [] if record else None
-        # each step's total_y() and total_z(), when cfg.record_masses
-        self._mass_rows = ([self.total_y()], [self.total_z()]) if cfg.record_masses else None
-
-    def total_y(self) -> np.ndarray:
-        """Each node's visible mass: its locked batch plus queued arrivals."""
-        return self.y + self.pend_y if self.pend_y is not None else self.y.copy()
-
-    def total_z(self) -> np.ndarray:
-        return self.z + self.pend_z if self.pend_z is not None else self.z.copy()
+        # each step's held pairs, when cfg.record_masses
+        self._mass_rows = [self.held.copy()] if cfg.record_masses else None
 
     def _snapshot(self, step: int) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            step=step,
-            y=self.total_y(),
-            z=self.total_z(),
-            estimate=self.estimate.copy(),
-            vote_max=self.vote_max.copy(),
-            vote_min=self.vote_min.copy(),
-            flag=np.full(self.n, self.flag_step is not None, dtype=np.int8),
-        )
+        flag = np.full(self.n, self.flag_step is not None, dtype=np.int8)
+        return TrajectoryRecord(step, *self.held.copy(), self.estimate, *self._votes.copy(), flag)
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """Each node's estimate: ceil(y/z) of the batch it last split, its min vote once flagged."""
+        y, z = self._last_split
+        return -(-y // z) if self.flag_step is None else self.vote_min.copy()
 
     def all_flagged(self) -> bool:
         return self.flag_step is not None
@@ -343,60 +335,51 @@ class Engine:
         if self.flag_step is not None:
             return self
         k = self.steps_done + 1
-        delayed = self.pend_y is not None
+        held, done = self.held, self._done
 
-        # window-start refresh is clock-synchronized bookkeeping: every
-        # node resets its votes from its full visible holdings
-        # ((k-1) mod window == 0 covers a one-step window too)
+        # window-start refresh is clock-synchronized bookkeeping: every node
+        # resets its votes from its held pair ((k-1) mod window == 0 covers
+        # a one-step window too)
         if (k - 1) % self.window == 0:
-            self._refresh_votes(*np.add.reduce(self._ledger, axis=1))
+            self._refresh_votes(self.y.copy(), self.z)
             self._extrema[0] = np.maximum.reduce(self.vote_max)
             self._extrema[1] = np.minimum.reduce(self.vote_min)
             self._flooding = not self._votes_saturated()
 
-        if delayed:
+        if self.busy_until is not None:
             # cycle starts, at the nodes whose last cycle completed at the
-            # previous step: fold queued arrivals in, lock the batch, draw
-            # the delay
+            # previous step: lock the batch, draw the delay
             starting = self._completed
             if starting.size:
-                self.y[starting] += self.pend_y[starting]
-                self.z[starting] += self.pend_z[starting]
-                self.pend_y[starting] = 0
-                self.pend_z[starting] = 0
+                np.copyto(self.batch, held, where=done)
                 self.cycle_start[starting] = k
                 self.busy_until[starting] = self._delays(starting) + k
-            completing = self._completed = (self.busy_until == k).nonzero()[0]
-        else:
-            completing = self.nodes
+            np.equal(self.busy_until, k, out=done)
+            self._completed = done.nonzero()[0]
 
-        # completing nodes read their neighbors' exposed votes as of this
-        # instant and fold them in.  Once every node holds the window's
-        # extrema no hop can change a vote until the next refresh, so
-        # flooding stops there.
-        if self._flooding and completing.size:
-            flood_votes(self.vote_max, self.vote_min, completing, self.in_csr)
+        # completing nodes fold in their neighbors' exposed votes.  Once every
+        # node holds the window's extrema no hop can change a vote until the
+        # next refresh, so flooding stops there.
+        if self._flooding and self._completed.size:
+            flood_votes(self.vote_max, self.vote_min, self._completed, self.voting)
             self._flooding = not self._votes_saturated()
 
         # processing completes: split the locked batch and transmit.  The
-        # pieces join the receivers' state at this step's end, queued for
-        # their next cycle under delays.  A node holding a single token
-        # has nothing to split this cycle.
-        splitting = completing[self.z[completing] > 1] if delayed else (self.z > 1).nonzero()[0]
-        if splitting.size:
-            estimate, pieces, values = split_route(self.y, self.z, splitting, self.slots, self.route_rng, self._inbox)
-            self.estimate[splitting if splitting.size < self.n else slice(None)] = estimate
-            if self.emission_log is not None:
-                src, dst, c_y, c_z = route_messages(self.slots, pieces, values)
-                emitted = self.cycle_start[src] if delayed else np.full(src.size, k)
-                columns = (c.tolist() for c in (src, dst, c_y, c_z, emitted))
-                self.emission_log.extend(map(InFlightEntry, *columns, repeat(k + 1)))
+        # pieces join the receivers' held pairs at this step's end.  A node
+        # whose batch is a single token has nothing to split this cycle.
+        split = (self.batch[1] > 1) & done
+        np.copyto(self._last_split, self.batch, where=split)
+        pieces, values = split_route(self.batch, held, split, self.slots, self._route_draw)
+        if self.emission_log is not None:
+            src, dst, c_y, c_z = route_messages(self.slots, pieces, values)
+            emitted = np.full(src.size, k) if self.cycle_start is None else self.cycle_start[src]
+            columns = (c.tolist() for c in (src, dst, c_y, c_z, emitted))
+            self.emission_log.extend(map(InFlightEntry, *columns, repeat(k + 1)))
 
         # window-boundary termination check: every node flips, or none
         if k % self.window == 0:
             flipping = np.count_nonzero(self.vote_max - self.vote_min <= 1)
             if flipping == self.n:
-                self.estimate[:] = self.vote_min
                 self.flag_step = k
                 logger.debug("all nodes terminated at step %d", k)
             elif flipping:
@@ -408,19 +391,18 @@ class Engine:
                     f"{tuple(self._extrema[:, 0].tolist())} within one window"
                 )
 
-        if self.cfg.check_invariants:
-            self._check_conservation(k)
+        if self.cfg.check_invariants and np.add.reduce(held, axis=1).tolist() != self._expected_totals:
+            (got_y, got_z), (want_y, want_z) = np.add.reduce(held, axis=1).tolist(), self._expected_totals
+            raise ConservationError(f"step {k}: mass ledger off, y {got_y} != {want_y} or z {got_z} != {want_z}")
         self.steps_done = k
         if self.trajectory is not None:
             self.trajectory.append(self._snapshot(k))
         if self._mass_rows is not None:
-            self._mass_rows[0].append(self.total_y())
-            self._mass_rows[1].append(self.total_z())
+            self._mass_rows.append(held.copy())
         return self
 
     def _delays(self, starting: np.ndarray) -> np.ndarray:
-        """The delays, less one, of the cycles starting at `starting`: the
-        delay stream's next starting.size values, from the current block."""
+        """The delays, less one, of the cycles starting at `starting`, from the current block."""
         end = self._delay_next + starting.size
         if end > self._delay_block.size:
             # one draw of random(a + b) is random(a) then random(b), so the
@@ -434,14 +416,6 @@ class Engine:
         self._delay_next = end
         return self.delay_model.draw_batch(drawn, starting) - 1 if self._per_node_delays else drawn
 
-    def _check_conservation(self, k: int) -> None:
-        got = np.add.reduce(self._ledger_rows, axis=1).tolist()
-        if got != self._expected_totals:
-            (got_y, got_z), (want_y, want_z) = got, self._expected_totals
-            raise ConservationError(
-                f"step {k}: mass ledger off, y {got_y} != {want_y} or z {got_z} != {want_z}"
-            )
-
     def outcome(self) -> RunOutcome:
         converged = self.all_flagged()
         recovered = None
@@ -451,15 +425,15 @@ class Engine:
                 recovered = [self.cfg.recovery(j, est) for j, est in enumerate(recovered)]
         mass_y = mass_z = None
         if self._mass_rows is not None:
-            mass_y, mass_z = (np.array(rows) for rows in self._mass_rows)
+            mass_y, mass_z = np.concatenate(self._mass_rows, axis=1).reshape(2, -1, self.n)
         return RunOutcome(
             converged=converged,
             termination_step=self.flag_step,
-            final_estimate=self.estimate.copy(),
+            final_estimate=self.estimate,
             recovered_solution=recovered,
             steps_run=self.steps_done,
-            final_y=self.total_y(),
-            final_z=self.total_z(),
+            final_y=self.y.copy(),
+            final_z=self.z.copy(),
             trajectory=self.trajectory,
             mass_y=mass_y,
             mass_z=mass_z,

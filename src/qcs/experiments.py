@@ -555,6 +555,8 @@ class TrialResult:
     error_series_truncated: bool = False
     recovered: Optional[tuple[float, ...]] = None
     diameter: Optional[int] = None
+    # trial 0's bound table (None without an epsilon), the bounds block
+    bound_table: Optional[dict] = field(default=None, compare=False)
 
 
 def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
@@ -587,7 +589,7 @@ def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> tuple[Optional[d
 def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """Build and run a single trial; deterministic in (cfg, trial)."""
     run_cfg = build_trial_instance(cfg, trial)
-    _, bound = _trial_bounds(cfg, run_cfg)
+    table, bound = _trial_bounds(cfg, run_cfg)
     if cfg.mode == "sync":
         outcome = run_sync(run_cfg)
     else:
@@ -621,6 +623,7 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         error_series_truncated=curve is not None and curve.truncated,
         recovered=recovered,
         diameter=run_cfg.graph.diameter,
+        bound_table=table if trial == 0 else None,
     )
 
 
@@ -766,7 +769,7 @@ def run_experiment(
     results = run_trials(cfg, workers=workers)
     bound = None if cfg.epsilon is None else [r.completion_bound for r in results]
     stats = metrics.trial_stats(results, bound=bound)
-    bounds_block = None if cfg.epsilon is None else bounds_report(cfg)
+    bounds_block = results[0].bound_table
     result = ExperimentResult(
         config=cfg, results=results, stats=stats, bounds_block=bounds_block
     )

@@ -13,7 +13,8 @@ delays and the flip rule.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import functools
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,8 +40,8 @@ def ceil_div(y, z):
 _WORDS = np.dtype("<u8")
 _HALVES = np.dtype("<u4")
 _HALF_RANGE = 1 << 32
-# uint64 scalars: a Python int operand costs a type resolution per call
-_TWO, _SHIFT = np.uint64(2), np.uint64(32)
+# a uint64 scalar: a Python int operand costs a type resolution per call
+_TWO = np.uint64(2)
 # the raw words a stream reads ahead at once, and the rejection scan's
 # block: 64 KiB of scratch memory beside a draw's bounds and output
 _CHUNK_WORDS = 1 << 13
@@ -55,7 +56,8 @@ class RouteStream:
 
     `integers(0, high)` returns exactly what `np.random.Generator(bg)
     .integers(0, high)` returns for a 1-D array of bounds in 2 ..
-    2**32 - 1, and successive calls continue that Generator's sequence.
+    2**32 - 1, and successive calls, of it or of `draw`, continue that
+    Generator's sequence.
     It follows numpy's rule: each draw takes the next 32-bit half of the
     stream (the halves of each 64-bit word, low half first) and keeps the
     high 32 bits of half * bound unless the low 32 bits fall below 2**32
@@ -96,26 +98,25 @@ class RouteStream:
         bounds = np.asarray(high, dtype=np.int64)
         if bounds.ndim != 1:
             raise ValueError(f"route bounds must be a 1-D array, got shape {bounds.shape}")
-        width = bounds.view(np.uint64)
-        # the bounds 2 .. 2**32 - 1 are those whose uint64 (bound - 2)
-        # stays below 2**32 - 2: one pass checks both ends
-        draw = np.subtract(width, _TWO, dtype=_WORDS)
-        if not draw.size:
-            return draw.view(np.int64)
-        most = int(np.maximum.reduce(draw)) + 2
-        if most >= _HALF_RANGE:
-            raise ValueError(
-                f"route bounds must lie in 2 .. 2**32 - 1, got {bounds.min()} .. {bounds.max()}"
-            )
-        self._fill(draw)
-        draw *= width
+        return self.draw(bounds, route_bound(bounds) if bounds.size else 2).astype(np.int64)
+
+    def draw(self, bounds: np.ndarray, most: int) -> np.ndarray:
+        """The values of integers(0, bounds), as a uint32 view, for int64
+        bounds known to lie in 2 .. most < 2**32: the unchecked entry."""
+        width = bounds.view(_WORDS)
+        end = self._next + width.size
+        if end <= self._halves.size:
+            draw = np.multiply(self._halves[self._next : end], width, dtype=_WORDS)
+            self._next = end
+        else:
+            draw = np.empty(width.size, dtype=_WORDS)
+            self._fill(draw)
+            draw *= width
+        halves = draw.view(_HALVES)
         # only a low half below the bound can fall below 2**32 mod bound
-        low_half = draw.view(_HALVES)[0::2]
-        first = 0
-        while np.minimum.reduce(low_half[first:]) < most:
-            first = _first_rejected(low_half, width, first)
-            if first is None:
-                break
+        low_half = halves[0::2]
+        first = 0 if draw.size and np.minimum.reduce(low_half) < most else None
+        while first is not None and (first := _first_rejected(low_half, width, first)) is not None:
             # the rejected draw takes the next half and every later draw
             # moves up by one: recover their halves, shift, multiply
             tail = draw[first + 1 :]
@@ -123,8 +124,18 @@ class RouteStream:
             draw[first:-1] = tail
             self._fill(draw[-1:])
             draw[first:] *= width[first:]
-        draw >>= _SHIFT
-        return draw.view(np.int64)
+        # each value is the high half of its product
+        return halves[1::2]
+
+
+def route_bound(bounds: np.ndarray) -> int:
+    """The largest of nonempty int64 route bounds, all in 2 .. 2**32 - 1."""
+    # the bounds 2 .. 2**32 - 1 are those whose uint64 (bound - 2) stays
+    # below 2**32 - 2: one pass checks both ends
+    most = int(np.maximum.reduce(np.subtract(bounds.view(_WORDS), _TWO, dtype=_WORDS))) + 2
+    if most >= _HALF_RANGE:
+        raise ValueError(f"route bounds must lie in 2 .. 2**32 - 1, got {bounds.min()} .. {bounds.max()}")
+    return most
 
 
 def _first_rejected(low_half: np.ndarray, width: np.ndarray, start: int) -> Optional[int]:
@@ -143,8 +154,8 @@ def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
 
     Node j owns count[j] = out-degree + 1 slots, first[j] ..
     first[j] + count[j] - 1 of `to`, the slots' receivers: its
-    out-neighbors in order, then its own slot, the virtual receiver
-    n + j.  Returns (first, count, to).
+    out-neighbors in order, then its own slot, whose receiver is j.
+    Returns (first, count, to).
     """
     indptr, targets = out_csr
     nodes = np.arange(indptr.size - 1)
@@ -153,68 +164,63 @@ def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, n
     to = np.empty(targets.size + nodes.size, dtype=np.int64)
     # out-edge e of node j moves up by the j own slots laid out before it
     to[np.arange(targets.size) + nodes.repeat(degree)] = targets
-    to[indptr[1:] + nodes] = nodes + nodes.size
+    to[indptr[1:] + nodes] = nodes
     return first, degree + 1, to
 
 
 def split_route(
-    y: np.ndarray, z: np.ndarray, nodes: np.ndarray, slots: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rng: Union[np.random.Generator, RouteStream], inbox: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split every node in the nonempty `nodes` in place and deliver its pieces.
+    batch: np.ndarray, held: np.ndarray, split: np.ndarray, slots: tuple[np.ndarray, np.ndarray, np.ndarray],
+    draw: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the batch of every node in the mask `split` and deliver its pieces, in place.
 
-    y and z hold the n nodes `slots` lays out (`routing_slots`), `nodes`
-    distinct ids in ascending order.  Node j splits y[j] into z[j]
+    batch and held are (2, n) int64 (y, z) rows over the nodes `slots`
+    lays out (`routing_slots`): held[:, j] is what node j holds and
+    batch[:, j] the part of it locked for its cycle (y >= 0); held may
+    be batch itself.  Node j in `split` splits its batch y into z
     near-equal pieces, floor(y/z) or ceil(y/z) with exactly (y mod z)
-    large ones.  It keeps one minimum-value piece; each of its other
-    z[j] - 1 pieces draws one of j's slots uniformly.  `rng` is a
-    Generator or a RouteStream; one rng.integers call draws the pieces of
-    all nodes, node by node in the given order, and the first (y mod z)
-    pieces a node routes are its large ones.  Pieces drawn to
-    out-neighbors are added into inbox = (into_y, into_z), n entries each
-    (y and z themselves deliver at once); self-drawn pieces join the kept
-    pair, which the node is left holding.  Returns (estimate, pieces,
-    values): ceil(y/z) of each node before its split, and each routed
-    piece's slot and value in draw order, for `route_messages`.
+    large ones.  It keeps one
+    minimum-value piece; each of its other z - 1 pieces draws one of j's
+    slots uniformly and joins the held pair of that slot's receiver, j
+    for its own slot.  `draw(bounds)` draws from 0 .. bounds[i] - 1 for
+    each bound, as `RouteStream.draw` or Generator.integers(0, bounds);
+    one call draws all pieces, node by node in id order, a node's large
+    ones first.  Returns each routed piece's slot and value in draw
+    order, for `route_messages`.
     """
     first, count, to = slots
-    n = y.size
-    whole = nodes.size == n  # every node splits (the usual sync step): y and z are read and written whole
-    ys, zs = (y, z) if whole else (y[nodes], z[nodes])
-    # z > 1 and y >= 0 in one test; a failure names a bad z before a bad y
-    if np.minimum.reduce(np.minimum(zs - 2, ys)) < 0:
-        if zs.min() <= 1:
-            raise ProtocolError(f"split requires z > 1, got z={zs.min()} (caller must hold)")
-        raise ProtocolError(f"split requires y >= 0, got y={ys.min()}")
-    # each node's routed pieces come as two runs, large then small: row 0
-    # holds the runs' lengths, row 1 their values
-    runs = np.empty((2, 2 * nodes.size), dtype=np.int64)
-    delta, large = np.divmod(ys, zs, out=(runs[1, 1::2], runs[0, 0::2]))
-    if not whole:
-        first, count = first[nodes], count[nodes]
-    routed = zs - 1
+    batch_y, batch_z = batch
+    n = batch_z.size
+    # scratch: each node's routed pieces as two runs, large then small (row 0
+    # their lengths, row 1 their values), and what it gives up: its batch
+    # but the minimum-value piece it keeps back
+    scratch = np.empty((2, 3 * n), dtype=np.int64)
+    runs, given = scratch[:, : 2 * n], scratch[:, 2 * n :]
+    routed = np.subtract(batch_z, 1, out=given[1])
+    routed *= split
+    z_split = routed + 1  # a node outside `split` divides by one and routes nothing
+    # a split batch holds z > 1, and every batch y >= 0; a failure names
+    # a bad z before a bad y
+    if np.minimum.reduce(np.minimum(routed - split, batch_y)) < 0:
+        if np.minimum.reduce(batch_z[split], initial=2) <= 1:
+            raise ProtocolError(f"split requires z > 1, got z={batch_z[split].min()} (caller must hold)")
+        raise ProtocolError(f"split requires y >= 0, got y={batch_y.min()}")
+    if held is not batch and np.count_nonzero(held < batch):
+        raise ProtocolError("split requires the batch within the held pair")
+    delta, large = np.divmod(batch_y, z_split, out=(runs[1, 1::2], runs[0, 0::2]))
+    np.subtract(batch_y, delta, out=given[0])
     np.subtract(routed, large, out=runs[0, 1::2])
     np.add(delta, 1, out=runs[1, 0::2])
-    pieces = rng.integers(0, count.repeat(routed))
-    pieces += first.repeat(routed)
+    pieces = first.repeat(routed)
+    pieces += draw(count.repeat(routed))
     values = runs[1].repeat(runs[0])
-    # receivers 0 .. n - 1 take the arrivals, n + j is node j's own slot
-    receiver = to[pieces]
-    tokens = np.bincount(receiver, minlength=2 * n)
-    mass = np.zeros(2 * n, dtype=np.int64)
-    np.add.at(mass, receiver, values)
-    # the kept pair, self-drawn pieces plus the minimum-value piece kept
-    # back, is written before a delivery into y and z themselves
-    if whole:
-        np.add(tokens[n:], 1, out=z)
-        np.add(mass[n:], delta, out=y)
-    else:
-        z[nodes] = tokens[n:][nodes] + 1
-        y[nodes] = mass[n:][nodes] + delta
-    into_y, into_z = inbox
-    into_y += mass[:n]
-    into_z += tokens[:n]
-    return delta + np.sign(large), pieces, values
+    # the giving goes first, so that no sum exceeds the ledger's; then each
+    # receiver, the sender itself for a self-drawn piece, takes its pieces
+    receiver = to.take(pieces)
+    held -= given
+    held[1] += np.bincount(receiver, minlength=n)
+    np.add.at(held[0], receiver, values)
+    return pieces, values
 
 
 def route_messages(
@@ -226,11 +232,12 @@ def route_messages(
     drew a piece, in slot order: by sender, then by out-neighbor order.
     Self-drawn pieces stay with their sender.
     """
-    first, _, to = slots
+    first, count, to = slots
     c_z = np.bincount(pieces, minlength=to.size)
+    c_z[first + count - 1] = 0  # the own slots
+    sent = np.flatnonzero(c_z)
     c_y = np.zeros(to.size, dtype=np.int64)
     np.add.at(c_y, pieces, values)
-    sent = np.flatnonzero((c_z > 0) & (to < first.size))
     return first.searchsorted(sent, side="right") - 1, to[sent], c_y[sent], c_z[sent]
 
 
@@ -241,41 +248,56 @@ def split_pieces(y: int, z: int, degree: int, rng: np.random.Generator) -> tuple
     out-neighbors.  Returns (kept_y, kept_z, c_y, c_z) where c_y/c_z are
     per-slot totals of length `degree` (slot i = i-th out-neighbor).
     """
-    # node 0 with out-neighbors 1 .. degree, which have none
-    state, inbox = np.zeros((2, 2, degree + 1), dtype=np.int64)
-    state[:, 0] = y, z
+    # node 0 with out-neighbors 1 .. degree, which have none and hold no
+    # mass on one token each
+    held = np.zeros((2, degree + 1), dtype=np.int64)
+    held[:, 0] = y, z
+    held[1, 1:] = 1
     slots = routing_slots((np.r_[0, np.full(degree + 1, degree)], np.arange(1, degree + 1)))
-    split_route(*state, np.zeros(1, dtype=np.int64), slots, rng, inbox)
-    return int(state[0, 0]), int(state[1, 0]), inbox[0, 1:], inbox[1, 1:]
+    split_route(held, held, np.arange(degree + 1) == 0, slots, functools.partial(rng.integers, 0))
+    return int(held[0, 0]), int(held[1, 0]), held[0, 1:], held[1, 1:] - 1
+
+
+def voting_csr(in_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, voters, count): node j's count[j] = in-degree + 1 voters,
+    voters[indptr[j] .. indptr[j + 1] - 1], are j, then its in-neighbors."""
+    in_ptr, sources = in_csr
+    nodes = np.arange(in_ptr.size - 1)
+    count = in_ptr[1:] - in_ptr[:-1] + 1
+    indptr = in_ptr + np.arange(in_ptr.size)
+    voters = np.empty(sources.size + nodes.size, dtype=np.int64)
+    voters[indptr[:-1]] = nodes
+    # in-edge e of node j moves up by the j + 1 own entries laid out up to it
+    voters[np.arange(sources.size) + (nodes + 1).repeat(count - 1)] = sources
+    return indptr, voters, count
 
 
 def flood_votes(
     vote_max: np.ndarray,
     vote_min: np.ndarray,
     nodes: np.ndarray,
-    in_csr: tuple[np.ndarray, np.ndarray],
+    voting: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
     """One max/min flooding hop into `nodes`, in place.
 
-    Each node folds in its in-neighbors' votes as they stood before the
-    hop.  Every node needs an in-neighbor, which strong connectivity with
-    n >= 2 guarantees.  Up to WHOLE_GRAPH_EDGES edges, or into every
-    node, the hop folds all in-edges and keeps the result at `nodes`;
-    otherwise it gathers the in-edges of `nodes` alone.
+    Each node folds in its voters' votes (`voting_csr`: its own and its
+    in-neighbors') as they stood before the hop.  Up to WHOLE_GRAPH_EDGES
+    in-edges, or into every node, the hop folds every node's voters and
+    keeps the result at `nodes`; otherwise it gathers those of `nodes`.
     """
     if nodes.size == 0:
         return
-    indptr, sources = in_csr
-    if nodes.size == vote_max.size or sources.size <= WHOLE_GRAPH_EDGES:
+    indptr, voters, count = voting
+    if nodes.size == vote_max.size or voters.size - vote_max.size <= WHOLE_GRAPH_EDGES:
         keep = slice(None) if nodes.size == vote_max.size else nodes
-        hi = np.maximum(vote_max, np.maximum.reduceat(vote_max[sources], indptr[:-1]))
-        lo = np.minimum(vote_min, np.minimum.reduceat(vote_min[sources], indptr[:-1]))
+        hi = np.maximum.reduceat(vote_max[voters], indptr[:-1])
+        lo = np.minimum.reduceat(vote_min[voters], indptr[:-1])
         vote_max[keep], vote_min[keep] = hi[keep], lo[keep]
         return
     first = indptr[nodes]
-    degrees = indptr[nodes + 1] - first
-    ends = degrees.cumsum()
-    starts = ends - degrees
-    senders = sources[np.arange(ends[-1]) + (first - starts).repeat(degrees)]
-    vote_max[nodes] = np.maximum(vote_max[nodes], np.maximum.reduceat(vote_max[senders], starts))
-    vote_min[nodes] = np.minimum(vote_min[nodes], np.minimum.reduceat(vote_min[senders], starts))
+    counts = count[nodes]
+    ends = np.add.accumulate(counts)
+    starts = ends - counts
+    senders = voters[np.arange(ends[-1]) + (first - starts).repeat(counts)]
+    vote_max[nodes] = np.maximum.reduceat(vote_max[senders], starts)
+    vote_min[nodes] = np.minimum.reduceat(vote_min[senders], starts)

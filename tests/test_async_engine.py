@@ -265,9 +265,9 @@ class TestEmissionBookkeeping:
         assert eng.all_flagged()
         completion_steps = [e.ready_step - 1 for e in eng.emission_log]
         assert max(completion_steps) <= eng.flag_step
-        before = (eng.total_y().copy(), eng.steps_done)
+        before = (eng.y.copy(), eng.steps_done)
         step_async(step_async(eng))
-        assert (eng.total_y() == before[0]).all()
+        assert (eng.y == before[0]).all()
         assert eng.steps_done == before[1]
 
     def test_determinism(self):
@@ -278,6 +278,31 @@ class TestEmissionBookkeeping:
         assert a.termination_step == b.termination_step
         for ra, rb in zip(a.trajectory, b.trajectory):
             assert (ra.y == rb.y).all() and (ra.z == rb.z).all()
+
+
+def stepped_changes(eng):
+    """Run `eng` to the end.  Keyed by each step's ready step k + 1: the
+    change in every held pair over step k, and the nodes that completed
+    a cycle at step k."""
+    changed, done = {}, {}
+    while not eng.all_flagged():
+        k = eng.steps_done + 1
+        before = eng.held.copy()
+        step_async(eng)
+        done[k + 1] = eng.busy_until == k
+        changed[k + 1] = eng.held - before
+    return changed, done
+
+
+def logged_flows(eng, steps):
+    """Per ready step: the (y, z) totals the emission log sends to and
+    from each node, as two (2, n) arrays."""
+    flows = {r: (np.zeros((2, eng.n), dtype=np.int64), np.zeros((2, eng.n), dtype=np.int64)) for r in steps}
+    for e in eng.emission_log:
+        into, out = flows[e.ready_step]
+        into[:, e.dst] += (e.c_y, e.c_z)
+        out[:, e.src] += (e.c_y, e.c_z)
+    return flows
 
 
 class TestBatchedEmissionLog:
@@ -304,25 +329,12 @@ class TestBatchedEmissionLog:
     def test_logged_mass_matches_arrivals_per_step(self):
         for seed in self.SEEDS:
             eng = self._engine(seed)
-            arrived_y, arrived_z = {}, {}
-            while not eng.all_flagged():
-                k = eng.steps_done + 1
-                pend_y, pend_z = eng.pend_y.copy(), eng.pend_z.copy()
-                step_async(eng)
-                # nodes that began a cycle this step folded their queue in
-                started = eng.cycle_start == k
-                pend_y[started] = 0
-                pend_z[started] = 0
-                arrived_y[k + 1] = eng.pend_y - pend_y
-                arrived_z[k + 1] = eng.pend_z - pend_z
-            logged_y = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_y}
-            logged_z = {r: np.zeros(eng.n, dtype=np.int64) for r in arrived_z}
-            for e in eng.emission_log:
-                logged_y[e.ready_step][e.dst] += e.c_y
-                logged_z[e.ready_step][e.dst] += e.c_z
-            for r in arrived_y:
-                assert (logged_y[r] == arrived_y[r]).all()
-                assert (logged_z[r] == arrived_z[r]).all()
+            changed, done = stepped_changes(eng)
+            for r, (got_in, got_out) in logged_flows(eng, changed).items():
+                # a node's held pair gains what is logged to it and loses
+                # what it logs, and only a node that completed logs any
+                assert (got_in - got_out == changed[r]).all()
+                assert (got_out[:, ~done[r]] == 0).all()
 
     def test_entries_are_nonempty_and_delayed_within_bound(self):
         for seed in self.SEEDS:
@@ -359,20 +371,12 @@ class TestBenchmarkScale:
 
     @pytest.fixture(scope="class")
     def stepped(self):
-        """Per seed: a delayed run stepped to the end, with the arrivals of each step."""
+        """Per seed: a delayed run stepped to the end, with each step's
+        change in the held pairs and its completed nodes."""
         runs = {}
         for seed in self.SEEDS:
             eng = AsyncEngine(self._cfg(seed), DelayModel(max_delay=self.B))
-            arrived = {}
-            while not eng.all_flagged():
-                k = eng.steps_done + 1
-                pend_y, pend_z = eng.pend_y.copy(), eng.pend_z.copy()
-                step_async(eng)
-                started = eng.cycle_start == k  # these folded their queue in
-                pend_y[started] = 0
-                pend_z[started] = 0
-                arrived[k + 1] = (eng.pend_y - pend_y, eng.pend_z - pend_z)
-            runs[seed] = (eng, arrived)
+            runs[seed] = (eng, *stepped_changes(eng))
         return runs
 
     def test_unit_delay_matches_sync_snapshot_by_snapshot(self):
@@ -410,39 +414,45 @@ class TestBenchmarkScale:
 
     def test_log_sums_to_arrivals_per_ready_step(self, stepped):
         for seed in self.SEEDS:
-            eng, arrived = stepped[seed]
-            logged = {r: (np.zeros(eng.n, dtype=np.int64), np.zeros(eng.n, dtype=np.int64)) for r in arrived}
-            for e in eng.emission_log:
-                assert 1 <= e.ready_step - e.emit_step <= self.B
-                logged[e.ready_step][0][e.dst] += e.c_y
-                logged[e.ready_step][1][e.dst] += e.c_z
-            for r, (ay, az) in arrived.items():
-                assert (logged[r][0] == ay).all() and (logged[r][1] == az).all(), (seed, r)
+            eng, changed, done = stepped[seed]
+            assert all(1 <= e.ready_step - e.emit_step <= self.B for e in eng.emission_log)
+            for r, (got_in, got_out) in logged_flows(eng, changed).items():
+                assert (got_in - got_out == changed[r]).all(), (seed, r)
+                assert (got_out[:, ~done[r]] == 0).all(), (seed, r)
 
 
 class TestMonotoneContractionAsync:
     def test_extreme_ratios_contract(self):
-        # The visible state (y + pend) does not contract monotonically:
-        # arrivals can queue at a node whose locked batch is about to split
-        # away.  What holds is the per-buffer envelope: the min of the
-        # floors of the locked batch y/z and of the queue pend_y/pend_z (over
-        # nonempty queues) never falls, and the max of the ceilings never rises.
+        # The visible state (the held pairs) does not contract
+        # monotonically: arrivals can queue behind a locked batch that is
+        # about to split away.  What holds is the per-buffer envelope.  The
+        # buffers are the locked batch and, when it holds a token, the
+        # queue behind it (held - batch) of every node still in its cycle,
+        # and the held pair of every node that completed at the last step.
+        # The min of their floors never falls, and the max of their
+        # ceilings never rises.  At a split the floor holds exactly: the
+        # node keeps a minimum-value piece, so its kept pair (its batch
+        # less what it logs) has its batch's floor.
         def envelope(eng):
-            lo = int((eng.y // eng.z).min())
-            hi = int((-(-eng.y // eng.z)).max())
-            queued = eng.pend_z > 0
-            if queued.any():
-                lo = min(lo, int((eng.pend_y[queued] // eng.pend_z[queued]).min()))
-                hi = max(hi, int((-(-eng.pend_y[queued] // eng.pend_z[queued])).max()))
-            return lo, hi
+            busy = eng.busy_until > eng.steps_done
+            queue = eng.held - eng.batch
+            y, z = np.concatenate((eng.batch[:, busy], queue[:, busy & (queue[1] > 0)], eng.held[:, ~busy]), axis=1)
+            return int((y // z).min()), int((-(-y // z)).max())
 
         for inst in range(600, 620):
             g, y0, z0 = random_instance(inst)
             for seed in (inst % 7, 7 + inst % 5):
-                eng = AsyncEngine(cfg_for(g, y0, z0, seed=seed), DelayModel(max_delay=4))
+                eng = AsyncEngine(cfg_for(g, y0, z0, seed=seed, record_trajectory=True), DelayModel(max_delay=4))
                 lo, hi = envelope(eng)
                 while not eng.all_flagged():
+                    logged = len(eng.emission_log)
                     step_async(eng)
                     new_lo, new_hi = envelope(eng)
                     assert new_lo >= lo and new_hi <= hi, (inst, seed, eng.steps_done)
                     lo, hi = new_lo, new_hi
+                    kept = eng.batch.copy()
+                    for e in eng.emission_log[logged:]:
+                        kept[:, e.src] -= (e.c_y, e.c_z)
+                    done = eng.busy_until == eng.steps_done
+                    floor = eng.batch[0, done] // eng.batch[1, done]
+                    assert (kept[0, done] // kept[1, done] == floor).all(), (inst, seed, eng.steps_done)

@@ -17,6 +17,7 @@ from qcs import (
     Digraph,
     InvariantError,
     MassOverflowError,
+    ProtocolError,
     RunConfig,
     SyncEngine,
     ceil_div,
@@ -37,15 +38,19 @@ class TestUnitDelays:
         monkeypatch.setattr(DelayModel, "draw_batch", no_draws)
         g, y0, z0 = random_instance(5)
         eng = make(RunConfig(graph=g, y0=y0, z0=z0, seed=5))
-        assert eng.pend_y is None and eng.busy_until is None and eng.cycle_start is None
+        assert eng.batch is eng.held and eng.busy_until is None and eng.cycle_start is None
         assert eng.run().converged
 
 
+# every cycle takes three steps, so all nodes start at steps 1, 4, 7, ...
+# and complete at steps 3, 6, 9, ...
+LOCKSTEP_3 = DelayModel(max_delay=3, pmf=(0.0, 0.0, 1.0))
+
+
 class TestLedger:
-    @pytest.mark.parametrize(
-        "max_delay, row", [(1, "y"), (1, "z"), (3, "y"), (3, "z"), (3, "pend_y"), (3, "pend_z")]
-    )
+    @pytest.mark.parametrize("max_delay, row", [(1, "y"), (1, "z"), (3, "y"), (3, "z")])
     def test_a_unit_off_anywhere_fails_the_next_step(self, max_delay, row):
+        # y and z are the rows of the held pairs, the ledger
         g, y0, z0 = random_instance(7)
         cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=7)
         eng = SyncEngine(cfg) if max_delay == 1 else AsyncEngine(cfg, DelayModel(max_delay))
@@ -53,6 +58,133 @@ class TestLedger:
         getattr(eng, row)[-1] += 1
         with pytest.raises(ConservationError, match=r"^step 2: mass ledger off, y \d+ != \d+ or z \d+ != \d+$"):
             eng.step()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_unit_off_in_a_locked_batch_fails_the_next_step(self, row):
+        # the batches locked at step 4 split at step 6, and no node
+        # completes in between, so nothing arrives behind them: a batch
+        # one unit over its held pair is refused at the next step, before
+        # its node splits it
+        g, y0, z0 = random_instance(7)
+        eng = AsyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=7), LOCKSTEP_3)
+        for _ in range(4):
+            eng.step()
+        eng.batch[row, -1] += 1
+        with pytest.raises(ProtocolError, match="^split requires the batch within the held pair$"):
+            eng.step()
+        assert eng.steps_done == 4
+
+
+class TestRouteBounds:
+    """Every route draw's bounds are slot counts, checked once at init."""
+
+    @pytest.mark.parametrize("bad", [1, 0, 2**32], ids=str)
+    def test_a_slot_count_outside_2_to_2_32_is_refused_before_step_1(self, bad, monkeypatch):
+        def slots_with(out_csr):
+            first, count, to = protocol.routing_slots(out_csr)
+            count = count.copy()
+            count[-1] = bad
+            return first, count, to
+
+        def no_split(*args):
+            raise AssertionError("a refused engine split")
+
+        monkeypatch.setattr(engine, "routing_slots", slots_with)
+        monkeypatch.setattr(engine, "split_route", no_split)
+        g, y0, z0 = random_instance(10)
+        for make in (SyncEngine, lambda cfg: AsyncEngine(cfg, DelayModel(max_delay=3))):
+            with pytest.raises(ValueError, match=r"^route bounds must lie in 2 \.\. 2\*\*32 - 1, got "):
+                make(RunConfig(graph=g, y0=y0, z0=z0, seed=10))
+
+
+class TestMaskedStep:
+    """The masked split at its edges: nodes that hold, steps where no node
+    completes, empty batches, per-node delay tables."""
+
+    def test_single_token_nodes_keep_their_pair_and_estimate(self):
+        # z0 = 1 doubles to 2, so after one split many nodes hold one token
+        held_any = 0
+        for seed in range(6):
+            g, y0, z0 = random_instance(seed + 60, z_range=(1, 1))
+            eng = SyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=seed, record_trajectory=True))
+            while not eng.all_flagged():
+                single = eng.z == 1
+                before, estimate, logged = eng.held.copy(), eng.estimate.copy(), len(eng.emission_log)
+                eng.step()
+                if eng.all_flagged():
+                    break
+                arrived = np.zeros_like(before)
+                for m in eng.emission_log[logged:]:
+                    assert not single[m.src]
+                    arrived[:, m.dst] += (m.c_y, m.c_z)
+                assert (eng.held[:, single] == (before + arrived)[:, single]).all()
+                assert (eng.estimate[single] == estimate[single]).all()
+                held_any += np.count_nonzero(single)
+        assert held_any > 0
+
+    def test_a_split_sets_the_estimate_to_its_batch_ceiling(self):
+        # each node's estimate is ceil(y/z) of the batch it last split (the
+        # batch stays locked until its next cycle starts); the others keep
+        # theirs, and a flagged engine reports its min votes
+        split_any = 0
+        for seed in range(4):
+            g, y0, z0 = random_instance(seed + 80)
+            eng = AsyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=seed), DelayModel(max_delay=3))
+            while not eng.all_flagged():
+                estimate = eng.estimate
+                eng.step()
+                if eng.all_flagged():
+                    assert (eng.estimate == eng.vote_min).all()
+                    break
+                split = (eng.busy_until == eng.steps_done) & (eng.batch[1] > 1)
+                assert (eng.estimate[split] == -(-eng.batch[0, split] // eng.batch[1, split])).all()
+                assert (eng.estimate[~split] == estimate[~split]).all()
+                split_any += np.count_nonzero(split)
+        assert split_any > 0
+
+    def test_steps_without_completions_route_nothing(self):
+        g, y0, z0 = random_instance(8)
+        eng = AsyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=8), LOCKSTEP_3)
+        pieces = []
+        draw = eng._route_draw
+        eng._route_draw = lambda high: pieces.append(len(high)) or draw(high)
+        stream = eng.route_rng
+        before = (eng.held.copy(), eng.estimate.copy(), stream.bit_generator.state, stream._next)
+        eng.step().step()
+        assert pieces == [0, 0]
+        assert (eng.held == before[0]).all() and (eng.estimate == before[1]).all()
+        assert (stream.bit_generator.state, stream._next) == before[2:]
+        eng.step()
+        assert pieces[2] > 0 and (eng.cycle_start == 1).all() and (eng.busy_until == 3).all()
+
+    def test_an_empty_batch_splits_into_empty_pieces(self):
+        eng = SyncEngine(RunConfig(graph=ring(4), y0=[0, 4, 8, 4], z0=[3, 1, 1, 1], seed=2, record_trajectory=True))
+        eng.step()
+        mine = [m for m in eng.emission_log if m.src == 0]
+        assert mine and all(m.c_y == 0 and m.c_z >= 1 for m in mine)
+        arrived = [(m.c_y, m.c_z) for m in eng.emission_log if m.dst == 0]
+        kept = (int(eng.y[0]) - sum(a[0] for a in arrived), int(eng.z[0]) - sum(a[1] for a in arrived))
+        assert eng.estimate[0] == 0 and kept == (0, 6 - sum(m.c_z for m in mine))
+
+    def test_per_node_tables_draw_in_node_order(self):
+        # node j's delays come from its own row with the stream's uniforms
+        # taken in node order, also when only some nodes start a cycle
+        g, y0, z0 = random_instance(9, n_range=(12, 12))
+        rows = np.random.default_rng(9).dirichlet(np.ones(4), g.n)
+        dm = DelayModel(max_delay=4, per_node_pmf=tuple(map(tuple, rows.tolist())))
+        eng = AsyncEngine(RunConfig(graph=g, y0=y0, z0=z0, seed=9), dm)
+        uniforms = iter(np.random.default_rng([9, engine.DELAY_STREAM]).random(engine._DELAY_BLOCK).tolist())
+        cdf = np.cumsum(rows, axis=1)
+        partial_starts = 0
+        while not eng.all_flagged() and eng.steps_done < 12:
+            k = eng.steps_done + 1
+            starting = np.flatnonzero(eng.busy_until == k - 1)
+            eng.step()
+            want = [min(int((cdf[j] <= next(uniforms)).sum()) + 1, 4) for j in starting.tolist()]
+            assert (eng.busy_until[starting] - k + 1).tolist() == want
+            assert (eng.cycle_start[starting] == k).all()
+            partial_starts += 0 < starting.size < g.n
+        assert partial_starts > 0
 
 
 def saturated(vote_max, vote_min) -> bool:
@@ -300,8 +432,8 @@ class TestPinnedStreams:
         cfg = RunConfig(graph=g, y0=y0, z0=z0, seed=4000, diameter_bound=g.diameter + 8, record_masses=True)
         eng = AsyncEngine(cfg, self._delay_model(kind, n))
         pieces = []
-        draw = eng.route_rng.integers
-        eng.route_rng.integers = lambda low, high: pieces.append(len(high)) or draw(low, high)
+        draw = eng._route_draw
+        eng._route_draw = lambda high: pieces.append(len(high)) or draw(high)
         starts = 0
         while not eng.all_flagged():
             eng.step()

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -433,6 +434,27 @@ class TestTrialBuilding:
         # every trial and the bounds block's trial 0 share one graph
         assert len(loads) == 1 and len(diameters) == 1
         assert serial.results == run_experiment(parse_config(spec), workers=2).results
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patch")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_epsilon_config_draws_each_trial_graph_once(self, workers, tmp_path, monkeypatch):
+        # the bounds block is trial 0's own table, not a second build of
+        # trial 0; draws are counted in a file, as pool workers are processes
+        drawn = tmp_path / "drawn"
+        generate = experiments.generate_random_digraph
+
+        def counted(*args, **kwargs):
+            with drawn.open("a") as fh:
+                fh.write("x")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_random_digraph", counted)
+        uniform = {"uniform": {"y0_range": [0, 30], "z0_range": [1, 4]}}
+        cfg = parse_config({**MINIMAL, "initial": uniform, "trials": 3, "epsilon": 0.1})
+        result = run_experiment(cfg, workers=workers)
+        assert drawn.read_text() == "xxx"
+        assert result.bounds_block == experiments.bounds_report(cfg)
+        assert [r.bound_table is None for r in result.results] == [False, True, True]
 
     def test_a_graph_file_parsed_again_reads_the_new_file(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -3,6 +3,8 @@ flip rule, checked on the array kernels of `qcs.protocol` and on the engine."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from qcs import (
     split_pieces,
 )
 from qcs.engine import _validate_config
-from qcs.protocol import WHOLE_GRAPH_EDGES, RouteStream, flood_votes, route_messages, routing_slots, split_route
+from qcs.protocol import WHOLE_GRAPH_EDGES, RouteStream, flood_votes, route_messages, routing_slots, split_route, voting_csr
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -39,12 +41,34 @@ def exhaustive_near_equal_partitions(y: int, z: int) -> set[tuple[int, ...]]:
 
 
 def split_and_send(y, z, nodes, slots, rng):
-    """split_route into a fresh inbox, and its messages: (estimate,
-    (src, dst, c_y, c_z), inbox), where inbox[0]/inbox[1] are the y/z
-    delivered to each node."""
-    inbox = np.zeros((2, y.size), dtype=np.int64)
-    estimate, pieces, values = split_route(y, z, nodes, slots, rng, inbox)
-    return estimate, route_messages(slots, pieces, values), inbox
+    """split_route of `nodes` on the batch (y, z), held apart from it, and
+    its messages: ((src, dst, c_y, c_z), held), where held is what each
+    node holds afterwards."""
+    batch = np.array((y, z), dtype=np.int64)
+    held = batch.copy()
+    split = np.zeros(y.size, dtype=bool)
+    split[nodes] = True
+    pieces, values = split_route(batch, held, split, slots, partial(rng.integers, 0))
+    assert (batch == (y, z)).all()  # the batch is only read
+    return route_messages(slots, pieces, values), held
+
+
+def message_totals(n, at, *columns):
+    """The columns' totals at each of n nodes, summed by the node `at` names."""
+    out = np.zeros((len(columns), n), dtype=np.int64)
+    for row, c in zip(out, columns):
+        np.add.at(row, at, c)
+    return out
+
+
+def kept_pairs(y, z, messages, held):
+    """(kept, received): what each node holds less what it received, and
+    the message totals it received; after asserting that every node
+    holds its batch less what it sent plus what it received."""
+    src, dst, c_y, c_z = messages
+    received = message_totals(y.size, dst, c_y, c_z)
+    assert (held == np.array((y, z)) - message_totals(y.size, src, c_y, c_z) + received).all()
+    return held - received, received
 
 
 class TestDivisionHelpers:
@@ -109,11 +133,13 @@ class TestSplit:
         for seed in range(10):
             y = np.zeros(4, dtype=np.int64)
             z = np.array([4, 2, 2, 2], dtype=np.int64)
-            est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, np.array([0]), slots, np.random.default_rng(seed))
-            assert y[0] == 0 and (c_y == 0).all() and est[0] == 0
-            assert z[0] + int(c_z.sum()) == 4
+            messages, held = split_and_send(y, z, np.array([0]), slots, np.random.default_rng(seed))
+            src, dst, c_y, c_z = messages
+            (kept_y, kept_z), received = kept_pairs(y, z, messages, held)
+            assert kept_y[0] == 0 and (c_y == 0).all()
+            assert kept_z[0] + int(c_z.sum()) == 4
             assert (c_z >= 1).all() and (src == 0).all()
-            assert (inbox[0] == 0).all() and inbox[1, dst].tolist() == c_z.tolist()
+            assert (held[0] == 0).all() and received[1, dst].tolist() == c_z.tolist()
 
     def test_split_requires_plural_tokens(self):
         with pytest.raises(ProtocolError):
@@ -173,7 +199,7 @@ def batch_network(nodes):
 
     Node i's out-neighbors are the next out-degree ids after it, modulo
     len(nodes) + 8, so nine or more ids and no self-loop; the ids past
-    the split nodes only receive.
+    the split nodes only receive, and hold no mass on one token.
     """
     y, z, deg = (np.array(col, dtype=np.int64) for col in zip(*nodes))
     n = len(nodes) + 8
@@ -182,7 +208,7 @@ def batch_network(nodes):
     indptr = np.cumsum([0] + [len(row) for row in out])
     targets = np.array([t for row in out for t in row], dtype=np.int64)
     pad = np.zeros(8, dtype=np.int64)
-    return np.concatenate((y, pad)), np.concatenate((z, pad)), out, routing_slots((indptr, targets))
+    return np.concatenate((y, pad)), np.concatenate((z, pad + 1)), out, routing_slots((indptr, targets))
 
 
 def per_slot(out_neighbors, i, src, dst, c):
@@ -202,10 +228,11 @@ class TestSplitBatch:
     def test_batch_properties(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, split, slots, np.random.default_rng(seed))
+        messages, held = split_and_send(y, z, split, slots, np.random.default_rng(seed))
+        src, dst, c_y, c_z = messages
         assert len(src) == len(dst) == len(c_y) == len(c_z)
-        # the inbox holds each receiver's message totals
-        assert inbox.tolist() == [np.bincount(dst, weights=c, minlength=y.size).tolist() for c in (c_y, c_z)]
+        # every node holds its kept pair plus the message totals sent to it
+        (kept_y, kept_z), _ = kept_pairs(y, z, messages, held)
         # messages travel on out-edges only, ordered by sender then by
         # out-neighbor order, and none is empty
         keys = [(s_, out[s_].index(d_)) for s_, d_ in zip(src.tolist(), dst.tolist())]
@@ -215,114 +242,141 @@ class TestSplitBatch:
             mine = src == i
             cy, cz = c_y[mine].tolist(), c_z[mine].tolist()
             delta, large = divmod(yi, zi)
-            assert int(est[i]) == -(-yi // zi)
             # kept plus sent is the node's whole pair
-            assert int(y[i]) + sum(cy) == yi
-            assert int(z[i]) + sum(cz) == zi
-            assert z[i] >= 1
+            assert int(kept_y[i]) + sum(cy) == yi
+            assert int(kept_z[i]) + sum(cz) == zi
+            assert kept_z[i] >= 1
             big_out = 0
             for v, t in zip(cy, cz):
                 assert delta * t <= v <= (delta + 1) * t
                 big_out += v - delta * t
-            kept_big = int(y[i]) - delta * int(z[i])
+            kept_big = int(kept_y[i]) - delta * int(kept_z[i])
             # the large pieces, kept and sent, number exactly y mod z, and
             # the piece the node keeps for itself is a minimum-value one
-            assert 0 <= kept_big <= z[i] - 1
+            assert 0 <= kept_big <= kept_z[i] - 1
             assert big_out + kept_big == large
-        # the receive-only ids are untouched
-        assert (y[len(nodes):] == 0).all() and (z[len(nodes):] == 0).all()
+        # the receive-only ids keep their own pair
+        assert (kept_y[len(nodes):] == 0).all() and (kept_z[len(nodes):] == 1).all()
 
     @given(nodes=node_batches, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)
     def test_batch_is_the_per_node_rule_on_one_stream(self, nodes, seed):
         y, z, out, slots = batch_network(nodes)
         split = np.arange(len(nodes))
-        _, (src, dst, c_y, c_z), _ = split_and_send(y, z, split, slots, np.random.default_rng(seed))
+        messages, held = split_and_send(y, z, split, slots, np.random.default_rng(seed))
+        src, dst, c_y, c_z = messages
+        (kept_y, kept_z), _ = kept_pairs(y, z, messages, held)
         # the batch takes its pieces node by node from the stream, each as
         # split_pieces, the one-node case, would for the same generator state
         rng = np.random.default_rng(seed)
         for i, (yi, zi, di) in enumerate(nodes):
             ky, kz, cy, cz = split_pieces(yi, zi, di, rng)
-            assert (ky, kz) == (y[i], z[i])
+            assert (ky, kz) == (kept_y[i], kept_z[i])
             assert (cy == per_slot(out, i, src, dst, c_y)).all()
             assert (cz == per_slot(out, i, src, dst, c_z)).all()
 
-    def test_rejects_a_single_token_or_negative_mass_anywhere(self):
-        slots = routing_slots(bidirectional_pair().out_csr)
-        both = np.array([0, 1])
-        inbox = np.zeros((2, 2), dtype=np.int64)
-        with pytest.raises(ProtocolError, match="z > 1"):
-            split_route(np.array([4, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0), inbox)
-        with pytest.raises(ProtocolError, match="y >= 0"):
-            split_route(np.array([4, -1]), np.array([3, 3]), both, slots, np.random.default_rng(0), inbox)
+    @pytest.mark.parametrize("batch, message", [
+        ([[4, 4], [3, 1]], r"^split requires z > 1, got z=1 \(caller must hold\)$"),
+        ([[4, -1], [3, 3]], r"^split requires y >= 0, got y=-1$"),
         # with both faults, the token count is named
-        with pytest.raises(ProtocolError, match="z > 1"):
-            split_route(np.array([-1, 4]), np.array([3, 1]), both, slots, np.random.default_rng(0), inbox)
-        assert (inbox == 0).all()
+        ([[-1, 4], [3, 1]], r"^split requires z > 1, got z=1 \(caller must hold\)$"),
+    ])
+    def test_rejects_a_single_token_or_negative_mass_anywhere(self, batch, message):
+        slots = routing_slots(bidirectional_pair().out_csr)
+        batch = np.array(batch, dtype=np.int64)
+        for held in (batch, batch.copy()):
+            before = held.copy()
+            with pytest.raises(ProtocolError, match=message):
+                split_route(batch, held, np.ones(2, dtype=bool), slots, partial(np.random.default_rng(0).integers, 0))
+            assert (held == before).all()
+
+    def test_a_single_token_outside_the_mask_holds_but_negative_mass_does_not(self):
+        slots = routing_slots(bidirectional_pair().out_csr)
+        draw = partial(np.random.default_rng(0).integers, 0)
+        batch = np.array([[7, 0], [3, 1]], dtype=np.int64)
+        held = batch.copy()
+        pieces, values = split_route(batch, held, np.array([True, False]), slots, draw)
+        assert len(pieces) == len(values) == 2
+        assert held.sum(axis=1).tolist() == [7, 4] and held[1].min() >= 1
+        batch[0, 1] = -1
+        with pytest.raises(ProtocolError, match=r"^split requires y >= 0, got y=-1$"):
+            split_route(batch, batch.copy(), np.array([True, False]), slots, draw)
+
+    def test_refuses_a_batch_beyond_the_held_pair(self):
+        # a node can only split what it holds, and a batch beyond it is
+        # refused at any node; an alias of the batch always holds it
+        slots = routing_slots(bidirectional_pair().out_csr)
+        batch = np.array([[4, 4], [3, 3]], dtype=np.int64)
+        for row in (0, 1):
+            for split in (np.ones(2, dtype=bool), np.array([True, False])):
+                held = batch.copy()
+                held[row, 1] -= 1
+                before = held.copy()
+                with pytest.raises(ProtocolError, match="^split requires the batch within the held pair$"):
+                    split_route(batch, held, split, slots, partial(np.random.default_rng(0).integers, 0))
+                assert (held == before).all()
 
     def test_masses_near_int64_stay_exact(self):
         y = np.array([2**62 + 5, 2**61 + 3], dtype=np.int64)
         z = np.array([7, 3], dtype=np.int64)
         slots = routing_slots(bidirectional_pair().out_csr)
-        est, (src, dst, c_y, c_z), inbox = split_and_send(y, z, np.array([0, 1]), slots, np.random.default_rng(4))
+        messages, held = split_and_send(y, z, np.array([0, 1]), slots, np.random.default_rng(4))
+        src, dst, c_y, c_z = messages
+        (kept_y, _), received = kept_pairs(y, z, messages, held)
         # on a pair, each node's messages are the other's arrivals
         assert src.tolist() == [1 - d for d in dst.tolist()]
-        assert int(y[0]) + int(inbox[0, 1]) == 2**62 + 5
-        assert int(y[1]) + int(inbox[0, 0]) == 2**61 + 3
-        assert inbox[0, dst].tolist() == c_y.tolist()
-        assert est.tolist() == [-(-(2**62 + 5) // 7), -(-(2**61 + 3) // 3)]
+        assert int(kept_y[0]) + int(received[0, 1]) == 2**62 + 5
+        assert int(kept_y[1]) + int(received[0, 0]) == 2**61 + 3
+        assert int(held[0].sum()) == 2**62 + 2**61 + 8
 
     def test_slots_list_out_neighbors_then_self(self):
         g, _, _ = random_instance(710)
         first, count, dst = routing_slots(g.out_csr)
         for j in range(g.n):
-            # the own slot names the virtual receiver n + j
-            assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [g.n + j]
+            # the own slot names the node itself
+            assert dst[first[j]:first[j] + count[j]].tolist() == list(g.out_neighbors[j]) + [j]
         assert first[-1] + count[-1] == len(dst)
 
     def test_slots_equal_the_insert_layout(self):
         # the layout as np.insert builds it: node j's own slot, receiver
-        # n + j, after its out-edges
+        # j, after its out-edges
         for seed in range(30):
             g, _, _ = random_instance(seed + 730, n_range=(2, 40), p_range=(0.35, 1.0))
             indptr, targets = g.out_csr
             first, count, dst = routing_slots(g.out_csr)
-            assert dst.tolist() == np.insert(targets, indptr[1:], np.arange(g.n) + g.n).tolist()
+            assert dst.tolist() == np.insert(targets, indptr[1:], np.arange(g.n)).tolist()
             assert first.tolist() == (indptr[:-1] + np.arange(g.n)).tolist()
             assert count.tolist() == (np.diff(indptr) + 1).tolist()
             assert dst.dtype == np.int64
 
     def test_every_node_splitting_matches_a_partial_batch(self):
-        # the whole-layout shortcut gives what the same split gives when
-        # an extra receive-only node makes the batch partial
+        # every node splitting gives what the same split gives when an
+        # extra receive-only node makes the batch partial
         for seed in range(20):
             g, y0, z0 = random_instance(seed + 740)
             y = 2 * np.array(y0, dtype=np.int64)
             z = 2 * np.array(z0, dtype=np.int64)
             indptr, targets = g.out_csr
             padded = (np.append(indptr, indptr[-1]), targets)
-            y1, z1 = np.append(y, 0), np.append(z, 0)
+            y1, z1 = np.append(y, 0), np.append(z, 1)
             whole = split_and_send(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(seed))
             part = split_and_send(y1, z1, np.arange(g.n), routing_slots(padded), np.random.default_rng(seed))
-            assert whole[0].tolist() == part[0].tolist()
-            for a, b in zip(whole[1], part[1]):
+            for a, b in zip(whole[0], part[0]):
                 assert a.tolist() == b.tolist()
-            assert (y1[:-1] == y).all() and (z1[:-1] == z).all() and y1[-1] == z1[-1] == 0
-            assert whole[2].tolist() == part[2][:, :-1].tolist() and (part[2][:, -1] == 0).all()
+            assert whole[1].tolist() == part[1][:, :-1].tolist() and part[1][:, -1].tolist() == [0, 1]
 
 
 def reference_split(g, y, z, nodes, seed):
     """The split of `nodes`, piece by piece in Python, from the draws
-    split_route takes with a Generator seeded `seed`: (estimates, kept
-    pairs by node, messages as (src, dst, c_y, c_z) by sender, then by
+    split_route takes with a Generator seeded `seed`: (kept pairs by
+    node, messages as (src, dst, c_y, c_z) by sender, then by
     out-neighbor order)."""
     widths = np.array([len(g.out_neighbors[j]) + 1 for j in nodes.tolist()], dtype=np.int64)
     draws = iter(np.random.default_rng(seed).integers(0, widths.repeat(z[nodes] - 1)).tolist())
-    estimates, kept, messages = [], {}, {}
+    kept, messages = {}, {}
     for j in nodes.tolist():
         yj, zj = int(y[j]), int(z[j])
         delta, large = divmod(yj, zj)
-        estimates.append(-(-yj // zj))
         kept_y, kept_z = delta, 1
         for i in range(zj - 1):
             slot = next(draws)
@@ -334,12 +388,13 @@ def reference_split(g, y, z, nodes, seed):
                 msg[2] += value
                 msg[3] += 1
         kept[j] = (kept_y, kept_z)
-    return estimates, kept, [tuple(messages[key]) for key in sorted(messages)]
+    return kept, [tuple(messages[key]) for key in sorted(messages)]
 
 
 class TestDeliveryByReceiver:
     """split_route's by-receiver delivery against a per-piece reference
-    and route_messages, on whole, partial and single-node batches."""
+    and route_messages, on whole, partial and single-node batches, with
+    the held pairs the batch itself or apart from it."""
 
     @pytest.mark.parametrize("delayed", [False, True])
     def test_kernel_matches_the_per_piece_rule(self, delayed):
@@ -355,28 +410,28 @@ class TestDeliveryByReceiver:
             )[seed % 3]
             if not nodes.size:
                 continue
-            estimates, kept, messages = reference_split(g, y, z, nodes, seed)
-            held_y, held_z = y.copy(), z.copy()
-            for j, (kept_y, kept_z) in kept.items():
-                held_y[j], held_z[j] = kept_y, kept_z
-            total = (int(y.sum()), int(z.sum()))
-            slots = routing_slots(g.out_csr)
-            pend = np.zeros((2, g.n), dtype=np.int64)
-            inbox = pend if delayed else (y, z)
-            est, pieces, values = split_route(y, z, nodes, slots, np.random.default_rng(seed), inbox)
-            src, dst, c_y, c_z = route_messages(slots, pieces, values)
-            assert est.tolist() == estimates
-            assert list(zip(*(a.tolist() for a in (src, dst, c_y, c_z)))) == messages
-            # what each receiver got is the sum of the messages to it
-            arrived = np.zeros((2, g.n), dtype=np.int64)
+            kept, messages = reference_split(g, y, z, nodes, seed)
+            batch = np.array((y, z))
+            # under delays a node holds arrivals queued behind its batch
+            queued = pick.integers(0, 50, (2, g.n)) if delayed else np.zeros((2, g.n), dtype=np.int64)
+            want = batch + queued
+            for j, pair in kept.items():
+                want[:, j] = queued[:, j] + pair
             for _, d, cy, cz in messages:
-                arrived[:, d] += (cy, cz)
+                want[:, d] += (cy, cz)
+            held = batch + queued if delayed else batch
+            total = held.sum(axis=1).tolist()
+            slots = routing_slots(g.out_csr)
+            split = np.isin(np.arange(g.n), nodes)
+            pieces, values = split_route(batch, held, split, slots, partial(np.random.default_rng(seed).integers, 0))
+            src, dst, c_y, c_z = route_messages(slots, pieces, values)
+            assert list(zip(*(a.tolist() for a in (src, dst, c_y, c_z)))) == messages
+            # each node holds its queue, its kept pair or unsplit batch,
+            # and the sum of the messages to it
+            assert (held == want).all()
+            assert held.sum(axis=1).tolist() == total
             if delayed:
-                assert (pend == arrived).all()
-                assert (y == held_y).all() and (z == held_z).all()
-            else:
-                assert (y == held_y + arrived[0]).all() and (z == held_z + arrived[1]).all()
-            assert (int(y.sum() + pend[0].sum()), int(z.sum() + pend[1].sum())) == total
+                assert (batch == (y, z)).all()
 
     def test_recording_leaves_the_run_unchanged(self):
         # the emission log is built beside the run, never in its path
@@ -390,7 +445,7 @@ class TestDeliveryByReceiver:
                 plain.run(), recording.run()
                 assert recording.emission_log is not None and plain.emission_log is None
                 assert (plain.flag_step, plain.steps_done) == (recording.flag_step, recording.steps_done)
-                for name in ("_ledger", "estimate", "vote_max", "vote_min", "busy_until", "cycle_start"):
+                for name in ("held", "batch", "estimate", "vote_max", "vote_min", "busy_until", "cycle_start"):
                     a, b = getattr(plain, name), getattr(recording, name)
                     assert (a is None and b is None) or a.tolist() == b.tolist()
 
@@ -403,33 +458,38 @@ class TestRouteAndFlood:
             z = 2 * np.array(z0, dtype=np.int64)
             total = (int(y.sum()), int(z.sum()))
             nodes = np.flatnonzero(np.arange(g.n) % 3 != 1)
-            before_y, before_z = y.copy(), z.copy()
-            _, (src, dst, c_y, c_z), inbox = split_and_send(
-                y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed)
-            )
+            messages, held = split_and_send(y, z, nodes, routing_slots(g.out_csr), np.random.default_rng(seed))
+            src, dst, c_y, c_z = messages
             assert len(src) == len(dst)
             assert (c_z >= 1).all()
             assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
             # ordered by sender, then by out-neighbor order
             keys = [(s, g.out_neighbors[s].index(d)) for s, d in zip(src.tolist(), dst.tolist())]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            # every node holds its batch less what it sent plus what it
+            # received, and a node outside `nodes` sent nothing
+            kept, _ = kept_pairs(y, z, messages, held)
             untouched = np.setdiff1d(np.arange(g.n), nodes)
-            assert (y[untouched] == before_y[untouched]).all()
-            # the inbox holds each receiver's message totals
-            sums = np.zeros((2, g.n), dtype=np.int64)
-            np.add.at(sums[0], dst, c_y)
-            np.add.at(sums[1], dst, c_z)
-            assert (inbox == sums).all()
-            assert (int((y + inbox[0]).sum()), int((z + inbox[1]).sum())) == total
+            assert (kept[:, untouched] == (y[untouched], z[untouched])).all()
+            assert tuple(held.sum(axis=1).tolist()) == total
 
     def test_sender_index_per_message(self):
         g, y0, z0 = random_instance(705)
         y = 2 * np.array(y0, dtype=np.int64)
         z = 2 * np.array(z0, dtype=np.int64)
-        _, (src, dst, _, _), _ = split_and_send(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
+        (src, dst, _, _), _ = split_and_send(y, z, np.arange(g.n), routing_slots(g.out_csr), np.random.default_rng(0))
         # one sender per message, nondecreasing, each on an out-edge of its sender
         assert len(src) == len(dst) and (np.diff(src) >= 0).all()
         assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
+
+    def test_voters_are_the_node_then_its_in_neighbors(self):
+        for seed in range(20):
+            g, _, _ = random_instance(seed + 770, n_range=(2, 40), p_range=(0.35, 1.0))
+            indptr, voters, count = voting_csr(g.in_csr)
+            for j in range(g.n):
+                assert voters[indptr[j]:indptr[j + 1]].tolist() == [j] + list(g.in_neighbors[j])
+            assert count.tolist() == np.diff(indptr).tolist() and indptr[-1] == voters.size
+            assert voters.dtype == np.int64
 
     def test_flood_matches_the_per_node_merge(self):
         # graphs of up to 20 nodes lie below WHOLE_GRAPH_EDGES, and those of
@@ -452,7 +512,7 @@ class TestRouteAndFlood:
                 want.append((max([int(hi[j])] + [int(hi[i]) for i in shown]),
                              min([int(lo[j])] + [int(lo[i]) for i in shown])))
             vote_max, vote_min = hi.copy(), lo.copy()
-            flood_votes(vote_max, vote_min, nodes, g.in_csr)
+            flood_votes(vote_max, vote_min, nodes, voting_csr(g.in_csr))
             assert list(zip(vote_max[nodes].tolist(), vote_min[nodes].tolist())) == want
             rest = np.setdiff1d(np.arange(g.n), nodes)
             assert (vote_max[rest] == hi[rest]).all() and (vote_min[rest] == lo[rest]).all()
@@ -509,7 +569,7 @@ def star_merge(own, votes):
     g = Digraph(n=m + 1, out_neighbors=(tuple(range(1, m + 1)),) + ((0,),) * m)
     vote_max = np.array([own[0]] + [v[0] for v in votes], dtype=np.int64)
     vote_min = np.array([own[1]] + [v[1] for v in votes], dtype=np.int64)
-    flood_votes(vote_max, vote_min, np.array([0]), g.in_csr)
+    flood_votes(vote_max, vote_min, np.array([0]), voting_csr(g.in_csr))
     return int(vote_max[0]), int(vote_min[0])
 
 
@@ -528,7 +588,7 @@ class TestVotes:
         # an empty hop is a no-op
         in_csr = bidirectional_pair().in_csr
         vote_max, vote_min = np.array([3, 9]), np.array([3, 0])
-        flood_votes(vote_max, vote_min, np.array([], dtype=np.int64), in_csr)
+        flood_votes(vote_max, vote_min, np.array([], dtype=np.int64), voting_csr(in_csr))
         assert vote_max.tolist() == [3, 9] and vote_min.tolist() == [3, 0]
 
     def test_merge_at_consensus(self):
@@ -603,7 +663,7 @@ class TestMessages:
         for seed in range(20):
             y = np.full(9, 5, dtype=np.int64)
             z = np.full(9, 3, dtype=np.int64)
-            _, (src, dst, c_y, c_z), _ = split_and_send(y, z, np.array([0, 4]), slots, np.random.default_rng(seed))
+            (src, dst, c_y, c_z), _ = split_and_send(y, z, np.array([0, 4]), slots, np.random.default_rng(seed))
             assert set(src.tolist()) <= {0, 4} and (np.bincount(src, minlength=5) <= 2).all()
             assert (c_z >= 1).all()
 
@@ -695,6 +755,57 @@ class TestRouteStream:
     def test_refuses_other_bit_generators(self, bit_generator):
         with pytest.raises(TypeError, match="PCG64"):
             RouteStream(bit_generator)
+
+
+class TestEngineRouteDraw:
+    """RouteStream.draw, the unchecked entry the engine routes through,
+    against Generator(PCG64(s)).integers(0, bounds)."""
+
+    @staticmethod
+    def _check(seed, calls, most=None):
+        stream = RouteStream(np.random.PCG64(seed))
+        gen = np.random.Generator(np.random.PCG64(seed))
+        for bounds in calls:
+            high = np.array(bounds, dtype=np.int64)
+            bound = most or (int(high.max()) if high.size else 2)
+            assert stream.draw(high, bound).tolist() == gen.integers(0, high).tolist()
+        return stream
+
+    @pytest.mark.parametrize("most", [None, 2**32 - 1])
+    def test_small_and_mixed_slot_counts(self, most):
+        # the bound the engine passes is the trial's largest slot count,
+        # so any bound at or above a call's largest must draw the same
+        counts = routing_slots(random_instance(12, n_range=(30, 30))[0].out_csr)[1]
+        self._check(1, [[2] * 50, [3] * 51, counts.repeat(7), [2, 3] * 40 + [3]], most)
+
+    @pytest.mark.parametrize("heavy", [2**31 + 1, 2**32 - 1])
+    def test_rejection_heavy_bounds(self, heavy):
+        rng = np.random.default_rng(heavy)
+        mixed = rng.integers(2, 60, 3000)
+        mixed[rng.integers(0, 3000, 300)] = heavy
+        self._check(2, [[heavy] * 2000, mixed, [heavy, 2, heavy]])
+
+    def test_draws_across_buffer_refills(self):
+        # a buffer holds 2**14 halves: calls that end at its end, cross one
+        # refill and cross several in one call
+        rng = np.random.default_rng(5)
+        sizes = (2**14 - 3, 3, 2**14 + 1, 3 * 2**14 + 7, 1)
+        stream = self._check(3, [rng.integers(2, 100, size) for size in sizes])
+        assert stream._next == sum(sizes) % 2**14  # none of these draws is rejected
+
+    def test_empty_draws_take_nothing(self):
+        stream = self._check(4, [[], [5, 6], [], [], [7]])
+        assert stream._next == 3
+        assert stream.draw(np.empty(0, dtype=np.int64), 2).tolist() == []
+
+    def test_successive_calls_continue_one_sequence(self):
+        rng = np.random.default_rng(6)
+        calls = [rng.integers(2, 40, int(size)) for size in rng.integers(0, 900, 40)]
+        whole = np.concatenate(calls)
+        split = self._check(7, calls)
+        stream = RouteStream(np.random.PCG64(7))
+        assert stream.draw(whole, 40).tolist() == np.random.Generator(np.random.PCG64(7)).integers(0, whole).tolist()
+        assert stream._next == split._next
 
 
 def old_first_bad_node(y0, z0):
