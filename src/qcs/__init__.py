@@ -20,7 +20,6 @@ from .applications import (
     scheduling_init,
     scheduling_utilizations,
 )
-from .async_engine import AsyncEngine, run_async, step_async
 from .bounds import (
     bounds_report,
     completion_step_bound,
@@ -38,7 +37,8 @@ from .digraph import (
     generate_random_digraph,
     is_strongly_connected,
 )
-from .engine import DelayModel, InFlightEntry, RunConfig, RunOutcome, TrajectoryRecord
+from .engine import AsyncEngine, DelayModel, InFlightEntry, RunConfig, RunOutcome, SyncEngine, TrajectoryRecord
+from .engine import run_async, run_sync, step_async, step_sync
 from .errors import (
     CapacityExceededError,
     ConfigError,
@@ -61,7 +61,6 @@ from .experiments import (
 )
 from .metrics import ErrorSeries, TrialStats, normalized_error, trial_stats
 from .protocol import ceil_div, floor_div, split_pieces
-from .sync_engine import SyncEngine, run_sync, step_sync
 
 __version__ = "0.1.0"
 

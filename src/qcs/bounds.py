@@ -90,7 +90,8 @@ def _reported(floor: Fraction) -> Union[float, str]:
     if floor >= sys.float_info.min:
         return float(floor)
     from decimal import Decimal, localcontext  # here: most runs never need the module
-    with localcontext(prec=17):
+    with localcontext() as ctx:
+        ctx.prec = 17
         return f"{(Decimal(floor.numerator) / floor.denominator).normalize():e}"
 
 

@@ -216,7 +216,7 @@ def _cmd_fig2_desk(args) -> int:
         return _run_sweep(args)
     sizes, delays = experiments.FIG2_FULL_SIZES, experiments.FIG2_FULL_DELAYS
     logger.warning(
-        "full-scale sweep: %d cells; at 50 trials per cell it took 12 min with 2 workers on a 2-core VM",
+        "full-scale sweep: %d cells; at 50 trials per cell it took about 7 min with 2 workers on a 2-core VM",
         len(sizes) * len(delays),
     )
     return _run_sweep(args, sizes=sizes, delays=delays)

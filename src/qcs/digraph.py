@@ -34,10 +34,7 @@ class Digraph:
     """
 
     def __init__(self, n: int, out_neighbors: Sequence[Sequence[int]]):
-        try:
-            sources, targets = _edge_arrays(out_neighbors)
-        except OverflowError:
-            raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}") from None
+        sources, targets = _edge_arrays(out_neighbors, n)
         if n >= 2 and len(out_neighbors) != n:  # n < 2 is refused first, in _set_edges
             raise ValueError(f"out_neighbors has {len(out_neighbors)} rows for n={n}")
         self._set_edges(n, sources, targets)
@@ -219,10 +216,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _edge_arrays(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of adjacency lists as int64 (sources, targets) arrays, in row order."""
+def _edge_arrays(rows: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of adjacency lists on nodes 0..n-1 as int64 (sources, targets) arrays, in row order."""
     degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum()))
+    try:
+        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum()))
+    except OverflowError:
+        raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}") from None
     return np.repeat(np.arange(len(rows), dtype=np.int64), degrees), targets
 
 
@@ -278,16 +278,19 @@ def _strongly_connected(n: int, sources: np.ndarray, targets: np.ndarray) -> boo
 def is_strongly_connected(out_neighbors: Sequence[Sequence[int]] | Digraph) -> bool:
     """True iff every node reaches every other along directed paths.
 
-    Accepts raw adjacency lists (a candidate graph) or a Digraph.  Two
-    frontier expansions suffice: from node 0 forward and from node 0 on
-    the transpose.
+    Accepts raw adjacency lists (a candidate graph, whose ids must lie in
+    0..n-1) or a Digraph.  Two frontier expansions suffice: from node 0
+    forward and from node 0 on the transpose.
     """
     if isinstance(out_neighbors, Digraph):
         return _strongly_connected(out_neighbors.n, out_neighbors._sources, out_neighbors.out_csr[1])
     n = len(out_neighbors)
     if n == 0:
         return False
-    return _strongly_connected(n, *_edge_arrays(out_neighbors))
+    sources, targets = _edge_arrays(out_neighbors, n)
+    if np.count_nonzero(targets.view(np.uint64) >= n):  # a negative id is huge as uint64
+        raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}")
+    return _strongly_connected(n, sources, targets)
 
 
 def generate_random_digraph(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import ConservationError, InvariantError, MassOverflowError
-from .protocol import RouteStream, flood_votes, route_bound, route_messages, routing_slots, split_route, voting_csr
+from .protocol import RouteStream, flood_votes, route_bound, route_messages, routing_slots, split_route
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +118,19 @@ class RunOutcome:
     mass_z: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+def _integral(kind: type) -> bool:
+    """Whether values of type `kind` are integers: ints and numpy ints, not bools."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _refuse_non_integers(name: str, values) -> None:
+    """Raise ValueError naming the first entry of `values` that is not an integer."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind in "iu") or all(map(_integral, set(map(type, values)))):
+        return
+    j = next(j for j, v in enumerate(values) if not _integral(type(v)))
+    raise ValueError(f"{name}[{j}]={values[j]!r} is not an integer")
+
+
 def _validate_config(cfg: RunConfig) -> tuple[int, np.ndarray, np.ndarray]:
     """Common config validation; returns the window basis (D used) and y0, z0 as arrays (of objects past int64)."""
     n = cfg.graph.n
@@ -126,6 +139,12 @@ def _validate_config(cfg: RunConfig) -> tuple[int, np.ndarray, np.ndarray]:
             f"initial value lists must have length n={n}, "
             f"got {len(cfg.y0)} and {len(cfg.z0)}"
         )
+    if not _integral(type(cfg.max_steps)):
+        raise ValueError(f"max_steps={cfg.max_steps!r} is not an integer")
+    if cfg.diameter_bound is not None and not _integral(type(cfg.diameter_bound)):
+        raise ValueError(f"diameter_bound={cfg.diameter_bound!r} is not an integer")
+    _refuse_non_integers("y0", cfg.y0)
+    _refuse_non_integers("z0", cfg.z0)
     y0, z0 = np.asarray(cfg.y0), np.asarray(cfg.z0)
     # the first bad node is named, its token count checked before its mass
     if np.minimum.reduce(z0) < 1 or np.minimum.reduce(y0) < 0:
@@ -166,6 +185,8 @@ class DelayModel:
     per_node_pmf: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self) -> None:
+        if not _integral(type(self.max_delay)):
+            raise ValueError(f"max_delay={self.max_delay!r} is not an integer")
         if self.max_delay < 1:
             raise ValueError(f"max_delay must be >= 1, got {self.max_delay}")
         for row in self._given_rows():
@@ -196,11 +217,9 @@ class DelayModel:
 
         `nodes` is read only under a per-node table.
         """
-        if self.per_node_pmf is None:
-            idx = np.searchsorted(self._cdf[0], u, side="right")
-        else:
-            idx = (self._cdf[nodes] <= u[:, None]).sum(axis=1)
-        return np.minimum(idx + 1, self.max_delay)
+        # rows by delay, columns by draw: the sum runs over whole rows
+        table = self._cdf if self.per_node_pmf is None else self._cdf[nodes]
+        return np.minimum((table.T <= u).sum(axis=0) + 1, self.max_delay)
 
     def draw(self, rng: np.random.Generator, node: int) -> int:
         """One delay draw in {1..max_delay} (consumes one uniform)."""
@@ -269,7 +288,7 @@ class Engine:
         self.route_rng = RouteStream(np.random.PCG64([cfg.seed, ROUTE_STREAM]))
         # every draw's bounds are slot counts, so one check covers them all
         self._route_draw = partial(self.route_rng.draw, most=route_bound(self.slots[1]))
-        self.voting = voting_csr(g.in_csr)
+        self.voting = routing_slots(g.in_csr)
         self.held = np.zeros((2, self.n), dtype=np.int64)
         self.y, self.z = self.held
         # initialization doubles both values so z >= 2 everywhere
@@ -445,3 +464,40 @@ class Engine:
         if self.flag_step is None:
             logger.info("run did not converge within max_steps=%d", self.cfg.max_steps)
         return self.outcome()
+
+
+class SyncEngine(Engine):
+    """The engine with unit delays: the synchronous protocol."""
+
+    def __init__(self, cfg: RunConfig):
+        Engine.__init__(self, cfg)
+
+    # bound in each class body so that the two classes' steps and runs can
+    # be timed apart by patching one class alone
+    step = Engine.step
+    run = Engine.run
+
+
+class AsyncEngine(Engine):
+    """The engine under a `DelayModel`: the bounded-delay protocol."""
+
+    def __init__(self, cfg: RunConfig, delay_model: DelayModel):
+        Engine.__init__(self, cfg, delay_model)
+
+    step = Engine.step
+    run = Engine.run
+
+
+# one step of an engine, which it returns (test-facing decompositions of the runs)
+step_sync = SyncEngine.step
+step_async = AsyncEngine.step
+
+
+def run_sync(cfg: RunConfig) -> RunOutcome:
+    """Run the synchronous protocol to termination or the step cap."""
+    return SyncEngine(cfg).run()
+
+
+def run_async(cfg: RunConfig, delay_model: DelayModel) -> RunOutcome:
+    """Run the bounded-delay protocol to termination or the step cap."""
+    return AsyncEngine(cfg, delay_model).run()

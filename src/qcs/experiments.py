@@ -26,11 +26,9 @@ from typing import Callable, ClassVar, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import applications, bounds, metrics
-from .async_engine import run_async
 from .digraph import Digraph, generate_random_digraph
-from .engine import DEFAULT_MAX_STEPS, UNIT_DELAY, DelayModel, RunConfig
+from .engine import DEFAULT_MAX_STEPS, UNIT_DELAY, DelayModel, RunConfig, run_async, run_sync
 from .errors import ConfigError, TrialError
-from .sync_engine import run_sync
 
 logger = logging.getLogger(__name__)
 

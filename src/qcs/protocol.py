@@ -149,20 +149,21 @@ def _first_rejected(low_half: np.ndarray, width: np.ndarray, start: int) -> Opti
     return None
 
 
-def routing_slots(out_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The routing slots of every node, laid out from the out-edge CSR.
+def routing_slots(csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node's slots, laid out from a CSR of its neighbors.
 
-    Node j owns count[j] = out-degree + 1 slots, first[j] ..
-    first[j] + count[j] - 1 of `to`, the slots' receivers: its
-    out-neighbors in order, then its own slot, whose receiver is j.
-    Returns (first, count, to).
+    Node j owns count[j] = degree + 1 slots, first[j] .. first[j] +
+    count[j] - 1 of `to`: its neighbors in order, then j itself.  Over
+    the out-edge CSR the slots are routing targets, whose last is the
+    node's own; over the in-edge CSR they are the voters `flood_votes`
+    reads.  Returns (first, count, to).
     """
-    indptr, targets = out_csr
+    indptr, targets = csr
     nodes = np.arange(indptr.size - 1)
     degree = indptr[1:] - indptr[:-1]
     first = indptr[:-1] + nodes
     to = np.empty(targets.size + nodes.size, dtype=np.int64)
-    # out-edge e of node j moves up by the j own slots laid out before it
+    # edge e of node j moves up by the j own slots laid out before it
     to[np.arange(targets.size) + nodes.repeat(degree)] = targets
     to[indptr[1:] + nodes] = nodes
     return first, degree + 1, to
@@ -258,20 +259,6 @@ def split_pieces(y: int, z: int, degree: int, rng: np.random.Generator) -> tuple
     return int(held[0, 0]), int(held[1, 0]), held[0, 1:], held[1, 1:] - 1
 
 
-def voting_csr(in_csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, voters, count): node j's count[j] = in-degree + 1 voters,
-    voters[indptr[j] .. indptr[j + 1] - 1], are j, then its in-neighbors."""
-    in_ptr, sources = in_csr
-    nodes = np.arange(in_ptr.size - 1)
-    count = in_ptr[1:] - in_ptr[:-1] + 1
-    indptr = in_ptr + np.arange(in_ptr.size)
-    voters = np.empty(sources.size + nodes.size, dtype=np.int64)
-    voters[indptr[:-1]] = nodes
-    # in-edge e of node j moves up by the j + 1 own entries laid out up to it
-    voters[np.arange(sources.size) + (nodes + 1).repeat(count - 1)] = sources
-    return indptr, voters, count
-
-
 def flood_votes(
     vote_max: np.ndarray,
     vote_min: np.ndarray,
@@ -280,24 +267,24 @@ def flood_votes(
 ) -> None:
     """One max/min flooding hop into `nodes`, in place.
 
-    Each node folds in its voters' votes (`voting_csr`: its own and its
-    in-neighbors') as they stood before the hop.  Up to WHOLE_GRAPH_EDGES
-    in-edges, or into every node, the hop folds every node's voters and
-    keeps the result at `nodes`; otherwise it gathers those of `nodes`.
+    Each node folds in its voters' votes as they stood before the hop:
+    its in-neighbors' and its own, the slots `routing_slots(in_csr)` lays
+    out.  Up to WHOLE_GRAPH_EDGES in-edges, or into every node, the hop
+    folds every node's voters and keeps the result at `nodes`; otherwise
+    it gathers those of `nodes`.
     """
     if nodes.size == 0:
         return
-    indptr, voters, count = voting
+    first, count, voters = voting
     if nodes.size == vote_max.size or voters.size - vote_max.size <= WHOLE_GRAPH_EDGES:
         keep = slice(None) if nodes.size == vote_max.size else nodes
-        hi = np.maximum.reduceat(vote_max[voters], indptr[:-1])
-        lo = np.minimum.reduceat(vote_min[voters], indptr[:-1])
+        hi = np.maximum.reduceat(vote_max[voters], first)
+        lo = np.minimum.reduceat(vote_min[voters], first)
         vote_max[keep], vote_min[keep] = hi[keep], lo[keep]
         return
-    first = indptr[nodes]
     counts = count[nodes]
     ends = np.add.accumulate(counts)
     starts = ends - counts
-    senders = voters[np.arange(ends[-1]) + (first - starts).repeat(counts)]
+    senders = voters[np.arange(ends[-1]) + (first[nodes] - starts).repeat(counts)]
     vote_max[nodes] = np.maximum.reduceat(vote_max[senders], starts)
     vote_min[nodes] = np.minimum.reduceat(vote_min[senders], starts)

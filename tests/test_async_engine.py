@@ -98,6 +98,15 @@ class TestBatchedDelayDraw:
         assert batched.tolist() == one_by_one
         assert set(one_by_one) <= set(range(1, dm.max_delay + 1))
 
+    @pytest.mark.parametrize("kind", ["uniform", "pmf"])
+    def test_a_shared_pmf_decodes_as_a_binary_search(self, kind):
+        dm = self.MODELS[kind]
+        cdf = np.cumsum(dm.pmf or (1 / dm.max_delay,) * dm.max_delay)
+        # the CDF breakpoints and the floats just below them
+        u = np.concatenate((np.random.default_rng(9).random(600), cdf[:-1], np.nextafter(cdf[:-1], 0)))
+        want = np.minimum(np.searchsorted(cdf, u, side="right") + 1, dm.max_delay)
+        assert dm.draw_batch(u, None).tolist() == want.tolist()
+
     def test_per_node_rows_are_honoured(self):
         dm = self.MODELS["per_node"]
         u = np.full(4, 0.3)

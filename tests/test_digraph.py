@@ -383,6 +383,13 @@ class TestCsrMatchesReference:
         if n >= 2 and want:
             assert is_strongly_connected(Digraph(n=n, out_neighbors=out_rows))
 
+    @pytest.mark.parametrize("rows", [[[-1], [0]], [[5], [0]], [[1], [2**63]], [[1], [0, -2**70]]],
+                             ids=["negative", "past_n", "past_int64", "below_int64"])
+    def test_is_strongly_connected_refuses_ids_outside_the_nodes(self, rows):
+        # -1 would wrap to node 1, 5 index past the last node, 2**63 overflow int64
+        with pytest.raises(ValueError, match=r"^out-neighbor ids must lie in 0\.\.1$"):
+            is_strongly_connected(rows)
+
     def test_graphs_with_different_edges_differ(self):
         assert ring(4) != complete(4)
         assert ring(3) != ring(4)

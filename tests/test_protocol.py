@@ -23,7 +23,7 @@ from qcs import (
     split_pieces,
 )
 from qcs.engine import _validate_config
-from qcs.protocol import WHOLE_GRAPH_EDGES, RouteStream, flood_votes, route_messages, routing_slots, split_route, voting_csr
+from qcs.protocol import WHOLE_GRAPH_EDGES, RouteStream, flood_votes, route_messages, routing_slots, split_route
 
 from conftest import bidirectional_pair, complete, random_instance, ring
 
@@ -482,13 +482,14 @@ class TestRouteAndFlood:
         assert len(src) == len(dst) and (np.diff(src) >= 0).all()
         assert all(d in g.out_neighbors[s] for s, d in zip(src.tolist(), dst.tolist()))
 
-    def test_voters_are_the_node_then_its_in_neighbors(self):
+    def test_voters_are_the_in_neighbors_then_the_node(self):
         for seed in range(20):
             g, _, _ = random_instance(seed + 770, n_range=(2, 40), p_range=(0.35, 1.0))
-            indptr, voters, count = voting_csr(g.in_csr)
+            first, count, voters = routing_slots(g.in_csr)
             for j in range(g.n):
-                assert voters[indptr[j]:indptr[j + 1]].tolist() == [j] + list(g.in_neighbors[j])
-            assert count.tolist() == np.diff(indptr).tolist() and indptr[-1] == voters.size
+                assert voters[first[j]:first[j] + count[j]].tolist() == list(g.in_neighbors[j]) + [j]
+            # the segments tile the voters in node order
+            assert first.tolist() == (np.cumsum(count) - count).tolist() and count.sum() == voters.size
             assert voters.dtype == np.int64
 
     def test_flood_matches_the_per_node_merge(self):
@@ -512,7 +513,7 @@ class TestRouteAndFlood:
                 want.append((max([int(hi[j])] + [int(hi[i]) for i in shown]),
                              min([int(lo[j])] + [int(lo[i]) for i in shown])))
             vote_max, vote_min = hi.copy(), lo.copy()
-            flood_votes(vote_max, vote_min, nodes, voting_csr(g.in_csr))
+            flood_votes(vote_max, vote_min, nodes, routing_slots(g.in_csr))
             assert list(zip(vote_max[nodes].tolist(), vote_min[nodes].tolist())) == want
             rest = np.setdiff1d(np.arange(g.n), nodes)
             assert (vote_max[rest] == hi[rest]).all() and (vote_min[rest] == lo[rest]).all()
@@ -569,7 +570,7 @@ def star_merge(own, votes):
     g = Digraph(n=m + 1, out_neighbors=(tuple(range(1, m + 1)),) + ((0,),) * m)
     vote_max = np.array([own[0]] + [v[0] for v in votes], dtype=np.int64)
     vote_min = np.array([own[1]] + [v[1] for v in votes], dtype=np.int64)
-    flood_votes(vote_max, vote_min, np.array([0]), voting_csr(g.in_csr))
+    flood_votes(vote_max, vote_min, np.array([0]), routing_slots(g.in_csr))
     return int(vote_max[0]), int(vote_min[0])
 
 
@@ -588,7 +589,7 @@ class TestVotes:
         # an empty hop is a no-op
         in_csr = bidirectional_pair().in_csr
         vote_max, vote_min = np.array([3, 9]), np.array([3, 0])
-        flood_votes(vote_max, vote_min, np.array([], dtype=np.int64), voting_csr(in_csr))
+        flood_votes(vote_max, vote_min, np.array([], dtype=np.int64), routing_slots(in_csr))
         assert vote_max.tolist() == [3, 9] and vote_min.tolist() == [3, 0]
 
     def test_merge_at_consensus(self):

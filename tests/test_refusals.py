@@ -10,11 +10,16 @@ import numpy as np
 import pytest
 
 from qcs import (
+    AsyncEngine,
     ConfigError,
+    DelayModel,
     FederatedInstance,
     InvalidInstanceError,
+    MassOverflowError,
     ProtocolError,
+    RunConfig,
     SchedulingInstance,
+    SyncEngine,
     bounds,
     generate_random_digraph,
     generic_init,
@@ -23,6 +28,7 @@ from qcs import (
     parse_config,
     protocol,
     run_one_trial,
+    run_sync,
 )
 
 from conftest import ring
@@ -43,7 +49,24 @@ NEVER_MAX = {"max_delay": 3, "pmf": [0.5, 0.5, 0.0]}
 NEVER_MAX_AT_3 = {"max_delay": 3, "per_node_pmf": [[0.2, 0.3, 0.5]] * 3 + [[0.5, 0.5, 0.0]] * 7}
 
 
+def engine(y0=(1, 2, 3, 4), z0=(1, 1, 1, 1), max_delay=1, **fields):
+    """Build, and not step, an engine on a 4-ring: a refusal fires before step 1."""
+    cfg = RunConfig(graph=ring(4), y0=y0, z0=z0, **fields)
+    return lambda: AsyncEngine(cfg, DelayModel(max_delay)) if max_delay != 1 else SyncEngine(cfg)
+
+
 REFUSALS = {
+    "engine.fractional_y0": (engine(y0=[1.5, 2.7, 3.9, 0.2]), ValueError, "y0[0]=1.5 is not an integer"),
+    "engine.fractional_z0": (engine(z0=[1, 1.5, 1, 1]), ValueError, "z0[1]=1.5 is not an integer"),
+    "engine.string_y0": (engine(y0=[1, "2", 3, 4]), ValueError, "y0[1]='2' is not an integer"),
+    "engine.bool_z0": (engine(z0=[1, 1, True, 1], max_delay=2), ValueError, "z0[2]=True is not an integer"),
+    "engine.fractional_max_steps": (engine(max_steps=50.5), ValueError, "max_steps=50.5 is not an integer"),
+    "engine.bool_max_steps": (engine(max_steps=True), ValueError, "max_steps=True is not an integer"),
+    "engine.fractional_diameter_bound": (engine(diameter_bound=2.5), ValueError,
+                                         "diameter_bound=2.5 is not an integer"),
+    "engine.fractional_max_delay": (lambda: DelayModel(max_delay=2.0), ValueError,
+                                    "max_delay=2.0 is not an integer"),
+    "engine.bool_max_delay": (lambda: DelayModel(max_delay=True), ValueError, "max_delay=True is not an integer"),
     "bounds.delay_prob_zero": (lambda: bounds.visit_prob_bound_delayed(2, 2, 0), ValueError,
                                "min_max_delay_prob must be in (0, 1], got 0"),
     "bounds.delay_prob_above_one": (lambda: bounds.visit_prob_bound_delayed(2, 2, 1.5), ValueError,
@@ -123,6 +146,21 @@ def test_values_that_are_not_refusals():
     assert is_strongly_connected([]) is False
     assert (ring(3) == 3) is False
     assert repr(ring(3)) == "Digraph(n=3, edges=3)"
+
+
+def test_integers_of_every_kind_are_engine_inputs():
+    # numpy ints, and object arrays of ints, past int64 too
+    big = np.array([2**70, 0, 0, 0], dtype=object)
+    with pytest.raises(MassOverflowError):
+        engine(y0=big)()
+    run = RunConfig(graph=ring(4), y0=np.array([1, 2, 3, 4], dtype=object), z0=(np.int32(1),) * 4,
+                    max_steps=np.int64(500), diameter_bound=np.uint8(3))
+    assert run_sync(run).converged
+    assert DelayModel(max_delay=np.int16(2)).max_delay == 2
+    # a numpy array of another kind is refused at its first node
+    for values in (np.ones(4), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match=r"^y0\[0\]=.* is not an integer$"):
+            engine(y0=values)()
 
 
 def test_a_random_graph_at_the_size_limit_parses():
