@@ -27,6 +27,7 @@ from .applications import (
     FederatedInstance,
     SchedulingInstance,
     federated_recover,
+    make_scheduling_recovery,
     scheduling_utilizations,
 )
 from .engine import DelayModel
@@ -85,7 +86,8 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        _at_least("--workers", args.workers, 1)
+        return args.workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -250,8 +252,10 @@ def _cmd_app_scheduling(args) -> int:
     res = _run_app(args, spec, len(spec.workloads))
     if not res.converged:
         return 1
-    workloads = [int(v) for v in res.recovered]
     inst = SchedulingInstance(spec.workloads, spec.occupied, spec.capacity)
+    # every node holds the agreed estimate at termination
+    recover = make_scheduling_recovery(inst)
+    workloads = [recover(j, res.estimate) for j in range(inst.n)]
     for j, (w, u) in enumerate(zip(workloads, scheduling_utilizations(inst, workloads))):
         print(f"node {j}: w*={w} utilization={float(u):.4f}")
     return 0

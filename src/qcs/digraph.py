@@ -216,8 +216,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(kind: type) -> bool:
+    """Whether values of type `kind` are integers: ints and numpy ints, not bools."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
 def _edge_arrays(rows: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The edges of adjacency lists on nodes 0..n-1 as int64 (sources, targets) arrays, in row order."""
+    if not all(map(_integral, set(map(type, chain.from_iterable(rows))))):
+        j, v = next((j, v) for j, row in enumerate(rows) for v in row if not _integral(type(v)))
+        raise ValueError(f"node {j}: out-neighbor id {v!r} is not an integer")
     degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     try:
         targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum()))

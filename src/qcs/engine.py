@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _integral
 from .errors import ConservationError, InvariantError, MassOverflowError
 from .protocol import RouteStream, flood_votes, route_bound, route_messages, routing_slots, split_route
 
@@ -116,11 +116,6 @@ class RunOutcome:
     trajectory: Optional[list[TrajectoryRecord]] = field(default=None, repr=False)
     mass_y: Optional[np.ndarray] = field(default=None, repr=False)
     mass_z: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-def _integral(kind: type) -> bool:
-    """Whether values of type `kind` are integers: ints and numpy ints, not bools."""
-    return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
 def _refuse_non_integers(name: str, values) -> None:
@@ -217,9 +212,13 @@ class DelayModel:
 
         `nodes` is read only under a per-node table.
         """
-        # rows by delay, columns by draw: the sum runs over whole rows
-        table = self._cdf if self.per_node_pmf is None else self._cdf[nodes]
-        return np.minimum((table.T <= u).sum(axis=0) + 1, self.max_delay)
+        if self.per_node_pmf is None:
+            below = self._cdf[0].searchsorted(u, side="right")
+        else:
+            # the count of each draw's CDF entries at or below u; rows by
+            # delay, columns by draw, so the sum runs over whole rows
+            below = (self._cdf[nodes].T <= u).sum(axis=0)
+        return np.minimum(below + 1, self.max_delay)
 
     def draw(self, rng: np.random.Generator, node: int) -> int:
         """One delay draw in {1..max_delay} (consumes one uniform)."""

@@ -36,14 +36,8 @@ logger = logging.getLogger(__name__)
 # ROUTE_STREAM (0) and DELAY_STREAM (1) tags under the same trial seed
 _INIT_STREAM = 2
 
-# field metadata naming a field's config key, where the two differ
-_KEY = "key"
 # field metadata of a per-node field: the least value a node may hold
 _FLOOR = "floor"
-
-
-def _config_key(f: dataclasses.Field) -> str:
-    return f.metadata.get(_KEY, f.name)
 
 
 def _at_least(ctx: str, value: int, floor: int) -> None:
@@ -108,19 +102,18 @@ GraphSpec = Union[RandomGraphSpec, FileGraphSpec]
 class InitialSpec:
     """Base of the initial-value kinds, one frozen dataclass per kind.
 
-    KIND is the kind's config name.  In a PER_NODE kind every tuple
-    field lists one value per node, and a field with a _FLOOR refuses
-    any node's value below it.
+    KIND is the kind's config name.  The fields with a _FLOOR are the
+    per-node fields: each lists one value per node and refuses any
+    node's value below its floor.
     """
 
     KIND: ClassVar[str]
-    PER_NODE: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             floor = f.metadata.get(_FLOOR)
             if floor is not None:
-                ctx = f"initial.{self.KIND}.{_config_key(f)}"
+                ctx = f"initial.{self.KIND}.{f.name}"
                 _check_floor(getattr(self, f.name), floor, lambda j: f"{ctx}[{j}]")
 
     @classmethod
@@ -138,10 +131,8 @@ class InitialSpec:
             columns[name] = values
         return cls(**columns)
 
-    def values(
-        self, n: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], tuple[int, ...], Optional[Callable]]:
-        """One trial's (y0, z0, recovery hook) on an n-node graph, drawing from rng."""
+    def values(self, n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One trial's (y0, z0) on an n-node graph, drawing from rng."""
         raise NotImplementedError
 
     def _check_range(self, key: str, floor: int) -> None:
@@ -161,13 +152,12 @@ def _draw(rng: np.random.Generator, low_high: tuple[int, int], n: int) -> tuple[
 @dataclass(frozen=True)
 class ExplicitInitial(InitialSpec):
     KIND: ClassVar[str] = "explicit"
-    PER_NODE: ClassVar[bool] = True
 
     y0: tuple[int, ...] = field(metadata={_FLOOR: 0})
     z0: tuple[int, ...] = field(metadata={_FLOOR: 1})
 
     def values(self, n, rng):
-        return self.y0, self.z0, None
+        return self.y0, self.z0
 
 
 @dataclass(frozen=True)
@@ -184,35 +174,31 @@ class UniformInitial(InitialSpec):
         self._check_range("z0_range", 1)
 
     def values(self, n, rng):
-        y0, z0 = _draw(rng, self.y0_range, n), _draw(rng, self.z0_range, n)
-        return ExplicitInitial(y0, z0).values(n, rng)
+        return _draw(rng, self.y0_range, n), _draw(rng, self.z0_range, n)
 
 
 @dataclass(frozen=True)
 class GenericInitial(InitialSpec):
     KIND: ClassVar[str] = "generic"
-    PER_NODE: ClassVar[bool] = True
 
-    alphas: tuple[int, ...] = field(metadata={_KEY: "alpha", _FLOOR: 1})
-    rhos: tuple[int, ...] = field(metadata={_KEY: "rho", _FLOOR: 0})
+    alpha: tuple[int, ...] = field(metadata={_FLOOR: 1})
+    rho: tuple[int, ...] = field(metadata={_FLOOR: 0})
     literal: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
         # literal mode makes rho the token count
-        if self.literal and self.rhos and min(self.rhos) < 1:
-            j = self.rhos.index(min(self.rhos))
-            raise ConfigError(f"initial.generic.rho[{j}]: must be >= 1 when literal, got {self.rhos[j]}")
+        if self.literal and self.rho and min(self.rho) < 1:
+            j = self.rho.index(min(self.rho))
+            raise ConfigError(f"initial.generic.rho[{j}]: must be >= 1 when literal, got {self.rho[j]}")
 
     def values(self, n, rng):
-        y0, z0 = applications.generic_init(self.alphas, self.rhos, literal_init=self.literal)
-        return y0, z0, None
+        return applications.generic_init(self.alpha, self.rho, literal_init=self.literal)
 
 
 @dataclass(frozen=True)
 class SchedulingInitial(InitialSpec):
     KIND: ClassVar[str] = "scheduling"
-    PER_NODE: ClassVar[bool] = True
 
     workloads: tuple[int, ...] = field(metadata={_FLOOR: 0})
     occupied: tuple[int, ...] = field(metadata={_FLOOR: 0})
@@ -220,13 +206,12 @@ class SchedulingInitial(InitialSpec):
 
     def values(self, n, rng):
         inst = applications.SchedulingInstance(self.workloads, self.occupied, self.capacity)
-        return (*applications.scheduling_init(inst), applications.make_scheduling_recovery(inst))
+        return applications.scheduling_init(inst)
 
 
 @dataclass(frozen=True)
 class FederatedInitial(InitialSpec):
     KIND: ClassVar[str] = "federated"
-    PER_NODE: ClassVar[bool] = True
 
     dataset_sizes: tuple[int, ...] = field(metadata={_FLOOR: 1})
     local_params: tuple[int, ...] = field(metadata={_FLOOR: 0})
@@ -234,8 +219,7 @@ class FederatedInitial(InitialSpec):
 
     def values(self, n, rng):
         inst = applications.FederatedInstance(self.dataset_sizes, self.local_params)
-        y0, z0 = applications.federated_init(inst, literal_init=self.literal)
-        return y0, z0, None
+        return applications.federated_init(inst, literal_init=self.literal)
 
 
 @dataclass(frozen=True)
@@ -259,7 +243,7 @@ class SchedulingUniformInitial(InitialSpec):
         # the draws go to the instance, which checks them, as the ranges were checked at parse time
         capacity = (self.capacity_pattern * -(-n // len(self.capacity_pattern)))[:n]
         inst = applications.SchedulingInstance(_draw(rng, self.load_range, n), (self.occupied,) * n, capacity)
-        return (*applications.scheduling_init(inst), applications.make_scheduling_recovery(inst))
+        return applications.scheduling_init(inst)
 
 
 @dataclass(frozen=True)
@@ -275,7 +259,7 @@ class FederatedUniformInitial(InitialSpec):
 
     def values(self, n, rng):
         sizes, params = _draw(rng, self.size_range, n), _draw(rng, self.param_range, n)
-        return (*applications.federated_init(applications.FederatedInstance(sizes, params)), None)
+        return applications.federated_init(applications.FederatedInstance(sizes, params))
 
 
 # every class above that derives from InitialSpec, by config name
@@ -336,14 +320,10 @@ class ExperimentConfig:
     def _check_lengths(self, n: int) -> None:
         """Per-node tables must have one entry per node of an n-node graph."""
         spec = self.initial
-        if spec.PER_NODE:
-            for f in dataclasses.fields(spec):
-                values = getattr(spec, f.name)
-                if isinstance(values, tuple) and len(values) != n:
-                    raise ConfigError(
-                        f"initial.{spec.KIND}.{_config_key(f)}: "
-                        f"{len(values)} values for a graph with {n} nodes"
-                    )
+        for f in dataclasses.fields(spec):
+            values = getattr(spec, f.name)
+            if _FLOOR in f.metadata and len(values) != n:
+                raise ConfigError(f"initial.{spec.KIND}.{f.name}: {len(values)} values for a graph with {n} nodes")
         if self.delay is not None and self.delay.per_node_pmf is not None:
             rows = len(self.delay.per_node_pmf)
             if rows != n:
@@ -456,7 +436,7 @@ def parse_spec(cls, spec, ctx: str = ""):
     where, prefix = (ctx, f"{ctx}.") if ctx else ("config", "")
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object, got {type(spec).__name__}")
-    fields = {_config_key(f): f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in spec:
         if key not in fields:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
@@ -497,7 +477,7 @@ def _echo(value):
         return {"file": value.path}
     if not dataclasses.is_dataclass(value):
         return value
-    body = {_config_key(f): _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    body = {f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, RandomGraphSpec):
         return {"random": body}
     if isinstance(value, InitialSpec):
@@ -528,10 +508,10 @@ def build_trial_instance(cfg: ExperimentConfig, trial: int) -> RunConfig:
     else:
         g = cfg.graph.digraph
         cfg._check_lengths(g.n)
-    y0, z0, recovery = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
+    y0, z0 = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
     return RunConfig(
         graph=g, y0=tuple(y0), z0=tuple(z0), seed=trial_seed, diameter_bound=cfg.diameter_bound,
-        record_masses=cfg.records_trajectory(), recovery=recovery, check_invariants=cfg.check_invariants,
+        record_masses=cfg.records_trajectory(), check_invariants=cfg.check_invariants,
     )
 
 
@@ -551,7 +531,6 @@ class TrialResult:
     completion_bound: Optional[int] = None
     error_series: Optional[tuple[float, ...]] = None
     error_series_truncated: bool = False
-    recovered: Optional[tuple[float, ...]] = None
     diameter: Optional[int] = None
     # trial 0's bound table (None without an epsilon), the bounds block
     bound_table: Optional[dict] = field(default=None, compare=False)
@@ -601,9 +580,6 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             x_star = float(target)
         curve = metrics.normalized_error((outcome.mass_y, outcome.mass_z), x_star, mode=cfg.error_mode)
         series = tuple(float(v) for v in curve.values)
-    recovered = None
-    if outcome.converged and outcome.recovered_solution is not None:
-        recovered = tuple(map(float, outcome.recovered_solution))
     est = outcome.final_estimate
     low, high = int(np.minimum.reduce(est)), int(np.maximum.reduce(est))
     return TrialResult(
@@ -619,7 +595,6 @@ def run_one_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         completion_bound=bound,
         error_series=series,
         error_series_truncated=curve is not None and curve.truncated,
-        recovered=recovered,
         diameter=run_cfg.graph.diameter,
         bound_table=table if trial == 0 else None,
     )

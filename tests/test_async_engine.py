@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,37 @@ class TestBatchedDelayDraw:
         u = np.concatenate((np.random.default_rng(9).random(600), cdf[:-1], np.nextafter(cdf[:-1], 0)))
         want = np.minimum(np.searchsorted(cdf, u, side="right") + 1, dm.max_delay)
         assert dm.draw_batch(u, None).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 10, 1000])
+    def test_the_binary_search_equals_the_per_node_count(self, b):
+        # a per-node table of one repeated row decodes by counting CDF
+        # entries <= u; the shared row decodes by binary search
+        pmf = np.random.default_rng(b).random(b)
+        pmf[1::3] = 0.0  # repeated CDF entries, where side="right" matters
+        for row in (None, tuple((pmf / pmf.sum()).tolist())):
+            shared = DelayModel(max_delay=b, pmf=row)
+            cdf = shared._cdf[0]
+            counted = DelayModel(max_delay=b, per_node_pmf=(tuple(np.diff(cdf, prepend=0.0).tolist()),) * 3)
+            # draws, every CDF entry, the floats either side of it, and u above the last entry
+            u = np.concatenate((
+                np.random.default_rng(b + 1).random(500), cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2),
+                [1 - 2**-53, 1.0, 1.5],
+            ))
+            nodes = np.arange(u.size) % 3
+            assert np.array_equal(counted._cdf[0], cdf)
+            assert shared.draw_batch(u, None).tolist() == counted.draw_batch(u, nodes).tolist()
+
+    def test_a_shared_block_at_a_large_bound_stays_small(self):
+        dm = DelayModel(max_delay=10**5)
+        u = np.random.default_rng(3).random(512)
+        dm.draw_batch(u, None)  # warm: builds the cached CDF row
+        tracemalloc.start()
+        try:
+            dm.draw_batch(u, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_per_node_rows_are_honoured(self):
         dm = self.MODELS["per_node"]

@@ -122,6 +122,9 @@ class TestCleanErrors:
             (["bounds", "--config", "cfg.json", "--epsilon", "nan"], "--epsilon: must be in (0, 1), got nan"),
             (["app-scheduling", "--instance", "sched.json", "--mode", "async", "--max-delay", "200000"],
              "delay.max_delay: one vote window of 200000 steps exceeds the step cap of 100000"),
+            (["fig1", "--trials", "2", "--workers", "-3"], "--workers: must be >= 1, got -3"),
+            (["sweep", "--sizes", "5", "--delays", "2", "--trials", "1", "--workers", "0"],
+             "--workers: must be >= 1, got 0"),
         ],
     )
     def test_bad_flag_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -457,8 +460,18 @@ class TestAppCommands:
     def test_app_scheduling_exact_solution(self, tmp_path, capsys):
         path = write_scheduling_instance(tmp_path)
         assert main(["app-scheduling", "--instance", str(path), "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "w*=20" in out and "w*=60" in out
+        assert capsys.readouterr().out == (
+            "converged at step 5 (diameter 1)\n"
+            "node 0: w*=20 utilization=0.2000\n"
+            "node 1: w*=60 utilization=0.2000\n"
+        )
+
+    def test_app_scheduling_refuses_an_estimate_of_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        nodes = [{"l": 2, "u": 0, "pi_max": 1}, {"l": 0, "u": 0, "pi_max": 1}]
+        path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        assert main(["app-scheduling", "--instance", str(path), "--edge-prob", "1", "--seed", "0"]) == 2
+        assert capsys.readouterr().err.endswith("error: converged estimate 0 is not positive\n")
 
     def test_app_federated(self, tmp_path, capsys):
         path = tmp_path / "fed.json"
@@ -480,7 +493,11 @@ class TestAppCommands:
             "--max-delay", "3", "--seed", "0",
         ])
         assert rc == 0
-        assert "w*=" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "converged at step 18 (diameter 1)\n"
+            "node 0: w*=20 utilization=0.2000\n"
+            "node 1: w*=60 utilization=0.2000\n"
+        )
 
 
 class TestEnvironment:

@@ -22,9 +22,11 @@ from qcs import (
     ConfigError,
     DelayModel,
     Digraph,
+    SchedulingInstance,
     TrialError,
     experiments,
     generate_random_digraph,
+    make_scheduling_recovery,
     parse_config,
     run_experiment,
     run_one_trial,
@@ -276,7 +278,7 @@ def _initials(n: int):
     return st.one_of(
         st.builds(ExplicitInitial, y0=ints, z0=ints),
         st.builds(UniformInitial, y0_range=_pairs(), z0_range=_pairs(1)),
-        st.builds(GenericInitial, alphas=ints, rhos=ints, literal=st.booleans()),
+        st.builds(GenericInitial, alpha=ints, rho=ints, literal=st.booleans()),
         st.builds(SchedulingInitial, workloads=ints, occupied=ints, capacity=ints),
         st.builds(FederatedInitial, dataset_sizes=ints, local_params=ints, literal=st.booleans()),
         st.builds(
@@ -516,9 +518,11 @@ class TestTrialBuilding:
 
 class TestTrialMaterialisationPin:
     """sha256 of what build_trial_instance hands each trial, on a random
-    graph and on a graph file, for trials 0..9: y0, z0 and the recovery
-    hook's value at estimate 3.  Recorded before the initial kinds moved
-    onto their spec classes; any drift in draws, order or types shows."""
+    graph and on a graph file, for trials 0..9: y0, z0 and the scheduling
+    recovery's value at estimate 3 (None for the other kinds).  Recorded
+    while trials still carried that recovery as a hook, before the initial
+    kinds moved onto their spec classes; any drift in draws, order or
+    types shows."""
 
     INITIALS = {
         "explicit": {"explicit": {"y0": [3, 1, 4, 1, 5, 9, 2, 6], "z0": [1, 2, 1, 3, 1, 2, 1, 1]}},
@@ -571,9 +575,14 @@ class TestTrialMaterialisationPin:
         h = hashlib.sha256()
         for graph in ({"random": {"n": 8, "edge_prob": 0.5}}, {"file": str(path)}):
             cfg = parse_config({"mode": "sync", "graph": graph, "initial": self.INITIALS[name], "seed": 21})
+            spec = cfg.initial
             for t in range(10):
                 inst = build_trial_instance(cfg, t)
-                hook = None if inst.recovery is None else [inst.recovery(j, 3) for j in range(8)]
+                hook = None
+                if name.startswith("scheduling"):
+                    occupied = spec.occupied if name == "scheduling" else (spec.occupied,) * 8
+                    recover = make_scheduling_recovery(SchedulingInstance((0,) * 8, occupied, capacity=inst.y0))
+                    hook = [recover(j, 3) for j in range(8)]
                 h.update(repr((t, inst.y0, inst.z0, hook)).encode())
         assert h.hexdigest() == self.PINS[name]
 
@@ -615,6 +624,18 @@ class TestRunners:
         assert res.estimate in (res.quotient_floor, res.quotient_ceil)
         assert res.error_series is not None
         assert res.error_series[0] in (0.0, 1.0)
+
+    def test_a_scheduling_run_that_agrees_on_zero_completes(self):
+        # the quotient 2/3 rounds down to 0, which no scheduling recovery
+        # can divide by; a trial reports the estimate and recovers nothing
+        cfg = parse_config({
+            **MINIMAL,
+            "graph": {"random": {"n": 2, "edge_prob": 1.0}},
+            "initial": {"scheduling": {"workloads": [2, 0], "occupied": [0, 0], "capacity": [1, 1]}},
+        })
+        (res,) = run_experiment(cfg).results
+        assert res.converged
+        assert (res.estimate, res.quotient_floor, res.quotient_ceil) == (0, 0, 1)
 
     def test_parallel_equals_serial(self):
         cfg = parse_config(

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import qcs
 from qcs import async_engine, engine, sync_engine
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_every_public_name_the_package_binds():
@@ -40,3 +45,14 @@ def test_import_loads_neither_engine_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_the_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10; this checks syntax
+    # only, not library or standard-library differences
+    with pytest.raises(SyntaxError, match="Exception groups"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted((ROOT / "src" / "qcs").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -13,6 +13,7 @@ from qcs import (
     AsyncEngine,
     ConfigError,
     DelayModel,
+    Digraph,
     FederatedInstance,
     InvalidInstanceError,
     MassOverflowError,
@@ -87,6 +88,13 @@ REFUSALS = {
                                  ValueError, "route bounds must be a 1-D array, got shape (1, 2)"),
     "digraph.no_retries": (lambda: generate_random_digraph(5, 0.5, seed=0, max_retries=0), ValueError,
                            "max_retries must be positive, got 0"),
+    **{
+        f"digraph.{kind}_id.{name}": (lambda build=build, rows=rows: build(rows), ValueError,
+                                      f"node 0: out-neighbor id {rows[0][0]!r} is not an integer")
+        for kind, rows in (("fractional", [[1.7], [0]]), ("bool", [[True], [0]]), ("string", [["1"], [0]]),
+                           ("float_past_int64", [[1e30], [0]]))
+        for name, build in (("digraph", lambda rows: Digraph(2, rows)), ("connectivity", is_strongly_connected))
+    },
     "applications.scheduling_empty": (lambda: SchedulingInstance((), (), ()), InvalidInstanceError,
                                       "instance has no nodes"),
     "applications.scheduling_negative": (lambda: SchedulingInstance((1, -1), (0, 0), (1, 1)),
@@ -146,6 +154,12 @@ def test_values_that_are_not_refusals():
     assert is_strongly_connected([]) is False
     assert (ring(3) == 3) is False
     assert repr(ring(3)) == "Digraph(n=3, edges=3)"
+
+
+def test_integer_ids_of_every_kind_build_a_graph():
+    rows = [np.array([1], dtype=np.uint8), [np.int64(2)], (0,)]
+    assert Digraph(3, rows) == ring(3)
+    assert is_strongly_connected(rows) is True
 
 
 def test_integers_of_every_kind_are_engine_inputs():
