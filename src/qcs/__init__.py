@@ -60,7 +60,7 @@ from .experiments import (
     run_trials,
 )
 from .metrics import ErrorSeries, TrialStats, normalized_error, trial_stats
-from .protocol import ceil_div, floor_div, split_pieces
+from .protocol import split_pieces
 
 __version__ = "0.1.0"
 
@@ -90,12 +90,10 @@ __all__ = [
     "TrialError",
     "TrialStats",
     "bounds_report",
-    "ceil_div",
     "completion_step_bound",
     "completion_step_bound_delayed",
     "federated_init",
     "federated_recover",
-    "floor_div",
     "generate_random_digraph",
     "generic_init",
     "generic_optimum",

@@ -3,8 +3,8 @@
 Subcommands: run, sweep, bounds, fig1, fig2-desk, fig3, app-scheduling,
 app-federated.  Every command builds ExperimentConfigs and hands them to
 qcs.experiments.  QCS_LOG_LEVEL in {error, warn, info, debug} sets the
-log level and nothing else; a config's check_invariants key alone turns
-the per-step audits on or off.
+log level and nothing else; every run audits the mass ledger and the
+votes at every step.
 
 Instance file schemas (JSON):
   scheduling:  {"nodes": [{"l": 40, "u": 0, "pi_max": 100}, ...]}
@@ -41,6 +41,7 @@ from .experiments import (
     TrialResult,
     _at_least,
     _in_open_unit,
+    _output_dir,
     parse_config,
     run_experiment,
 )
@@ -82,6 +83,15 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--seed", type=int, default=None, help="base seed (trial i adds i)")
     for flag in flags:
         p.add_argument(f"--{flag}", **_COMMON[flag])
+
+
+def _check_out(out: Optional[Path]) -> None:
+    """Refuse an --out that lies in or under a file, before any trial runs."""
+    for path in () if out is None else (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out: {path} is not a directory")
+            return
 
 
 def _workers(args) -> int:
@@ -202,9 +212,9 @@ def _cmd_bounds(args) -> int:
     for key, value in report.items():
         print(f"{key:<{width}}  {value}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "bounds.json"
-        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        with _output_dir(args.out) as out:
+            path = out / "bounds.json"
+            path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(f"bounds: wrote {path}")
     return 0
 
@@ -329,6 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except QcsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,12 +77,8 @@ class Digraph:
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbor lists as tuples of ints, ascending."""
-        return _csr_rows(*self.out_csr)
-
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """In-neighbor lists as tuples of ints, ascending (the exact transpose)."""
-        return _csr_rows(*self.in_csr)
+        ptr, flat = (a.tolist() for a in self.out_csr)
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def diameter(self) -> int:
@@ -102,12 +98,8 @@ class Digraph:
         return level
 
     @cached_property
-    def out_degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.out_csr[0]).tolist())
-
-    @property
     def max_out_degree(self) -> int:
-        return max(self.out_degrees)
+        return int(np.diff(self.out_csr[0]).max())
 
     @property
     def edge_count(self) -> int:
@@ -232,11 +224,6 @@ def _edge_arrays(rows: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.
     except OverflowError:
         raise ValueError(f"out-neighbor ids must lie in 0..{n - 1}") from None
     return np.repeat(np.arange(len(rows), dtype=np.int64), degrees), targets
-
-
-def _csr_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    flat, ptr = indices.tolist(), indptr.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 def _check_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> None:

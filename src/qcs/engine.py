@@ -169,10 +169,10 @@ def _validate_config(cfg: RunConfig) -> tuple[int, np.ndarray, np.ndarray]:
 class DelayModel:
     """Bounded discrete distribution over processing times {1..B}.
 
-    pmf[i] is the probability of delay i+1; None means uniform.  A
-    per-node table overrides the shared pmf row-by-row.  The probability
-    of drawing the maximum delay B is what the delayed walk bounds need,
-    exposed as min_max_delay_prob.
+    pmf[i] is the probability of delay i+1; per_node_pmf[j] is node j's
+    row instead, and a model takes at most one of the two.  With neither
+    the delays are uniform.  The probability of drawing the maximum delay
+    B is what the delayed walk bounds need, exposed as min_max_delay_prob.
     """
 
     max_delay: int
@@ -184,7 +184,9 @@ class DelayModel:
             raise ValueError(f"max_delay={self.max_delay!r} is not an integer")
         if self.max_delay < 1:
             raise ValueError(f"max_delay must be >= 1, got {self.max_delay}")
-        for row in self._given_rows():
+        if self.pmf is not None and self.per_node_pmf is not None:
+            raise ValueError("give pmf or per_node_pmf, not both")
+        for row in self.rows():
             if len(row) != self.max_delay:
                 raise ValueError(
                     f"pmf must have {self.max_delay} entries, got {len(row)}"
@@ -196,15 +198,16 @@ class DelayModel:
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"pmf must sum to 1, got {sum(row)}")
 
-    def _given_rows(self) -> tuple[tuple[float, ...], ...]:
-        """The per-node table, else the shared pmf; none for the uniform model."""
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The given pmf rows: the per-node table, else (pmf,); none for the
+        uniform model, so a large uniform max_delay allocates nothing here."""
         if self.per_node_pmf is not None:
             return self.per_node_pmf
         return () if self.pmf is None else (self.pmf,)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        rows = self._given_rows() or ((1.0 / self.max_delay,) * self.max_delay,)
+        rows = self.rows() or ((1.0 / self.max_delay,) * self.max_delay,)
         return np.cumsum(np.asarray(rows, dtype=np.float64), axis=1)
 
     def draw_batch(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -228,7 +231,7 @@ class DelayModel:
         """min over nodes of the probability of drawing the max delay."""
         if self.per_node_pmf is not None and len(self.per_node_pmf) != n:
             raise ValueError(f"per_node_pmf has {len(self.per_node_pmf)} rows for n={n}")
-        rows = self._given_rows()
+        rows = self.rows()
         return min(row[-1] for row in rows) if rows else 1.0 / self.max_delay
 
 

@@ -13,6 +13,7 @@ its __post_init__ refuses values no trial could run on.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -279,7 +280,6 @@ class ExperimentConfig:
     epsilon: Optional[float] = None
     record_trajectory: Optional[bool] = None
     error_mode: str = "reciprocal"
-    check_invariants: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("sync", "async"):
@@ -297,10 +297,9 @@ class ExperimentConfig:
             _in_open_unit("epsilon", self.epsilon)
             # epsilon's delayed bounds charge each hop the chance of the maximum delay
             delay = self.delay_model()  # unit delays under sync
-            rows = {"delay.pmf": delay.pmf} if delay.per_node_pmf is None else {
-                f"delay.per_node_pmf[{j}]": row for j, row in enumerate(delay.per_node_pmf)}
-            for key, row in rows.items():
-                if row is not None and row[-1] == 0:
+            for j, row in enumerate(delay.rows()):
+                if row[-1] == 0:
+                    key = "delay.pmf" if delay.pmf is not None else f"delay.per_node_pmf[{j}]"
                     raise ConfigError(f"{key}: the maximum delay has probability 0; epsilon's bounds need it > 0")
         if self.error_mode not in ("reciprocal", "direct"):
             raise ConfigError(f"error_mode: must be 'reciprocal' or 'direct', got {self.error_mode!r}")
@@ -511,7 +510,7 @@ def build_trial_instance(cfg: ExperimentConfig, trial: int) -> RunConfig:
     y0, z0 = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
     return RunConfig(
         graph=g, y0=tuple(y0), z0=tuple(z0), seed=trial_seed, diameter_bound=cfg.diameter_bound,
-        record_masses=cfg.records_trajectory(), check_invariants=cfg.check_invariants,
+        record_masses=cfg.records_trajectory(),
     )
 
 
@@ -662,6 +661,18 @@ def _stats_row(st: metrics.TrialStats) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _output_dir(out_dir: Union[str, Path]):
+    """Directory `out_dir`, created for the writes in the block; an OSError
+    there is a ConfigError that names the path."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ConfigError(f"output {exc.filename or out}: cannot write ({exc.strerror})") from None
+
+
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """A CSV file of the header, then one line per row."""
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -678,42 +689,41 @@ def write_artifacts(
     """Write outcomes, error series and summary; returns artifact paths."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict = {}
-    rows = _outcomes_rows(result.results)
-    if fmt == "csv":
-        path = out / "outcomes.csv"
-        _write_csv(path, rows[0], map(dict.values, rows))
-    else:
-        path = out / "outcomes.json"
-        path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
-    paths["outcomes"] = str(path)
+    with _output_dir(out_dir) as out:
+        paths: dict = {}
+        rows = _outcomes_rows(result.results)
+        if fmt == "csv":
+            path = out / "outcomes.csv"
+            _write_csv(path, rows[0], map(dict.values, rows))
+        else:
+            path = out / "outcomes.json"
+            path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        paths["outcomes"] = str(path)
 
-    series_rows = [
-        (r.trial, k, repr(e))
-        for r in result.results
-        if r.error_series is not None
-        for k, e in enumerate(r.error_series)
-    ]
-    if series_rows:
-        epath = out / "error_series.csv"
-        _write_csv(epath, ("trial", "k", "e_k"), series_rows)
-        paths["error_series"] = str(epath)
+        series_rows = [
+            (r.trial, k, repr(e))
+            for r in result.results
+            if r.error_series is not None
+            for k, e in enumerate(r.error_series)
+        ]
+        if series_rows:
+            epath = out / "error_series.csv"
+            _write_csv(epath, ("trial", "k", "e_k"), series_rows)
+            paths["error_series"] = str(epath)
 
-    summary = {
-        "config": config_to_dict(result.config),
-        "stats": {
-            **_stats_row(result.stats),
-            "fraction_within_bound": result.stats.fraction_within_bound,
-            "error_series_truncated": sum(r.error_series_truncated for r in result.results),
-        },
-        "bounds": result.bounds_block,
-        "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},
-    }
-    spath = out / "summary.json"
-    spath.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    paths["summary"] = str(spath)
+        summary = {
+            "config": config_to_dict(result.config),
+            "stats": {
+                **_stats_row(result.stats),
+                "fraction_within_bound": result.stats.fraction_within_bound,
+                "error_series_truncated": sum(r.error_series_truncated for r in result.results),
+            },
+            "bounds": result.bounds_block,
+            "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},
+        }
+        spath = out / "summary.json"
+        spath.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        paths["summary"] = str(spath)
     result.artifacts = paths
     return paths
 
@@ -836,7 +846,6 @@ def run_sweep(
         rows.append({"n": n, "max_delay": b, **_stats_row(st)})
         logger.info("sweep cell n=%d B=%d: mean %.1f steps", n, b, st.mean)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep_summary.csv", rows[0], map(dict.values, rows))
+        with _output_dir(out_dir) as out:
+            _write_csv(out / "sweep_summary.csv", rows[0], map(dict.values, rows))
     return rows

@@ -21,20 +21,6 @@ import numpy as np
 from .errors import ProtocolError
 
 
-def floor_div(y, z):
-    """Floor of y/z for nonnegative y and positive z (ints or int64 arrays)."""
-    if np.min(z) <= 0:
-        raise ProtocolError(f"division by token count {np.min(z)} <= 0")
-    return y // z
-
-
-def ceil_div(y, z):
-    """Ceiling of y/z for nonnegative y and positive z (ints or int64 arrays)."""
-    if np.min(z) <= 0:
-        raise ProtocolError(f"division by token count {np.min(z)} <= 0")
-    return -(-y // z)
-
-
 # the stream's raw words in little-endian byte order, so that a uint32
 # view reads each word's low half first
 _WORDS = np.dtype("<u8")

@@ -25,6 +25,15 @@ def bidirectional_pair() -> Digraph:
     return Digraph(n=2, out_neighbors=((1,), (0,)))
 
 
+def in_neighbors(g: Digraph) -> tuple[tuple[int, ...], ...]:
+    """Each node's in-neighbors, ascending: the transpose of g.out_neighbors."""
+    rows = [[] for _ in range(g.n)]
+    for j, nbrs in enumerate(g.out_neighbors):
+        for l in nbrs:
+            rows[l].append(j)
+    return tuple(map(tuple, rows))
+
+
 def quotient(y0, z0) -> Fraction:
     return Fraction(sum(y0), sum(z0))
 

@@ -17,7 +17,7 @@ from qcs import (
     step_async,
 )
 
-from conftest import quotient_floor_ceil, random_instance, ring
+from conftest import in_neighbors, quotient_floor_ceil, random_instance, ring
 
 
 def cfg_for(g, y0, z0, **kw):
@@ -51,6 +51,12 @@ class TestDelayModel:
                 DelayModel(max_delay=2, pmf=bad)
             with pytest.raises(ValueError, match="finite"):
                 DelayModel(max_delay=2, per_node_pmf=((0.5, 0.5), bad))
+
+    def test_rows_are_the_given_form(self):
+        table = ((1.0, 0.0), (0.25, 0.75))
+        assert DelayModel(max_delay=2).rows() == ()
+        assert DelayModel(max_delay=2, pmf=(0.25, 0.75)).rows() == ((0.25, 0.75),)
+        assert DelayModel(max_delay=2, per_node_pmf=table).rows() == table
 
     def test_draws_cover_the_support(self):
         dm = DelayModel(max_delay=3, pmf=(0.2, 0.3, 0.5))
@@ -100,22 +106,16 @@ class TestBatchedDelayDraw:
         assert batched.tolist() == one_by_one
         assert set(one_by_one) <= set(range(1, dm.max_delay + 1))
 
-    @pytest.mark.parametrize("kind", ["uniform", "pmf"])
-    def test_a_shared_pmf_decodes_as_a_binary_search(self, kind):
-        dm = self.MODELS[kind]
-        cdf = np.cumsum(dm.pmf or (1 / dm.max_delay,) * dm.max_delay)
-        # the CDF breakpoints and the floats just below them
-        u = np.concatenate((np.random.default_rng(9).random(600), cdf[:-1], np.nextafter(cdf[:-1], 0)))
-        want = np.minimum(np.searchsorted(cdf, u, side="right") + 1, dm.max_delay)
-        assert dm.draw_batch(u, None).tolist() == want.tolist()
-
     @pytest.mark.parametrize("b", [1, 2, 3, 10, 1000])
     def test_the_binary_search_equals_the_per_node_count(self, b):
         # a per-node table of one repeated row decodes by counting CDF
         # entries <= u; the shared row decodes by binary search
         pmf = np.random.default_rng(b).random(b)
         pmf[1::3] = 0.0  # repeated CDF entries, where side="right" matters
-        for row in (None, tuple((pmf / pmf.sum()).tolist())):
+        rows = [None, tuple((pmf / pmf.sum()).tolist())]
+        if b == self.MODELS["pmf"].max_delay:
+            rows.append(self.MODELS["pmf"].pmf)  # breakpoints 0.2 and 0.5
+        for row in rows:
             shared = DelayModel(max_delay=b, pmf=row)
             cdf = shared._cdf[0]
             counted = DelayModel(max_delay=b, per_node_pmf=(tuple(np.diff(cdf, prepend=0.0).tolist()),) * 3)
@@ -248,7 +248,7 @@ class TestAsyncVoteRule:
             for eng, completing, before, after in vote_steps(seed + 800):
                 if (eng.steps_done - 1) % eng.window == 0:
                     continue
-                ins = eng.cfg.graph.in_neighbors
+                ins = in_neighbors(eng.cfg.graph)
                 for j in completing.tolist():
                     want_max = max([before[0][j]] + [before[0][i] for i in ins[j]])
                     want_min = min([before[1][j]] + [before[1][i] for i in ins[j]])

@@ -33,6 +33,7 @@ def delayed_walk_probability(g, pmf, steps, start, target) -> Fraction:
     and draws a fresh residual from the pmf.  Exact rational enumeration.
     """
     pmf = {lam: Fraction(p) for lam, p in pmf.items()}
+    indptr = g.out_csr[0].tolist()
     dist: dict[tuple[int, int], Fraction] = {}
     for lam, p in pmf.items():
         dist[(start, lam)] = p
@@ -43,7 +44,7 @@ def delayed_walk_probability(g, pmf, steps, start, target) -> Fraction:
                 key = (pos, res - 1)
                 nxt[key] = nxt.get(key, Fraction(0)) + mass
                 continue
-            b = Fraction(1, 1 + g.out_degrees[pos])
+            b = Fraction(1, 1 + indptr[pos + 1] - indptr[pos])
             for l in (*g.out_neighbors[pos], pos):
                 for lam, p in pmf.items():
                     key = (l, lam)

@@ -141,6 +141,37 @@ class TestCleanErrors:
         assert sorted(tmp_path.iterdir()) == inputs
 
 
+    @pytest.mark.parametrize("out", ["F", "F/sub", "F/sub/deeper"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "cfg.json"],
+            ["fig1", "--trials", "3"],
+            ["sweep", "--sizes", "5", "--delays", "2", "--trials", "1"],
+            ["bounds", "--config", "cfg.json", "--epsilon", "0.1"],
+        ],
+    )
+    def test_an_out_under_a_file_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, argv, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(MINIMAL), encoding="utf-8")
+        (tmp_path / "F").write_text("", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the --out check")
+
+        monkeypatch.setattr(experiments, "run_trials", refuse)
+        monkeypatch.setattr(experiments, "bounds_report", refuse)
+        inputs = sorted(tmp_path.iterdir())
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --out: F is not a directory\n"
+        assert sorted(tmp_path.iterdir()) == inputs
+
+    def test_an_unwritable_artifact_exits_2_naming_it(self, config_file, tmp_path, capsys):
+        (tmp_path / "o" / "outcomes.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", "1"]) == 2
+        named = tmp_path / "o" / "outcomes.csv"
+        assert capsys.readouterr().err == f"error: output {named}: cannot write (Is a directory)\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -423,7 +454,6 @@ class TestPresetCommands:
                 delay=DelayModel(max_delay=b),
                 trials=trials,
                 seed=seed + (n * 1000 + b) * 100_000,
-                check_invariants=True,
             ))
             for n in sizes
             for b in delays
@@ -508,12 +538,12 @@ class TestEnvironment:
         assert "QCS_LOG_LEVEL" in capsys.readouterr().err
 
     def test_debug_level_accepted(self, monkeypatch, tmp_path):
-        # the log level sets logging only; check_invariants stays as configured
+        # the log level sets logging only; every trial still runs the audits
         monkeypatch.setenv("QCS_LOG_LEVEL", "debug")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**MINIMAL, "check_invariants": False}), encoding="utf-8")
+        path.write_text(json.dumps({**MINIMAL, "trials": 2}), encoding="utf-8")
         seen = []
-        run = cli.run_experiment
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg, **kw: seen.append(cfg) or run(cfg, **kw))
+        build = experiments.build_trial_instance
+        monkeypatch.setattr(experiments, "build_trial_instance", lambda *args: seen.append(build(*args)) or seen[-1])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "d"), "--workers", "1"]) == 0
-        assert [cfg.check_invariants for cfg in seen] == [False]
+        assert [run_cfg.check_invariants for run_cfg in seen] == [True, True]

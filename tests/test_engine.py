@@ -20,9 +20,7 @@ from qcs import (
     ProtocolError,
     RunConfig,
     SyncEngine,
-    ceil_div,
     engine,
-    floor_div,
     protocol,
 )
 
@@ -221,7 +219,7 @@ class TestEventDrivenFlooding:
             before = trajectory[k - 1]
             if (k - 1) % eng.window == 0:
                 # the refresh sets each node's votes from its own ratio
-                start = (ceil_div(before.y, before.z), floor_div(before.y, before.z))
+                start = (-(-before.y // before.z), before.y // before.z)
             else:
                 start = (before.vote_max, before.vote_min)
             # a hop runs exactly when a node completes and could still learn
@@ -242,12 +240,12 @@ class TestEventDrivenFlooding:
 
 def assert_initial_state(eng, y0, z0):
     """The engine's state before step 1, against Python integers: doubled
-    values, votes and estimate from ceil_div/floor_div, the ledger totals."""
+    values, votes and estimate from y // z and -(-y // z), the ledger totals."""
     y2, z2 = [2 * v for v in y0], [2 * v for v in z0]
     assert eng.y.tolist() == y2 and eng.z.tolist() == z2
-    ceil = [ceil_div(y, z) for y, z in zip(y2, z2)]
+    ceil = [-(-y // z) for y, z in zip(y2, z2)]
     assert eng.vote_max.tolist() == ceil and eng.estimate.tolist() == ceil
-    assert eng.vote_min.tolist() == [floor_div(y, z) for y, z in zip(y2, z2)]
+    assert eng.vote_min.tolist() == [y // z for y, z in zip(y2, z2)]
     assert eng._expected_totals == [sum(y2), sum(z2)]
     assert all(type(v) is int for v in eng._expected_totals)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -343,7 +344,6 @@ def experiment_configs(draw):
         epsilon=draw(st.none() | st.floats(0.001, 0.999)),
         record_trajectory=draw(st.none() | st.booleans()),
         error_mode=draw(st.sampled_from(["reciprocal", "direct"])),
-        check_invariants=draw(st.booleans()),
     )
 
 
@@ -876,6 +876,19 @@ class TestArtifacts:
         res = run_experiment(cfg)
         with pytest.raises(ConfigError, match="format"):
             write_artifacts(res, tmp_path, fmt="xml")
+
+    def test_unwritable_outputs_are_config_errors_naming_the_path(self, tmp_path):
+        res = run_experiment(parse_config(MINIMAL))
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        (tmp_path / "d" / "outcomes.csv").mkdir(parents=True)
+        cases = (("f", "f", errno.EEXIST), ("f/sub", "f/sub", errno.ENOTDIR), ("d", "d/outcomes.csv", errno.EISDIR))
+        for out, named, code in cases:
+            with pytest.raises(ConfigError) as info:
+                write_artifacts(res, tmp_path / out)
+            assert str(info.value) == f"output {tmp_path / named}: cannot write ({os.strerror(code)})"
+        with pytest.raises(ConfigError) as info:
+            run_sweep(fig2_grid(trials=1, sizes=(5,), delays=(2,)), out_dir=tmp_path / "f/sub")
+        assert str(info.value) == f"output {tmp_path / 'f/sub'}: cannot write ({os.strerror(errno.ENOTDIR)})"
 
 
 class TestArtifactPins:

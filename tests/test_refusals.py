@@ -17,7 +17,6 @@ from qcs import (
     FederatedInstance,
     InvalidInstanceError,
     MassOverflowError,
-    ProtocolError,
     RunConfig,
     SchedulingInstance,
     SyncEngine,
@@ -68,6 +67,10 @@ REFUSALS = {
     "engine.fractional_max_delay": (lambda: DelayModel(max_delay=2.0), ValueError,
                                     "max_delay=2.0 is not an integer"),
     "engine.bool_max_delay": (lambda: DelayModel(max_delay=True), ValueError, "max_delay=True is not an integer"),
+    # the shared row would be refused on its own; a per-node table beside it is refused first
+    "engine.pmf_beside_per_node_pmf": (lambda: DelayModel(max_delay=2, pmf=(5.0, -4.0, 7.0),
+                                                          per_node_pmf=((0.5, 0.5),) * 3), ValueError,
+                                       "give pmf or per_node_pmf, not both"),
     "bounds.delay_prob_zero": (lambda: bounds.visit_prob_bound_delayed(2, 2, 0), ValueError,
                                "min_max_delay_prob must be in (0, 1], got 0"),
     "bounds.delay_prob_above_one": (lambda: bounds.visit_prob_bound_delayed(2, 2, 1.5), ValueError,
@@ -82,8 +85,6 @@ REFUSALS = {
                               "steps must be >= 0, got -1"),
     "metrics.bound_per_outcome": (lambda: metrics.trial_stats([1, 2], [5]), ValueError,
                                   "trial_stats: 1 bounds for 2 outcomes"),
-    "protocol.ceil_div_by_zero": (lambda: protocol.ceil_div(1, 0), ProtocolError,
-                                  "division by token count 0 <= 0"),
     "protocol.route_bounds_2d": (lambda: protocol.RouteStream(np.random.PCG64(0)).integers(0, [[2, 3]]),
                                  ValueError, "route bounds must be a 1-D array, got shape (1, 2)"),
     "digraph.no_retries": (lambda: generate_random_digraph(5, 0.5, seed=0, max_retries=0), ValueError,
@@ -136,6 +137,14 @@ REFUSALS = {
         "delay.max_delay: one vote window of 120000 steps exceeds the step cap of 100000"),
     "config.sync_window_over_trial_cap": (lambda: run_one_trial(parse_config({**MINIMAL, "max_steps": 2}), 0),
                                           ConfigError, "max_steps: one vote window of 3 steps exceeds the step cap of 2"),
+    "config.pmf_beside_per_node_pmf": (
+        config(mode="async", delay={**NEVER_MAX_AT_3, "pmf": [0.2, 0.3, 0.5]}), ConfigError,
+        "delay: give pmf or per_node_pmf, not both"),
+    # a sync config ignores its delay in its runs, but the delay is still one model
+    "config.sync_pmf_beside_per_node_pmf": (config(delay={**NEVER_MAX_AT_3, "pmf": [0.2, 0.3, 0.5]}), ConfigError,
+                                            "delay: give pmf or per_node_pmf, not both"),
+    "config.check_invariants_key": (config(check_invariants=False), ConfigError,
+                                    "unknown config key 'check_invariants'"),
     "config.no_mode": (lambda: parse_config({k: v for k, v in MINIMAL.items() if k != "mode"}), ConfigError,
                        "config: missing required key 'mode'"),
 }
