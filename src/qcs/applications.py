@@ -20,6 +20,25 @@ from .errors import CapacityExceededError, InvalidInstanceError
 logger = logging.getLogger(__name__)
 
 
+def check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str], error: type[Exception]) -> None:
+    """Refuse the first of the per-node `values` below `floor` with `error`; node j is named name_of(j)."""
+    if len(values) and min(values) < floor:
+        j = next(j for j, v in enumerate(values) if v < floor)
+        raise error(f"{name_of(j)}: must be >= {floor}, got {values[j]}")
+
+
+def _check_nodes(**columns: tuple[Sequence[int], int]) -> None:
+    """Refuse an instance whose per-node columns, each given as (values, floor),
+    differ in length, hold no node, or hold a value below their floor."""
+    lengths = {len(values) for values, _ in columns.values()}
+    if len(lengths) > 1:
+        raise InvalidInstanceError(f"{', '.join(columns)}: lengths differ")
+    if 0 in lengths:
+        raise InvalidInstanceError("instance has no nodes")
+    for name, (values, floor) in columns.items():
+        check_floor(values, floor, lambda j: f"{name}[{j}]", InvalidInstanceError)
+
+
 def _round_half_to_zero(num: int, den: int) -> int:
     """Nearest integer to num/den for positive den, ties toward zero."""
     base, rem = divmod(num, den)
@@ -35,16 +54,7 @@ class SchedulingInstance:
     capacity: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.workloads)
-        if len(self.occupied) != n or len(self.capacity) != n:
-            raise InvalidInstanceError("workloads, occupied and capacity lengths differ")
-        if n == 0:
-            raise InvalidInstanceError("instance has no nodes")
-        for j in range(n):
-            if self.workloads[j] < 0 or self.occupied[j] < 0:
-                raise InvalidInstanceError(f"node {j}: negative workload or occupancy")
-            if self.capacity[j] < 1:
-                raise InvalidInstanceError(f"node {j}: capacity must be positive")
+        _check_nodes(workloads=(self.workloads, 0), occupied=(self.occupied, 0), capacity=(self.capacity, 1))
 
     @property
     def n(self) -> int:
@@ -121,22 +131,7 @@ class FederatedInstance:
     local_params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.dataset_sizes) != len(self.local_params):
-            raise InvalidInstanceError("dataset_sizes and local_params lengths differ")
-        if len(self.dataset_sizes) == 0:
-            raise InvalidInstanceError("instance has no nodes")
-        for j, size in enumerate(self.dataset_sizes):
-            if size < 1:
-                raise InvalidInstanceError(f"node {j}: dataset size must be >= 1")
-        for j, w in enumerate(self.local_params):
-            if w < 0:
-                raise InvalidInstanceError(
-                    f"node {j}: negative parameter {w}; shift parameters to be nonnegative"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.dataset_sizes)
+        _check_nodes(dataset_sizes=(self.dataset_sizes, 1), local_params=(self.local_params, 0))
 
     def exact_aggregate(self) -> Fraction:
         """Dataset-size-weighted average of the local parameters."""
@@ -180,24 +175,11 @@ def generic_init(
     the alpha-weighted mean of the rhos, so y0 = alpha * rho and
     z0 = alpha makes the agreed quotient hit it exactly.  literal_init
     instead sets z0 = rho (compatibility mode; its quotient is not the
-    weighted mean unless all alphas are equal).
+    weighted mean unless all alphas are equal; rho is then a token
+    count, so its floor is 1).
     """
-    if len(alphas) != len(rhos):
-        raise InvalidInstanceError("alphas and rhos lengths differ")
-    for j, a in enumerate(alphas):
-        if a < 1:
-            raise InvalidInstanceError(f"node {j}: alpha must be a positive integer")
-    for j, r in enumerate(rhos):
-        if r < 0:
-            raise InvalidInstanceError(f"node {j}: negative rho {r} unsupported")
-    if literal_init:
-        for j, r in enumerate(rhos):
-            if r < 1:
-                raise InvalidInstanceError(
-                    f"node {j}: literal mode needs rho >= 1 to keep a token"
-                )
-        return tuple(a * r for a, r in zip(alphas, rhos)), tuple(rhos)
-    return tuple(a * r for a, r in zip(alphas, rhos)), tuple(alphas)
+    _check_nodes(alphas=(alphas, 1), rhos=(rhos, 1 if literal_init else 0))
+    return tuple(a * r for a, r in zip(alphas, rhos)), tuple(rhos if literal_init else alphas)
 
 
 def generic_optimum(alphas: Sequence[int], rhos: Sequence[int]) -> Fraction:

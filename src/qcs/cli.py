@@ -117,12 +117,17 @@ def _override(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _run_configs(args, label: str, *cfgs: ExperimentConfig) -> int:
     """Run each config under the --seed, --trials and --graph-file
     overrides and print its stats.  Several configs (a preset's sync/async
-    pair) write to --out/<mode> and print as `label-<mode>`."""
+    pair) write to --out/<mode> and print as `label-<mode>`.  Every
+    output directory is checked before the first config runs."""
+    runs = []
     for cfg in cfgs:
         cfg = _override(cfg, args)
         out, name = args.out, label
         if len(cfgs) > 1:
             out, name = None if out is None else out / cfg.mode, f"{label}-{cfg.mode}"
+        _check_out(out)
+        runs.append((cfg, out, name))
+    for cfg, out, name in runs:
         res = run_experiment(cfg, out_dir=out, fmt=args.format, workers=_workers(args))
         st = res.stats
         print(

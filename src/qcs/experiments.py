@@ -42,20 +42,12 @@ _FLOOR = "floor"
 
 
 def _at_least(ctx: str, value: int, floor: int) -> None:
-    if value < floor:
-        raise ConfigError(f"{ctx}: must be >= {floor}, got {value}")
+    applications.check_floor((value,), floor, lambda _: ctx, ConfigError)
 
 
 def _in_open_unit(ctx: str, value: float) -> None:
     if not 0 < value < 1:
         raise ConfigError(f"{ctx}: must be in (0, 1), got {value}")
-
-
-def _check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str]) -> None:
-    """Refuse the first of the per-node `values` below `floor`; node j is named name_of(j)."""
-    if values and min(values) < floor:
-        j = next(j for j, v in enumerate(values) if v < floor)
-        _at_least(name_of(j), values[j], floor)
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class InitialSpec:
             floor = f.metadata.get(_FLOOR)
             if floor is not None:
                 ctx = f"initial.{self.KIND}.{f.name}"
-                _check_floor(getattr(self, f.name), floor, lambda j: f"{ctx}[{j}]")
+                applications.check_floor(getattr(self, f.name), floor, lambda j: f"{ctx}[{j}]", ConfigError)
 
     @classmethod
     def from_node_values(cls, body: dict[str, Sequence], name_of: Callable[[str, int], str]):
@@ -128,7 +120,7 @@ class InitialSpec:
             values = tuple(_int(v, at(j)) for j, v in enumerate(raw))
             floor = fields[name].metadata.get(_FLOOR)
             if floor is not None:
-                _check_floor(values, floor, at)
+                applications.check_floor(values, floor, at, ConfigError)
             columns[name] = values
         return cls(**columns)
 

@@ -166,6 +166,21 @@ class TestCleanErrors:
         assert capsys.readouterr().err == "error: --out: F is not a directory\n"
         assert sorted(tmp_path.iterdir()) == inputs
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_fig3_mode_directory_that_is_a_file_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                                          mode):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "O").mkdir()
+        (tmp_path / "O" / mode).write_text("", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the --out check")
+
+        monkeypatch.setattr(experiments, "run_trials", refuse)
+        assert main(["fig3", "--trials", "2", "--workers", "1", "--out", "O"]) == 2
+        assert capsys.readouterr().err == f"error: --out: O/{mode} is not a directory\n"
+        assert [p.name for p in (tmp_path / "O").iterdir()] == [mode]
+
     def test_an_unwritable_artifact_exits_2_naming_it(self, config_file, tmp_path, capsys):
         (tmp_path / "o" / "outcomes.csv").mkdir(parents=True)
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", "1"]) == 2
@@ -502,6 +517,22 @@ class TestAppCommands:
         path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
         assert main(["app-scheduling", "--instance", str(path), "--edge-prob", "1", "--seed", "0"]) == 2
         assert capsys.readouterr().err.endswith("error: converged estimate 0 is not positive\n")
+
+    @pytest.mark.parametrize("command, nodes", [
+        ("app-scheduling", [{"l": 40, "u": 0, "pi_max": 100}, {"l": 40, "u": 0, "pi_max": 300}]),
+        ("app-federated", [{"r_size": 10, "w_local": 100}, {"r_size": 30, "w_local": 200}]),
+    ])
+    def test_an_unconverged_run_exits_1_without_recovery(self, tmp_path, monkeypatch, capsys, command, nodes):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        censored = experiments.TrialResult(trial=0, converged=False, termination_step=None, steps_run=50,
+                                           estimate=1, spread=2, censored=True, quotient_floor=1,
+                                           quotient_ceil=2)
+        monkeypatch.setattr(experiments, "run_one_trial", lambda cfg, trial: censored)
+        assert main([command, "--instance", str(path), "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "did not converge within the step cap\n"
+        assert captured.out == ""
 
     def test_app_federated(self, tmp_path, capsys):
         path = tmp_path / "fed.json"

@@ -21,8 +21,8 @@ def test_demos_found():
 def test_demo_exits_cleanly(script, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    # the suite's own warning policy: a numpy RuntimeWarning fails the run
-    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
+    # the suite's own warning policy: any warning fails the run
+    argv = [sys.executable, "-W", "error", str(script)]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

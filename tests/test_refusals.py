@@ -6,6 +6,8 @@ that stops firing, or fires with another message, shows.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from qcs import (
     run_one_trial,
     run_sync,
 )
+
+from qcs.cli import load_scheduling_instance
 
 from conftest import ring
 
@@ -99,13 +103,25 @@ REFUSALS = {
     "applications.scheduling_empty": (lambda: SchedulingInstance((), (), ()), InvalidInstanceError,
                                       "instance has no nodes"),
     "applications.scheduling_negative": (lambda: SchedulingInstance((1, -1), (0, 0), (1, 1)),
-                                         InvalidInstanceError, "node 1: negative workload or occupancy"),
+                                         InvalidInstanceError, "workloads[1]: must be >= 0, got -1"),
     "applications.federated_empty": (lambda: FederatedInstance((), ()), InvalidInstanceError,
                                      "instance has no nodes"),
     "applications.federated_negative": (lambda: FederatedInstance((1, 1), (0, -1)), InvalidInstanceError,
-                                        "node 1: negative parameter -1; shift parameters to be nonnegative"),
+                                        "local_params[1]: must be >= 0, got -1"),
     "applications.generic_negative_rho": (lambda: generic_init([1, 1], [1, -1]), InvalidInstanceError,
-                                          "node 1: negative rho -1 unsupported"),
+                                          "rhos[1]: must be >= 0, got -1"),
+    "applications.scheduling_capacity": (lambda: SchedulingInstance((1, 1), (0, 0), (1, 0)), InvalidInstanceError,
+                                         "capacity[1]: must be >= 1, got 0"),
+    "applications.federated_dataset_size": (lambda: FederatedInstance((1, 0), (0, 0)), InvalidInstanceError,
+                                            "dataset_sizes[1]: must be >= 1, got 0"),
+    "applications.generic_alpha": (lambda: generic_init([1, 0], [1, 1]), InvalidInstanceError,
+                                   "alphas[1]: must be >= 1, got 0"),
+    # literal mode makes rho the token count
+    "applications.generic_literal_rho": (lambda: generic_init([1, 1], [1, 0], literal_init=True),
+                                         InvalidInstanceError, "rhos[1]: must be >= 1, got 0"),
+    "applications.generic_lengths": (lambda: generic_init([1], [1, 2]), InvalidInstanceError,
+                                     "alphas, rhos: lengths differ"),
+    "applications.generic_empty": (lambda: generic_init([], []), InvalidInstanceError, "instance has no nodes"),
     "config.random_n_past_the_limit": (config(graph={"random": {"n": 16_385, "edge_prob": 0.5}}), ConfigError,
                                        "graph.random.n: must be <= 16384, got 16385: its n x n edge draw "
                                        "would take 2.00 GiB"),
@@ -157,6 +173,20 @@ def test_refused_with_its_message(name):
         call()
     assert info.type is error
     assert str(info.value) == message
+
+
+def test_a_config_an_instance_file_and_an_instance_refuse_a_node_by_one_rule(tmp_path):
+    nodes = {"workloads": [1, 1], "occupied": [0, 0], "capacity": [1, 0]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"nodes": [{"l": 1, "u": 0, "pi_max": c} for c in nodes["capacity"]]}))
+    for call, error, name in (
+        (config(initial={"scheduling": nodes}), ConfigError, "initial.scheduling.capacity[1]"),
+        (lambda: load_scheduling_instance(path), ConfigError, f"instance file {path}: nodes[1].pi_max"),
+        (lambda: SchedulingInstance(*nodes.values()), InvalidInstanceError, "capacity[1]"),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == f"{name}: must be >= 1, got 0"
 
 
 def test_values_that_are_not_refusals():
