@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Context
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -22,21 +23,13 @@ from .engine import UNIT_DELAY, DelayModel
 
 Rational = Union[int, float, Fraction]
 
-# Exact confidence verification is skipped above this many windows; the
-# float ceiling with the snap tolerance is then the final answer.
-_EXACT_VERIFY_LIMIT = 4096
-_CEIL_SNAP = 1e-9
-_FLOAT_FLOOR = Fraction(1, 10**290)  # visit floors below it count windows exactly
-
 # n above which the walk oracle switches from exact rationals to floats
 _EXACT_WALK_LIMIT = 12
 
 
 def _as_fraction(x: Rational) -> Fraction:
     """Exact rational view; floats convert via their decimal repr."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 def visit_prob_bound(diam: int, max_out_degree: int) -> Fraction:
@@ -64,40 +57,37 @@ def visit_prob_bound_delayed(
     return visit_prob_bound(diam, max_out_degree) * p**diam
 
 
-def _windows_for(epsilon: Rational, per_window: Fraction) -> int:
-    """per_window is one of the visit bounds above, so in (0, 1/2]."""
-    eps = _as_fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if per_window < _FLOAT_FLOOR:
-        # log(eps) / p would overflow a float; there -log(1 - p) is p to
-        # within a factor 1 + p, far below float precision
-        return math.ceil(Fraction(-math.log(float(eps))) / per_window)
-    # log1p keeps -log(1 - p) from rounding to 0 once p is below 2**-53
-    quotient = math.log(float(eps)) / math.log1p(-float(per_window))
-    tau = max(1, math.ceil(quotient - _CEIL_SNAP))
-    # defensive +1 at representability boundaries: bump until the
-    # confidence inequality (1-p)^tau <= eps verifiably holds
-    if tau <= _EXACT_VERIFY_LIMIT:
-        miss = 1 - per_window
-        while miss**tau > eps:
-            tau += 1
-    return tau
+def _neg_ln(x: Fraction, bits: int) -> tuple[int, int]:
+    """(v, e) with v <= -ln(x) * 2**bits <= v + e, for a rational x in (0, 1).
+
+    -ln x = j ln 2 - ln(x 2**j), x 2**j in (1/2, 1], and -ln y = 2 atanh((1 - y) / (1 + y)):
+    floored positive terms in u <= 1/3, so each atanh sum is short by under 2 * odd units.
+    """
+    a, b = x.numerator, x.denominator
+    j = b.bit_length() - a.bit_length()
+    j -= (a << j) > b
+    value = error = 0
+    for s, t, times in ((1, 3, j), (b - (a << j), b + (a << j), 1)):
+        power, total, odd = (s << bits) // t if times else 0, 0, 1
+        s, t = s * s, t * t
+        while power:
+            total += power // odd
+            power, odd = power * s // t, odd + 2
+        value, error = value + 2 * times * total, error + 4 * times * odd
+    return value, error
 
 
 def _reported(floor: Fraction) -> Union[float, str]:
     """A visit floor as a float, or to 17 digits in a string where a float underflows."""
     if floor >= sys.float_info.min:
         return float(floor)
-    from decimal import Decimal, localcontext  # here: most runs never need the module
-    with localcontext() as ctx:
-        ctx.prec = 17
-        return f"{(Decimal(floor.numerator) / floor.denominator).normalize():e}"
+    ctx = Context(prec=17)
+    return f"{ctx.divide(floor.numerator, floor.denominator).normalize(ctx):e}"
 
 
 def windows_for_confidence(epsilon: Rational, diam: int, max_out_degree: int) -> int:
-    """Windows after which a token has visited a target with prob >= 1-epsilon."""
-    return _windows_for(epsilon, visit_prob_bound(diam, max_out_degree))
+    """The min_max_delay_prob = 1 case of windows_for_confidence_delayed."""
+    return windows_for_confidence_delayed(epsilon, diam, max_out_degree, 1)
 
 
 def windows_for_confidence_delayed(
@@ -106,10 +96,25 @@ def windows_for_confidence_delayed(
     max_out_degree: int,
     min_max_delay_prob: Rational,
 ) -> int:
-    """Delayed-walk window count for confidence 1-epsilon."""
-    return _windows_for(
-        epsilon, visit_prob_bound_delayed(diam, max_out_degree, min_max_delay_prob)
-    )
+    """The least tau >= 1 with (1 - p)**tau <= epsilon, p the delayed visit floor."""
+    per_window = visit_prob_bound_delayed(diam, max_out_degree, min_max_delay_prob)
+    eps = _as_fraction(epsilon)
+    if not 0 < eps < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    miss = 1 - per_window
+    # tau = ceil(ln eps / ln miss) from integer brackets of both logarithms, with
+    # shift more bits for -ln miss > p > 2**-shift, doubled while tau is unsure
+    shift = (per_window.denominator // per_window.numerator).bit_length()
+    bits = shift + 64
+    while True:
+        (num, num_err), (den, den_err) = _neg_ln(eps, bits), _neg_ln(miss, bits + shift)
+        tau = -(-(num << shift) // (den + den_err))
+        if tau == -(-((num + num_err) << shift) // den):
+            return tau
+        # only a tie eps == miss**tau stays unsure, and it needs eps.denominator >= 2**tau
+        if tau < eps.denominator.bit_length() and miss**tau == eps:
+            return tau
+        bits *= 2
 
 
 def target_quotient(y0: Sequence[int], z0: Sequence[int]) -> Fraction:
@@ -132,18 +137,12 @@ def initial_state_error(y0: Sequence[int], quotient: Rational) -> int:
     analysis defines it.
     """
     q = _as_fraction(quotient)
-    hi = math.ceil(q)
-    lo = math.floor(q)
-    above = sum(v - hi for v in y0 if v > hi)
-    below = sum(lo - v for v in y0 if v < lo)
-    return above + below
+    lo, hi = math.floor(q), math.ceil(q)
+    return sum(max(v - hi, lo - v, 0) for v in y0)
 
 
 def completion_step_bound(initial_error: int, n: int, windows: int, diam: int) -> int:
-    """Step count after which termination holds with the stated confidence.
-
-    The B = 1 case of completion_step_bound_delayed.
-    """
+    """The B = 1 case of completion_step_bound_delayed."""
     return completion_step_bound_delayed(initial_error, n, windows, diam, 1)
 
 

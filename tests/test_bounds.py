@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcs import (
     DelayModel,
@@ -51,6 +54,25 @@ def delayed_walk_probability(g, pmf, steps, start, target) -> Fraction:
                     nxt[key] = nxt.get(key, Fraction(0)) + mass * b * p
         dist = nxt
     return sum((m for (pos, _), m in dist.items() if pos == target), Fraction(0))
+
+
+def reference_windows(epsilon, p: Fraction) -> int:
+    """Oracle: the least tau >= 1 with (1 - p)**tau <= epsilon, for p in (0, 1/2].
+
+    ln(epsilon) / ln(1 - p) in decimal, whose ln is correctly rounded, at
+    twice the digits qcs.bounds starts from (those of 1/p plus 20), which
+    keeps 1 - p's digits.  Only an exact tie epsilon == (1 - p)**k lies
+    within 1e-20 of an integer k here; such k are small and decided exactly.
+    """
+    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    with localcontext(Context(prec=2 * (len(str(p.denominator // p.numerator)) + 20))):
+        ln_eps = (Decimal(eps.numerator) / eps.denominator).ln()
+        quotient = ln_eps / (Decimal(p.denominator - p.numerator) / p.denominator).ln()
+        k = int(quotient.to_integral_value())
+        if abs(quotient - k) > Decimal("1e-20"):
+            return max(1, math.ceil(quotient))
+    assert k <= 4096
+    return k if (1 - p) ** k <= eps else k + 1
 
 
 class TestVisitProbBound:
@@ -122,9 +144,9 @@ class TestWindowsForConfidence:
                     assert tau >= 1
 
     def test_exact_check_bumps_past_the_float_ceiling(self):
-        # miss = 3/4; an epsilon a hair below (3/4)^10 sits within the snap
-        # tolerance of 10 windows in floats, and only the exact check sees
-        # that (3/4)^10 > epsilon, so one window is added
+        # miss = 3/4; (3/4)^10 itself is an exact tie, 10 windows, and an
+        # epsilon a hair below it needs 11, though a float ceiling with a
+        # 1e-9 snap puts it at 10
         edge = Fraction(3, 4) ** 10
         assert windows_for_confidence(edge, 1, 3) == 10
         hair_below = edge * (1 - Fraction(1, 10**12))
@@ -154,6 +176,70 @@ class TestWindowsForConfidence:
             windows_for_confidence(0.0, 1, 1)
         with pytest.raises(ValueError):
             windows_for_confidence(1.0, 1, 1)
+
+
+# The grid of visit floors p = (1 + d)**-D * p_B**D for out-degree d <= 79,
+# diameter D <= 5 and max-delay probability p_B in {1, 1/2, 1/3, 1/5, 1/10},
+# crossed with the epsilons 0.001 0.005 0.01 0.02 0.05 0.1 0.15 0.2 0.25 0.3
+# 0.4 0.5 0.6 0.7 0.75 0.8 0.9 0.918 0.95 0.99, has 39,500 pairs.  These 25
+# (d, D, p_B, epsilon) are all those a float ceiling of log(epsilon) /
+# log1p(-p), checked exactly only up to 4,096 windows, put one window short.
+SHORT_WINDOW_PAIRS = [
+    (61, 5, Fraction(1, 10), 0.001), (70, 5, Fraction(1, 10), 0.001),
+    (71, 5, Fraction(1, 10), 0.001), (75, 5, Fraction(1, 10), 0.001),
+    (77, 5, Fraction(1, 10), 0.001), (78, 5, Fraction(1, 10), 0.001),
+    (79, 5, Fraction(1, 10), 0.001), (76, 5, Fraction(1, 10), 0.005),
+    (79, 5, Fraction(1, 10), 0.005), (70, 5, Fraction(1, 10), 0.01),
+    (75, 5, Fraction(1, 10), 0.01), (75, 5, Fraction(1, 10), 0.02),
+    (76, 5, Fraction(1, 10), 0.02), (44, 5, Fraction(1, 10), 0.05),
+    (66, 5, Fraction(1, 10), 0.05), (68, 5, Fraction(1, 10), 0.05),
+    (70, 5, Fraction(1, 10), 0.1), (75, 5, Fraction(1, 10), 0.1),
+    (61, 5, Fraction(1, 10), 0.15), (64, 5, Fraction(1, 10), 0.15),
+    (72, 5, Fraction(1, 10), 0.15), (79, 5, Fraction(1, 10), 0.25),
+    (46, 5, Fraction(1, 5), 0.25), (71, 5, Fraction(1, 10), 0.8),
+    (58, 5, Fraction(1, 10), 0.918),
+    # float(epsilon) underflows to 0.0, where log raised a math domain error
+    (3, 2, Fraction(1), Fraction(1, 10**400)),
+]
+
+
+@st.composite
+def floors_and_epsilons(draw):
+    """A visit floor p in [1e-300, 1/2] and an epsilon in (0, 1): a float,
+    a fraction, or an exact tie (1 - p)**k."""
+    p = draw(st.just(Fraction(1, 2)) | st.builds(
+        lambda num, den, exp: Fraction(num, den * 10**exp),
+        st.integers(1, 99), st.integers(200, 10**6), st.integers(0, 294),
+    ))
+    epsilon = draw(
+        st.floats(0, 1, exclude_min=True, exclude_max=True)
+        | st.fractions(0, 1, max_denominator=10**6).filter(lambda f: 0 < f < 1)
+        | st.integers(1, 20).map(lambda k: (1 - p) ** k)
+    )
+    return p, epsilon
+
+
+class TestExactWindowCount:
+    @pytest.mark.parametrize("deg, diam, p_b, epsilon", SHORT_WINDOW_PAIRS)
+    def test_grid_pairs_a_float_ceiling_missed(self, deg, diam, p_b, epsilon):
+        p = p_b**diam / (1 + deg) ** diam
+        assert windows_for_confidence_delayed(epsilon, diam, deg, p_b) == reference_windows(epsilon, p)
+
+    def test_pinned_counts(self):
+        # 6,116,741,336,087.0018 windows exactly; a float ceiling said ...087
+        assert windows_for_confidence_delayed(0.918, 5, 58, Fraction(1, 10)) == 6_116_741_336_088
+        assert windows_for_confidence(Fraction(1, 10**400), 2, 3) == 14_272
+
+    @given(floors_and_epsilons())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_the_least_count_that_reaches_the_confidence(self, case):
+        p, epsilon = case
+        # a floor p is the visit bound of D = 1, out-degree 1 and p_B = 2p
+        tau = windows_for_confidence_delayed(epsilon, 1, 1, 2 * p)
+        assert tau == reference_windows(epsilon, p)
+        if tau <= 4096:
+            eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else epsilon
+            assert (1 - p) ** tau <= eps < (1 - p) ** (tau - 1)
 
 
 class TestInitialStateError:
@@ -281,7 +367,7 @@ class TestBoundsReport:
         floor = visit_prob_bound_delayed(103, 1, Fraction(1, 1000))
         reported = Fraction(rep["visit_prob_bound_delayed"])
         assert reported > 0 and abs(reported / floor - 1) < Fraction(1, 10**16)
-        assert rep["windows_delayed"] == math.ceil(Fraction(-math.log(0.1)) / floor)
+        assert rep["windows_delayed"] == reference_windows(0.1, Fraction(1, 2000**103))
         # a floor in the float range is reported as a float
         assert rep["visit_prob_bound"] == float(visit_prob_bound(103, 1))
 
