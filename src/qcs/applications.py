@@ -10,14 +10,24 @@ the quotient back into the domain answer.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import CapacityExceededError, InvalidInstanceError
 
 logger = logging.getLogger(__name__)
+
+# field metadata of a per-node field: the least value a node may hold
+FLOOR = "floor"
+
+
+@functools.cache
+def floors(cls) -> tuple[tuple[str, int], ...]:
+    """(name, floor) of each per-node field of dataclass `cls`, read once per class."""
+    return tuple((f.name, f.metadata[FLOOR]) for f in fields(cls) if FLOOR in f.metadata)
 
 
 def check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str], error: type[Exception]) -> None:
@@ -27,15 +37,15 @@ def check_floor(values: Sequence[int], floor: int, name_of: Callable[[int], str]
         raise error(f"{name_of(j)}: must be >= {floor}, got {values[j]}")
 
 
-def _check_nodes(**columns: tuple[Sequence[int], int]) -> None:
-    """Refuse an instance whose per-node columns, each given as (values, floor),
-    differ in length, hold no node, or hold a value below their floor."""
-    lengths = {len(values) for values, _ in columns.values()}
+def _check_nodes(columns: Sequence[tuple[str, Sequence[int], int]]) -> None:
+    """Refuse an instance whose per-node columns, each given as (name, values,
+    floor), differ in length, hold no node, or hold a value below their floor."""
+    lengths = {len(values) for _, values, _ in columns}
     if len(lengths) > 1:
-        raise InvalidInstanceError(f"{', '.join(columns)}: lengths differ")
+        raise InvalidInstanceError(f"{', '.join(name for name, _, _ in columns)}: lengths differ")
     if 0 in lengths:
         raise InvalidInstanceError("instance has no nodes")
-    for name, (values, floor) in columns.items():
+    for name, values, floor in columns:
         check_floor(values, floor, lambda j: f"{name}[{j}]", InvalidInstanceError)
 
 
@@ -49,12 +59,12 @@ def _round_half_to_zero(num: int, den: int) -> int:
 class SchedulingInstance:
     """Per-server task workloads, occupied cycles, and CPU capacities."""
 
-    workloads: tuple[int, ...]
-    occupied: tuple[int, ...]
-    capacity: tuple[int, ...]
+    workloads: tuple[int, ...] = field(metadata={FLOOR: 0})
+    occupied: tuple[int, ...] = field(metadata={FLOOR: 0})
+    capacity: tuple[int, ...] = field(metadata={FLOOR: 1})
 
     def __post_init__(self) -> None:
-        _check_nodes(workloads=(self.workloads, 0), occupied=(self.occupied, 0), capacity=(self.capacity, 1))
+        _check_nodes([(name, getattr(self, name), floor) for name, floor in floors(type(self))])
 
     @property
     def n(self) -> int:
@@ -68,6 +78,12 @@ class SchedulingInstance:
     def available_capacity(self) -> int:
         return sum(c - u for c, u in zip(self.capacity, self.occupied))
 
+    def check_capacity(self, error: type[Exception] = CapacityExceededError, prefix: str = "") -> None:
+        """Refuse, with `error`, a total demand above the available capacity."""
+        if self.total_demand > self.available_capacity:
+            raise error(f"{prefix}total demand {self.total_demand} exceeds available capacity "
+                        f"{self.available_capacity}")
+
     def exact_ratio(self) -> Fraction:
         """Capacity over demand: the quotient the protocol agrees on."""
         return Fraction(sum(self.capacity), sum(l + u for l, u in zip(self.workloads, self.occupied)))
@@ -80,11 +96,7 @@ def scheduling_init(inst: SchedulingInstance) -> tuple[tuple[int, ...], tuple[in
     zero demand and zero occupancy would drop out of the consensus; it
     gets a single token instead, with a warning.
     """
-    if inst.total_demand > inst.available_capacity:
-        raise CapacityExceededError(
-            f"total demand {inst.total_demand} exceeds available capacity "
-            f"{inst.available_capacity}"
-        )
+    inst.check_capacity()
     y0 = tuple(inst.capacity)
     z0 = []
     for j in range(inst.n):
@@ -127,11 +139,11 @@ def scheduling_utilizations(inst: SchedulingInstance, added: Sequence[int]) -> l
 class FederatedInstance:
     """Per-node dataset sizes and quantized local model parameters."""
 
-    dataset_sizes: tuple[int, ...]
-    local_params: tuple[int, ...]
+    dataset_sizes: tuple[int, ...] = field(metadata={FLOOR: 1})
+    local_params: tuple[int, ...] = field(metadata={FLOOR: 0})
 
     def __post_init__(self) -> None:
-        _check_nodes(dataset_sizes=(self.dataset_sizes, 1), local_params=(self.local_params, 0))
+        _check_nodes([(name, getattr(self, name), floor) for name, floor in floors(type(self))])
 
     def exact_aggregate(self) -> Fraction:
         """Dataset-size-weighted average of the local parameters."""
@@ -178,7 +190,7 @@ def generic_init(
     weighted mean unless all alphas are equal; rho is then a token
     count, so its floor is 1).
     """
-    _check_nodes(alphas=(alphas, 1), rhos=(rhos, 1 if literal_init else 0))
+    _check_nodes([("alphas", alphas, 1), ("rhos", rhos, 1 if literal_init else 0)])
     return tuple(a * r for a, r in zip(alphas, rhos)), tuple(rhos if literal_init else alphas)
 
 

@@ -23,13 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import experiments
-from .applications import (
-    FederatedInstance,
-    SchedulingInstance,
-    federated_recover,
-    make_scheduling_recovery,
-    scheduling_utilizations,
-)
+from .applications import federated_recover, make_scheduling_recovery, scheduling_utilizations
 from .engine import DelayModel
 from .errors import ConfigError, QcsError
 from .experiments import (
@@ -247,14 +241,15 @@ def _run_app(args, initial, n: int) -> TrialResult:
     """Trial 0 of a one-trial config on `initial`, as `qcs run` would run it."""
     if args.mode == "async":
         _at_least("--max-delay", args.max_delay, 1)
-    cfg = ExperimentConfig(
+    cfg = _override(ExperimentConfig(
         mode=args.mode,
         graph=RandomGraphSpec(n, args.edge_prob),
         initial=initial,
         delay=DelayModel(max_delay=args.max_delay) if args.mode == "async" else None,
         record_trajectory=False,
-    )
-    res = experiments.run_one_trial(_override(cfg, args), 0)
+    ), args)
+    cfg.check_capacity()
+    res = experiments.run_one_trial(cfg, 0)
     if res.converged:
         print(f"converged at step {res.termination_step} (diameter {res.diameter})")
     else:
@@ -263,11 +258,10 @@ def _run_app(args, initial, n: int) -> TrialResult:
 
 
 def _cmd_app_scheduling(args) -> int:
-    spec = load_scheduling_instance(args.instance)
-    res = _run_app(args, spec, len(spec.workloads))
+    inst = load_scheduling_instance(args.instance)
+    res = _run_app(args, inst, inst.n)
     if not res.converged:
         return 1
-    inst = SchedulingInstance(spec.workloads, spec.occupied, spec.capacity)
     # every node holds the agreed estimate at termination
     recover = make_scheduling_recovery(inst)
     workloads = [recover(j, res.estimate) for j in range(inst.n)]
@@ -277,12 +271,12 @@ def _cmd_app_scheduling(args) -> int:
 
 
 def _cmd_app_federated(args) -> int:
-    spec = load_federated_instance(args.instance)
-    res = _run_app(args, spec, len(spec.dataset_sizes))
+    inst = load_federated_instance(args.instance)
+    res = _run_app(args, inst, len(inst.dataset_sizes))
     if not res.converged:
         return 1
     aggregate = federated_recover(res.estimate)
-    exact = FederatedInstance(spec.dataset_sizes, spec.local_params).exact_aggregate()
+    exact = inst.exact_aggregate()
     print(f"aggregate={aggregate} exact={float(exact):.4f} error={abs(aggregate - float(exact)):.4f}")
     return 0
 

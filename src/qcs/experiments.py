@@ -37,9 +37,6 @@ logger = logging.getLogger(__name__)
 # ROUTE_STREAM (0) and DELAY_STREAM (1) tags under the same trial seed
 _INIT_STREAM = 2
 
-# field metadata of a per-node field: the least value a node may hold
-_FLOOR = "floor"
-
 
 def _at_least(ctx: str, value: int, floor: int) -> None:
     applications.check_floor((value,), floor, lambda _: ctx, ConfigError)
@@ -95,32 +92,28 @@ GraphSpec = Union[RandomGraphSpec, FileGraphSpec]
 class InitialSpec:
     """Base of the initial-value kinds, one frozen dataclass per kind.
 
-    KIND is the kind's config name.  The fields with a _FLOOR are the
-    per-node fields: each lists one value per node and refuses any
-    node's value below its floor.
+    KIND is the kind's config name.  The fields with an
+    applications.FLOOR are the per-node fields: each lists one value per
+    node and refuses any node's value below its floor.
     """
 
     KIND: ClassVar[str]
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            floor = f.metadata.get(_FLOOR)
-            if floor is not None:
-                ctx = f"initial.{self.KIND}.{f.name}"
-                applications.check_floor(getattr(self, f.name), floor, lambda j: f"{ctx}[{j}]", ConfigError)
+        for name, floor in applications.floors(type(self)):
+            ctx = f"initial.{self.KIND}.{name}"
+            applications.check_floor(getattr(self, name), floor, lambda j: f"{ctx}[{j}]", ConfigError)
 
     @classmethod
     def from_node_values(cls, body: dict[str, Sequence], name_of: Callable[[str, int], str]):
         """The spec whose per-node field `name` lists body[name], read as
         integers; a bad value of node j is named name_of(name, j)."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        floors = dict(applications.floors(cls))
         columns = {}
         for name, raw in body.items():
             at = functools.partial(name_of, name)
             values = tuple(_int(v, at(j)) for j, v in enumerate(raw))
-            floor = fields[name].metadata.get(_FLOOR)
-            if floor is not None:
-                applications.check_floor(values, floor, at, ConfigError)
+            applications.check_floor(values, floors[name], at, ConfigError)
             columns[name] = values
         return cls(**columns)
 
@@ -146,8 +139,8 @@ def _draw(rng: np.random.Generator, low_high: tuple[int, int], n: int) -> tuple[
 class ExplicitInitial(InitialSpec):
     KIND: ClassVar[str] = "explicit"
 
-    y0: tuple[int, ...] = field(metadata={_FLOOR: 0})
-    z0: tuple[int, ...] = field(metadata={_FLOOR: 1})
+    y0: tuple[int, ...] = field(metadata={applications.FLOOR: 0})
+    z0: tuple[int, ...] = field(metadata={applications.FLOOR: 1})
 
     def values(self, n, rng):
         return self.y0, self.z0
@@ -174,45 +167,37 @@ class UniformInitial(InitialSpec):
 class GenericInitial(InitialSpec):
     KIND: ClassVar[str] = "generic"
 
-    alpha: tuple[int, ...] = field(metadata={_FLOOR: 1})
-    rho: tuple[int, ...] = field(metadata={_FLOOR: 0})
+    alpha: tuple[int, ...] = field(metadata={applications.FLOOR: 1})
+    rho: tuple[int, ...] = field(metadata={applications.FLOOR: 0})
     literal: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
         # literal mode makes rho the token count
-        if self.literal and self.rho and min(self.rho) < 1:
-            j = self.rho.index(min(self.rho))
-            raise ConfigError(f"initial.generic.rho[{j}]: must be >= 1 when literal, got {self.rho[j]}")
+        if self.literal:
+            applications.check_floor(self.rho, 1, lambda j: f"initial.generic.rho[{j}]", ConfigError)
 
     def values(self, n, rng):
         return applications.generic_init(self.alpha, self.rho, literal_init=self.literal)
 
 
+# an application kind is its instance, whose per-node fields InitialSpec checks under config names
 @dataclass(frozen=True)
-class SchedulingInitial(InitialSpec):
+class SchedulingInitial(InitialSpec, applications.SchedulingInstance):
     KIND: ClassVar[str] = "scheduling"
 
-    workloads: tuple[int, ...] = field(metadata={_FLOOR: 0})
-    occupied: tuple[int, ...] = field(metadata={_FLOOR: 0})
-    capacity: tuple[int, ...] = field(metadata={_FLOOR: 1})
-
     def values(self, n, rng):
-        inst = applications.SchedulingInstance(self.workloads, self.occupied, self.capacity)
-        return applications.scheduling_init(inst)
+        return applications.scheduling_init(self)
 
 
 @dataclass(frozen=True)
-class FederatedInitial(InitialSpec):
+class FederatedInitial(InitialSpec, applications.FederatedInstance):
     KIND: ClassVar[str] = "federated"
 
-    dataset_sizes: tuple[int, ...] = field(metadata={_FLOOR: 1})
-    local_params: tuple[int, ...] = field(metadata={_FLOOR: 0})
     literal: bool = False
 
     def values(self, n, rng):
-        inst = applications.FederatedInstance(self.dataset_sizes, self.local_params)
-        return applications.federated_init(inst, literal_init=self.literal)
+        return applications.federated_init(self, literal_init=self.literal)
 
 
 @dataclass(frozen=True)
@@ -311,10 +296,10 @@ class ExperimentConfig:
     def _check_lengths(self, n: int) -> None:
         """Per-node tables must have one entry per node of an n-node graph."""
         spec = self.initial
-        for f in dataclasses.fields(spec):
-            values = getattr(spec, f.name)
-            if _FLOOR in f.metadata and len(values) != n:
-                raise ConfigError(f"initial.{spec.KIND}.{f.name}: {len(values)} values for a graph with {n} nodes")
+        for name, _ in applications.floors(type(spec)):
+            values = getattr(spec, name)
+            if len(values) != n:
+                raise ConfigError(f"initial.{spec.KIND}.{name}: {len(values)} values for a graph with {n} nodes")
         if self.delay is not None and self.delay.per_node_pmf is not None:
             rows = len(self.delay.per_node_pmf)
             if rows != n:
@@ -330,6 +315,12 @@ class ExperimentConfig:
             else:
                 key = "delay.max_delay" if max_delay > 1 else "max_steps"
             raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
+
+    def check_capacity(self) -> None:
+        """Refuse a scheduling instance whose demand exceeds its capacity, which
+        every trial would fail on; checked before trial 0 builds a graph."""
+        if isinstance(self.initial, applications.SchedulingInstance):
+            self.initial.check_capacity(ConfigError, f"initial.{self.initial.KIND}: ")
 
     def delay_model(self) -> DelayModel:
         """The delay model trials run under: unit delays under sync."""
@@ -607,6 +598,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     A trial that raises fails the whole run with a TrialError naming the
     trial index and seed, on the serial and the pool path alike.
     """
+    cfg.check_capacity()
     payloads = [(cfg, t) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
         return [_trial_worker(p) for p in payloads]
@@ -727,6 +719,7 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     are too short for the visit floor the bound counts on.  So is a step
     cap below one vote window, as trial 0's run would refuse it.
     """
+    cfg.check_capacity()
     run_cfg = build_trial_instance(cfg, 0)
     diameter = run_cfg.graph.diameter
     if cfg.diameter_bound is not None and cfg.diameter_bound < diameter:

@@ -229,6 +229,30 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err == f"error: instance file i.json: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "over.json"],
+            ["bounds", "--config", "over.json", "--epsilon", "0.1"],
+            ["app-scheduling", "--instance", "over_inst.json"],
+        ],
+    )
+    def test_an_over_capacity_scheduling_instance_exits_2_before_any_graph(self, tmp_path, monkeypatch, capsys,
+                                                                           argv):
+        monkeypatch.chdir(tmp_path)
+        nodes = {"workloads": [300, 300], "occupied": [0, 0], "capacity": [100, 300]}
+        config = {"mode": "sync", "graph": {"random": {"n": 2, "edge_prob": 1}}, "initial": {"scheduling": nodes}}
+        (tmp_path / "over.json").write_text(json.dumps(config), encoding="utf-8")
+        instance = {"nodes": [{"l": 300, "u": 0, "pi_max": 100}, {"l": 300, "u": 0, "pi_max": 300}]}
+        (tmp_path / "over_inst.json").write_text(json.dumps(instance), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(experiments, "generate_random_digraph", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: initial.scheduling: total demand 600 exceeds available capacity 400\n"
+
     def test_instance_without_a_node_list_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "i.json").write_text(json.dumps({"nodes": 5}), encoding="utf-8")

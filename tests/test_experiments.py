@@ -23,14 +23,17 @@ from qcs import (
     ConfigError,
     DelayModel,
     Digraph,
+    FederatedInstance,
     SchedulingInstance,
     TrialError,
+    applications,
     experiments,
     generate_random_digraph,
     make_scheduling_recovery,
     parse_config,
     run_experiment,
     run_one_trial,
+    scheduling_utilizations,
 )
 from qcs.experiments import (
     ExperimentConfig,
@@ -240,7 +243,7 @@ class TestMalformedConfigs:
             ({"generic": {"alpha": [1] * 10, "rho": [5] * 9 + [-1]}}, r"^initial\.generic\.rho\[9\]: must be >= 0, got -1$"),
             (
                 {"generic": {"alpha": [1] * 10, "rho": [5, 0] + [5] * 8, "literal": True}},
-                r"^initial\.generic\.rho\[1\]: must be >= 1 when literal, got 0$",
+                r"^initial\.generic\.rho\[1\]: must be >= 1, got 0$",
             ),
             (
                 {"scheduling": {"workloads": [5] * 10, "occupied": [0] * 10, "capacity": [9] * 9 + [0]}},
@@ -613,6 +616,51 @@ class TestParseTimeLengths:
         initial = {"federated": {"dataset_sizes": [4, 5, 6], "local_params": [1, 2, 3]}}
         with pytest.raises(ConfigError, match=r"initial.federated.dataset_sizes: 3 values"):
             parse_config({**self.ASYNC, "initial": initial})
+
+
+class TestApplicationKinds:
+    """A parsed scheduling or federated initial is the application instance itself."""
+
+    SCHEDULING = {"workloads": (40, 10, 0), "occupied": (0, 20, 5), "capacity": (100, 300, 50)}
+    FEDERATED = {"dataset_sizes": (10, 30, 7), "local_params": (100, 200, 0)}
+
+    def _initial(self, kind: str, lists: dict):
+        body = {key: list(v) if isinstance(v, tuple) else v for key, v in lists.items()}
+        return parse_config({**MINIMAL, "graph": {"random": {"n": 3, "edge_prob": 0.5}},
+                             "initial": {kind: body}}).initial
+
+    def test_scheduling_initial_answers_as_its_instance(self):
+        spec, inst = self._initial("scheduling", self.SCHEDULING), SchedulingInstance(**self.SCHEDULING)
+        assert isinstance(spec, SchedulingInstance)
+        assert applications.floors(SchedulingInitial) == applications.floors(SchedulingInstance)
+        hook, reference = make_scheduling_recovery(spec), make_scheduling_recovery(inst)
+        for estimate in (1, 2, 3, 7, 400):
+            assert [hook(j, estimate) for j in range(3)] == [reference(j, estimate) for j in range(3)]
+        added = [hook(j, 3) for j in range(3)]
+        assert scheduling_utilizations(spec, added) == scheduling_utilizations(inst, added)
+        assert spec.values(3, None) == applications.scheduling_init(inst)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_federated_initial_answers_as_its_instance(self, literal):
+        spec = self._initial("federated", {**self.FEDERATED, "literal": literal})
+        inst = FederatedInstance(**self.FEDERATED)
+        assert isinstance(spec, FederatedInstance)
+        assert applications.floors(FederatedInitial) == applications.floors(FederatedInstance)
+        assert spec.exact_aggregate() == inst.exact_aggregate()
+        assert spec.values(3, None) == applications.federated_init(inst, literal_init=literal)
+
+    def test_an_over_capacity_scheduling_config_parses_and_is_refused_before_trial_0(self, monkeypatch):
+        initial = {"scheduling": {"workloads": [300, 300], "occupied": [0, 0], "capacity": [100, 300]}}
+        cfg = parse_config({**MINIMAL, "graph": {"random": {"n": 2, "edge_prob": 1}}, "initial": initial})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(experiments, "generate_random_digraph", refuse)
+        for call in (lambda: run_trials(cfg), lambda: experiments.bounds_report(cfg)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == "initial.scheduling: total demand 600 exceeds available capacity 400"
 
 
 class TestRunners:
