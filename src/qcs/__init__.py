@@ -11,11 +11,11 @@ metrics, and a reproducible experiment harness with a CLI.
 
 from .applications import (
     FederatedInstance,
+    GenericInstance,
     SchedulingInstance,
     federated_init,
     federated_recover,
     generic_init,
-    generic_optimum,
     make_scheduling_recovery,
     scheduling_init,
     scheduling_utilizations,
@@ -74,6 +74,7 @@ __all__ = [
     "ErrorSeries",
     "ExperimentConfig",
     "FederatedInstance",
+    "GenericInstance",
     "GraphGenerationError",
     "InFlightEntry",
     "InvalidInstanceError",
@@ -96,7 +97,6 @@ __all__ = [
     "federated_recover",
     "generate_random_digraph",
     "generic_init",
-    "generic_optimum",
     "initial_state_error",
     "is_strongly_connected",
     "make_scheduling_recovery",

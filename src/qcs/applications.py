@@ -1,11 +1,12 @@
-"""Application mappings onto protocol initial values and back.
+"""Quadratic-cost mappings onto protocol initial values and back.
 
-Two domains ride on the same protocol: data-center task scheduling
-(balance CPU utilization across heterogeneous servers) and federated
-model aggregation (dataset-size-weighted average of quantized local
-parameters).  Each mapping chooses (y0, z0) so the protocol's agreed
-quotient encodes the domain optimum, plus a recovery rule that turns
-the quotient back into the domain answer.
+Node j's cost weighs its target rho_j by alpha_j, and the optimum is the
+alpha-weighted mean of the rhos.  Three instances map onto it: the generic
+problem, data-center task scheduling (balance CPU utilization across
+heterogeneous servers) and federated model aggregation (dataset-size-
+weighted average of quantized local parameters).  Each mapping chooses
+(y0, z0) so the protocol's agreed quotient encodes the instance's optimum;
+the two applications add a rule that recovers the domain answer from it.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ class SchedulingInstance:
         return sum(c - u for c, u in zip(self.capacity, self.occupied))
 
     def check_capacity(self, error: type[Exception] = CapacityExceededError, prefix: str = "") -> None:
-        """Refuse, with `error`, a total demand above the available capacity."""
+        """Refuse, with `error`, columns of unequal length (a config kind checks only
+        its floors up front) or a total demand above the available capacity."""
+        if len({len(self.workloads), len(self.occupied), len(self.capacity)}) > 1:
+            raise error(f"{prefix}workloads, occupied, capacity: lengths differ")
         if self.total_demand > self.available_capacity:
             raise error(f"{prefix}total demand {self.total_demand} exceeds available capacity "
                         f"{self.available_capacity}")
@@ -153,22 +157,9 @@ class FederatedInstance:
         )
 
 
-def federated_init(
-    inst: FederatedInstance,
-    literal_init: bool = False,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Map a federated instance to protocol initial values.
-
-    Default: y0 = dataset_size * parameter, z0 = dataset_size, so the
-    agreed quotient equals the weighted aggregate exactly.  literal_init
-    keeps y0 = parameter (compatibility mode; the resulting quotient is
-    the unweighted-mass ratio, not the weighted aggregate).
-    """
-    if literal_init:
-        y0 = tuple(inst.local_params)
-    else:
-        y0 = tuple(r * w for r, w in zip(inst.dataset_sizes, inst.local_params))
-    return y0, tuple(inst.dataset_sizes)
+def federated_init(inst: FederatedInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """y0 = dataset_size * parameter, z0 = dataset_size: the agreed quotient is the aggregate exactly."""
+    return tuple(r * w for r, w in zip(inst.dataset_sizes, inst.local_params)), tuple(inst.dataset_sizes)
 
 
 def federated_recover(estimate: int) -> int:
@@ -176,27 +167,21 @@ def federated_recover(estimate: int) -> int:
     return estimate
 
 
-def generic_init(
-    alphas: Sequence[int],
-    rhos: Sequence[int],
-    literal_init: bool = False,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Initial values for the generic quadratic problem.
+@dataclass(frozen=True)
+class GenericInstance:
+    """Per-node cost weights alpha and targets rho of the quadratic problem."""
 
-    Each node carries cost weight alpha and target rho; the optimum is
-    the alpha-weighted mean of the rhos, so y0 = alpha * rho and
-    z0 = alpha makes the agreed quotient hit it exactly.  literal_init
-    instead sets z0 = rho (compatibility mode; its quotient is not the
-    weighted mean unless all alphas are equal; rho is then a token
-    count, so its floor is 1).
-    """
-    _check_nodes([("alphas", alphas, 1), ("rhos", rhos, 1 if literal_init else 0)])
-    return tuple(a * r for a, r in zip(alphas, rhos)), tuple(rhos if literal_init else alphas)
+    alpha: tuple[int, ...] = field(metadata={FLOOR: 1})
+    rho: tuple[int, ...] = field(metadata={FLOOR: 0})
+
+    def __post_init__(self) -> None:
+        _check_nodes([(name, getattr(self, name), floor) for name, floor in floors(type(self))])
+
+    def exact_optimum(self) -> Fraction:
+        """The alpha-weighted mean of the rhos: the problem's closed-form optimum."""
+        return Fraction(sum(a * r for a, r in zip(self.alpha, self.rho)), sum(self.alpha))
 
 
-def generic_optimum(alphas: Sequence[int], rhos: Sequence[int]) -> Fraction:
-    """Closed-form optimum of the generic quadratic problem."""
-    return Fraction(
-        sum(a * r for a, r in zip(alphas, rhos)),
-        sum(alphas),
-    )
+def generic_init(inst: GenericInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """y0 = alpha * rho, z0 = alpha: the agreed quotient is the weighted mean exactly."""
+    return tuple(a * r for a, r in zip(inst.alpha, inst.rho)), tuple(inst.alpha)

@@ -163,25 +163,15 @@ class UniformInitial(InitialSpec):
         return _draw(rng, self.y0_range, n), _draw(rng, self.z0_range, n)
 
 
+# an application kind is its instance, whose per-node fields InitialSpec checks under config names
 @dataclass(frozen=True)
-class GenericInitial(InitialSpec):
+class GenericInitial(InitialSpec, applications.GenericInstance):
     KIND: ClassVar[str] = "generic"
 
-    alpha: tuple[int, ...] = field(metadata={applications.FLOOR: 1})
-    rho: tuple[int, ...] = field(metadata={applications.FLOOR: 0})
-    literal: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # literal mode makes rho the token count
-        if self.literal:
-            applications.check_floor(self.rho, 1, lambda j: f"initial.generic.rho[{j}]", ConfigError)
-
     def values(self, n, rng):
-        return applications.generic_init(self.alpha, self.rho, literal_init=self.literal)
+        return applications.generic_init(self)
 
 
-# an application kind is its instance, whose per-node fields InitialSpec checks under config names
 @dataclass(frozen=True)
 class SchedulingInitial(InitialSpec, applications.SchedulingInstance):
     KIND: ClassVar[str] = "scheduling"
@@ -194,10 +184,8 @@ class SchedulingInitial(InitialSpec, applications.SchedulingInstance):
 class FederatedInitial(InitialSpec, applications.FederatedInstance):
     KIND: ClassVar[str] = "federated"
 
-    literal: bool = False
-
     def values(self, n, rng):
-        return applications.federated_init(self, literal_init=self.literal)
+        return applications.federated_init(self)
 
 
 @dataclass(frozen=True)
@@ -317,8 +305,9 @@ class ExperimentConfig:
             raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
 
     def check_capacity(self) -> None:
-        """Refuse a scheduling instance whose demand exceeds its capacity, which
-        every trial would fail on; checked before trial 0 builds a graph."""
+        """Refuse a scheduling instance whose columns differ in length or whose
+        demand exceeds its capacity, which every trial would fail on; checked
+        before trial 0 builds a graph."""
         if isinstance(self.initial, applications.SchedulingInstance):
             self.initial.check_capacity(ConfigError, f"initial.{self.initial.KIND}: ")
 

@@ -1,4 +1,4 @@
-"""Application mappings: scheduling and federated aggregation."""
+"""Quadratic-cost mappings: the generic problem, scheduling and federated aggregation."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from qcs import (
     CapacityExceededError,
     DelayModel,
     FederatedInstance,
+    GenericInstance,
     InvalidInstanceError,
     RunConfig,
     SchedulingInstance,
@@ -19,7 +20,6 @@ from qcs import (
     federated_recover,
     generate_random_digraph,
     generic_init,
-    generic_optimum,
     make_scheduling_recovery,
     run_async,
     run_sync,
@@ -167,14 +167,6 @@ class TestFederated:
         inst = FederatedInstance(dataset_sizes=(5, 5, 5), local_params=(1, 2, 6))
         assert inst.exact_aggregate() == Fraction(9, 3)
 
-    def test_literal_compat_mode(self):
-        inst = FederatedInstance(dataset_sizes=(10, 30), local_params=(100, 200))
-        y0, z0 = federated_init(inst, literal_init=True)
-        assert y0 == (100, 200)
-        assert z0 == (10, 30)
-        # the literal text does not reproduce the weighted aggregate
-        assert target_quotient(y0, z0) != inst.exact_aggregate()
-
     def test_validation(self):
         with pytest.raises(InvalidInstanceError):
             FederatedInstance(dataset_sizes=(0, 3), local_params=(1, 1))
@@ -201,19 +193,20 @@ class TestFederated:
 
 class TestGenericMapping:
     def test_quotient_equals_weighted_mean(self):
-        alphas, rhos = (2, 3, 5), (10, 0, 4)
-        y0, z0 = generic_init(alphas, rhos)
-        assert target_quotient(y0, z0) == generic_optimum(alphas, rhos)
-        assert generic_optimum(alphas, rhos) == Fraction(2 * 10 + 5 * 4, 10)
+        inst = GenericInstance(alpha=(2, 3, 5), rho=(10, 0, 4))
+        y0, z0 = generic_init(inst)
+        assert (y0, z0) == ((20, 0, 20), (2, 3, 5))
+        assert target_quotient(y0, z0) == inst.exact_optimum() == Fraction(2 * 10 + 5 * 4, 10)
 
-    def test_literal_mode_uses_rho_tokens(self):
-        y0, z0 = generic_init((2, 3), (10, 4), literal_init=True)
-        assert z0 == (10, 4)
-        with pytest.raises(InvalidInstanceError):
-            generic_init((2, 3), (10, 0), literal_init=True)
+    def test_protocol_run_hits_weighted_mean(self):
+        inst = GenericInstance(alpha=(1, 3), rho=(10, 2))
+        y0, z0 = generic_init(inst)
+        out = run_sync(RunConfig(graph=bidirectional_pair(), y0=y0, z0=z0, seed=2))
+        assert out.converged
+        assert abs(int(out.final_estimate[0]) - inst.exact_optimum()) < 1
 
     def test_validation(self):
         with pytest.raises(InvalidInstanceError):
-            generic_init((0, 1), (1, 1))
+            GenericInstance((0, 1), (1, 1))
         with pytest.raises(InvalidInstanceError):
-            generic_init((1,), (1, 2))
+            GenericInstance((1,), (1, 2))

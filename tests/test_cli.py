@@ -253,6 +253,25 @@ class TestCleanErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: initial.scheduling: total demand 600 exceeds available capacity 400\n"
 
+    @pytest.mark.parametrize("argv", [["run", "--config", "cfg.json"], ["bounds", "--config", "cfg.json"]])
+    @pytest.mark.parametrize("workloads", [[300, 300, 300], [3, 3, 3]])
+    def test_unequal_scheduling_columns_on_a_graph_file_exit_2_before_any_trial(self, tmp_path, monkeypatch,
+                                                                               capsys, argv, workloads):
+        # n is known only once a trial loads the file, so neither lengths check has run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ring.txt").write_text("3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+        nodes = {"workloads": workloads, "occupied": [0, 0], "capacity": [100, 300]}
+        config = {"mode": "sync", "graph": {"file": "ring.txt"}, "initial": {"scheduling": nodes}, "epsilon": 0.1}
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a trial")
+
+        monkeypatch.setattr(experiments, "build_trial_instance", refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: initial.scheduling: workloads, occupied, capacity: lengths differ\n"
+
     def test_instance_without_a_node_list_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "i.json").write_text(json.dumps({"nodes": 5}), encoding="utf-8")

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from qcs import (
     DelayModel,
     Digraph,
     FederatedInstance,
+    GenericInstance,
     SchedulingInstance,
     TrialError,
     applications,
@@ -242,10 +244,6 @@ class TestMalformedConfigs:
             ({"generic": {"alpha": [2, 1, 0] + [1] * 7, "rho": [5] * 10}}, r"^initial\.generic\.alpha\[2\]: must be >= 1, got 0$"),
             ({"generic": {"alpha": [1] * 10, "rho": [5] * 9 + [-1]}}, r"^initial\.generic\.rho\[9\]: must be >= 0, got -1$"),
             (
-                {"generic": {"alpha": [1] * 10, "rho": [5, 0] + [5] * 8, "literal": True}},
-                r"^initial\.generic\.rho\[1\]: must be >= 1, got 0$",
-            ),
-            (
                 {"scheduling": {"workloads": [5] * 10, "occupied": [0] * 10, "capacity": [9] * 9 + [0]}},
                 r"^initial\.scheduling\.capacity\[9\]: must be >= 1, got 0$",
             ),
@@ -282,9 +280,9 @@ def _initials(n: int):
     return st.one_of(
         st.builds(ExplicitInitial, y0=ints, z0=ints),
         st.builds(UniformInitial, y0_range=_pairs(), z0_range=_pairs(1)),
-        st.builds(GenericInitial, alpha=ints, rho=ints, literal=st.booleans()),
+        st.builds(GenericInitial, alpha=ints, rho=ints),
         st.builds(SchedulingInitial, workloads=ints, occupied=ints, capacity=ints),
-        st.builds(FederatedInitial, dataset_sizes=ints, local_params=ints, literal=st.booleans()),
+        st.builds(FederatedInitial, dataset_sizes=ints, local_params=ints),
         st.builds(
             SchedulingUniformInitial,
             load_range=_pairs(),
@@ -531,9 +529,6 @@ class TestTrialMaterialisationPin:
         "explicit": {"explicit": {"y0": [3, 1, 4, 1, 5, 9, 2, 6], "z0": [1, 2, 1, 3, 1, 2, 1, 1]}},
         "uniform": {"uniform": {"y0_range": [0, 50], "z0_range": [1, 6]}},
         "generic": {"generic": {"alpha": [1, 2, 3, 1, 2, 3, 1, 2], "rho": [5, 0, 7, 2, 9, 4, 4, 1]}},
-        "generic-literal": {
-            "generic": {"alpha": [1, 2, 3, 1, 2, 3, 1, 2], "rho": [5, 1, 7, 2, 9, 4, 4, 1], "literal": True}
-        },
         "scheduling": {
             "scheduling": {
                 "workloads": [40, 10, 0, 25, 60, 5, 30, 20],
@@ -547,13 +542,6 @@ class TestTrialMaterialisationPin:
                 "local_params": [100, 200, 0, 50, 75, 3, 8, 60],
             }
         },
-        "federated-literal": {
-            "federated": {
-                "dataset_sizes": [10, 30, 5, 7, 12, 1, 9, 40],
-                "local_params": [100, 200, 1, 50, 75, 3, 8, 60],
-                "literal": True,
-            }
-        },
         "scheduling_uniform": {
             "scheduling_uniform": {"load_range": [1, 100], "capacity_pattern": [100, 300, 200], "occupied": 2}
         },
@@ -562,10 +550,8 @@ class TestTrialMaterialisationPin:
     PINS = {
         "explicit": "e89a2bcfa22f6e9c95e4372729d9c3fcefe7fda7655d9008fe26b972599f2138",
         "federated": "b062b9404835fd397e71e3bcc1e230163ec4be0410987fbdafc616fb96c3c0ce",
-        "federated-literal": "99f22bb76992576789301d95add13d9906088217e3e9b034b534e2f972c65135",
         "federated_uniform": "79507f78c199c3d49f74f4ba2eff8e55e8de42a089eceea88b67193f9595214f",
         "generic": "0d5972240b90f6c88cbe171d3a457cc3dee95d6e1e326ed5c288ce146fed1d40",
-        "generic-literal": "9bab30d459ea21506be8c98cf8324d51d2670a6a00b17ef27a10b5e7d213b04b",
         "scheduling": "4b329cd20429892d1895018089c0c1a0574286738b665f314df03953b94ca797",
         "scheduling_uniform": "a77ec6f782dacadf7e63ad0699823c28bb3e77cc315435092e029bccbdfbcc3d",
         "uniform": "117e05a58d625c2a33199d421bbfe2942af07384d9208b80be34b9962602923c",
@@ -619,10 +605,11 @@ class TestParseTimeLengths:
 
 
 class TestApplicationKinds:
-    """A parsed scheduling or federated initial is the application instance itself."""
+    """A parsed generic, scheduling or federated initial is the instance itself."""
 
     SCHEDULING = {"workloads": (40, 10, 0), "occupied": (0, 20, 5), "capacity": (100, 300, 50)}
     FEDERATED = {"dataset_sizes": (10, 30, 7), "local_params": (100, 200, 0)}
+    GENERIC = {"alpha": (2, 3, 5), "rho": (10, 0, 4)}
 
     def _initial(self, kind: str, lists: dict):
         body = {key: list(v) if isinstance(v, tuple) else v for key, v in lists.items()}
@@ -640,14 +627,19 @@ class TestApplicationKinds:
         assert scheduling_utilizations(spec, added) == scheduling_utilizations(inst, added)
         assert spec.values(3, None) == applications.scheduling_init(inst)
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_federated_initial_answers_as_its_instance(self, literal):
-        spec = self._initial("federated", {**self.FEDERATED, "literal": literal})
-        inst = FederatedInstance(**self.FEDERATED)
+    def test_federated_initial_answers_as_its_instance(self):
+        spec, inst = self._initial("federated", self.FEDERATED), FederatedInstance(**self.FEDERATED)
         assert isinstance(spec, FederatedInstance)
         assert applications.floors(FederatedInitial) == applications.floors(FederatedInstance)
         assert spec.exact_aggregate() == inst.exact_aggregate()
-        assert spec.values(3, None) == applications.federated_init(inst, literal_init=literal)
+        assert spec.values(3, None) == applications.federated_init(inst)
+
+    def test_generic_initial_answers_as_its_instance(self):
+        spec, inst = self._initial("generic", self.GENERIC), GenericInstance(**self.GENERIC)
+        assert isinstance(spec, GenericInstance)
+        assert applications.floors(GenericInitial) == applications.floors(GenericInstance)
+        assert spec.exact_optimum() == inst.exact_optimum() == Fraction(2 * 10 + 5 * 4, 10)
+        assert spec.values(3, None) == applications.generic_init(inst) == ((20, 0, 20), (2, 3, 5))
 
     def test_an_over_capacity_scheduling_config_parses_and_is_refused_before_trial_0(self, monkeypatch):
         initial = {"scheduling": {"workloads": [300, 300], "occupied": [0, 0], "capacity": [100, 300]}}

@@ -17,6 +17,7 @@ from qcs import (
     DelayModel,
     Digraph,
     FederatedInstance,
+    GenericInstance,
     InvalidInstanceError,
     MassOverflowError,
     RunConfig,
@@ -24,7 +25,6 @@ from qcs import (
     SyncEngine,
     bounds,
     generate_random_digraph,
-    generic_init,
     is_strongly_connected,
     metrics,
     parse_config,
@@ -42,6 +42,11 @@ MINIMAL = {
     "graph": {"random": {"n": 10, "edge_prob": 0.5}},
     "initial": {"explicit": {"y0": [3] * 10, "z0": [1] * 10}},
 }
+
+
+GENERIC = {"alpha": [1] * 10, "rho": [5] * 10}
+FEDERATED = {"dataset_sizes": [4] * 10, "local_params": [1] * 10}
+ZERO_Y0 = {"explicit": {"y0": [3, 0] + [3] * 8, "z0": [1] * 10}}
 
 
 def config(**override):
@@ -108,20 +113,17 @@ REFUSALS = {
                                      "instance has no nodes"),
     "applications.federated_negative": (lambda: FederatedInstance((1, 1), (0, -1)), InvalidInstanceError,
                                         "local_params[1]: must be >= 0, got -1"),
-    "applications.generic_negative_rho": (lambda: generic_init([1, 1], [1, -1]), InvalidInstanceError,
-                                          "rhos[1]: must be >= 0, got -1"),
+    "applications.generic_negative_rho": (lambda: GenericInstance((1, 1), (1, -1)), InvalidInstanceError,
+                                          "rho[1]: must be >= 0, got -1"),
     "applications.scheduling_capacity": (lambda: SchedulingInstance((1, 1), (0, 0), (1, 0)), InvalidInstanceError,
                                          "capacity[1]: must be >= 1, got 0"),
     "applications.federated_dataset_size": (lambda: FederatedInstance((1, 0), (0, 0)), InvalidInstanceError,
                                             "dataset_sizes[1]: must be >= 1, got 0"),
-    "applications.generic_alpha": (lambda: generic_init([1, 0], [1, 1]), InvalidInstanceError,
-                                   "alphas[1]: must be >= 1, got 0"),
-    # literal mode makes rho the token count
-    "applications.generic_literal_rho": (lambda: generic_init([1, 1], [1, 0], literal_init=True),
-                                         InvalidInstanceError, "rhos[1]: must be >= 1, got 0"),
-    "applications.generic_lengths": (lambda: generic_init([1], [1, 2]), InvalidInstanceError,
-                                     "alphas, rhos: lengths differ"),
-    "applications.generic_empty": (lambda: generic_init([], []), InvalidInstanceError, "instance has no nodes"),
+    "applications.generic_alpha": (lambda: GenericInstance((1, 0), (1, 1)), InvalidInstanceError,
+                                   "alpha[1]: must be >= 1, got 0"),
+    "applications.generic_lengths": (lambda: GenericInstance((1,), (1, 2)), InvalidInstanceError,
+                                     "alpha, rho: lengths differ"),
+    "applications.generic_empty": (lambda: GenericInstance((), ()), InvalidInstanceError, "instance has no nodes"),
     "config.random_n_past_the_limit": (config(graph={"random": {"n": 16_385, "edge_prob": 0.5}}), ConfigError,
                                        "graph.random.n: must be <= 16384, got 16385: its n x n edge draw "
                                        "would take 2.00 GiB"),
@@ -161,6 +163,14 @@ REFUSALS = {
                                             "delay: give pmf or per_node_pmf, not both"),
     "config.check_invariants_key": (config(check_invariants=False), ConfigError,
                                     "unknown config key 'check_invariants'"),
+    "config.generic_literal_key": (config(initial={"generic": {**GENERIC, "literal": True}}), ConfigError,
+                                   "unknown config key 'initial.generic.literal'"),
+    "config.federated_literal_key": (config(initial={"federated": {**FEDERATED, "literal": False}}), ConfigError,
+                                     "unknown config key 'initial.federated.literal'"),
+    # one recorded trial inverts every y0 for its error curve
+    "config.explicit_zero_y0_reciprocal": (config(initial=ZERO_Y0), ConfigError,
+                                           "error_mode: 'reciprocal' inverts every node's state, but "
+                                           "initial.explicit.y0[1] is 0; use 'direct'"),
     "config.no_mode": (lambda: parse_config({k: v for k, v in MINIMAL.items() if k != "mode"}), ConfigError,
                        "config: missing required key 'mode'"),
 }
@@ -226,3 +236,8 @@ def test_a_max_delay_never_drawn_needs_epsilon_and_delays_to_be_refused():
     # without epsilon no bound is asked for, and a sync run ignores its delay
     assert parse_config({**MINIMAL, "mode": "async", "delay": NEVER_MAX}).epsilon is None
     assert parse_config({**MINIMAL, "delay": NEVER_MAX_AT_3, "epsilon": 0.1}).mode == "sync"
+
+
+def test_an_explicit_zero_y0_is_refused_only_for_a_recorded_reciprocal_curve():
+    for override in ({"error_mode": "direct"}, {"record_trajectory": False}):
+        assert parse_config({**MINIMAL, "initial": ZERO_Y0, **override}).initial.y0[1] == 0
