@@ -80,10 +80,7 @@ class SchedulingInstance:
         return sum(c - u for c, u in zip(self.capacity, self.occupied))
 
     def check_capacity(self, error: type[Exception] = CapacityExceededError, prefix: str = "") -> None:
-        """Refuse, with `error`, columns of unequal length (a config kind checks only
-        its floors up front) or a total demand above the available capacity."""
-        if len({len(self.workloads), len(self.occupied), len(self.capacity)}) > 1:
-            raise error(f"{prefix}workloads, occupied, capacity: lengths differ")
+        """Refuse, with `error`, a total demand above the available capacity."""
         if self.total_demand > self.available_capacity:
             raise error(f"{prefix}total demand {self.total_demand} exceeds available capacity "
                         f"{self.available_capacity}")

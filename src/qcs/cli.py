@@ -248,7 +248,7 @@ def _run_app(args, initial, n: int) -> TrialResult:
         delay=DelayModel(max_delay=args.max_delay) if args.mode == "async" else None,
         record_trajectory=False,
     ), args)
-    cfg.check_capacity()
+    cfg.check_before_trials()
     res = experiments.run_one_trial(cfg, 0)
     if res.converged:
         print(f"converged at step {res.termination_step} (diameter {res.diameter})")

@@ -256,8 +256,8 @@ class ExperimentConfig:
         for key in ("max_steps", "diameter_bound"):
             if getattr(self, key) is not None:
                 _at_least(key, getattr(self, key), 1)
-        # D is known only per trial, where run_one_trial checks the window again
-        self.check_window(self.diameter_bound or 1, self.max_steps or DEFAULT_MAX_STEPS)
+        # D is known only with the graph, where check_graph checks the window again
+        self._check_window(self.diameter_bound or 1)
         if self.epsilon is not None:
             _in_open_unit("epsilon", self.epsilon)
             # epsilon's delayed bounds charge each hop the chance of the maximum delay
@@ -293,10 +293,12 @@ class ExperimentConfig:
             if rows != n:
                 raise ConfigError(f"delay.per_node_pmf: {rows} rows for a graph with {n} nodes")
 
-    def check_window(self, diameter: int, cap: int) -> None:
-        """Refuse a step cap below one vote window, diameter*B steps."""
+    def _check_window(self, diameter: int) -> None:
+        """Refuse a step cap below one vote window, diameter*B steps.  The cap
+        is max_steps or DEFAULT_MAX_STEPS: a trial's other cap, 100x its
+        completion bound, counts whole windows and always holds one."""
         max_delay = self.delay_model().max_delay
-        window = diameter * max_delay
+        window, cap = diameter * max_delay, self.max_steps or DEFAULT_MAX_STEPS
         if window > cap:
             if self.diameter_bound is not None:
                 key = "diameter_bound"
@@ -304,10 +306,20 @@ class ExperimentConfig:
                 key = "delay.max_delay" if max_delay > 1 else "max_steps"
             raise ConfigError(f"{key}: one vote window of {window} steps exceeds the step cap of {cap}")
 
-    def check_capacity(self) -> None:
-        """Refuse a scheduling instance whose columns differ in length or whose
-        demand exceeds its capacity, which every trial would fail on; checked
-        before trial 0 builds a graph."""
+    def check_graph(self, g: Digraph) -> None:
+        """Refuse what every run on graph g would fail on: a per-node table
+        without one entry per node, a diameter_bound below g's diameter, and
+        a step cap below one vote window of g."""
+        self._check_lengths(g.n)
+        if self.diameter_bound is not None and self.diameter_bound < g.diameter:
+            raise ConfigError(f"diameter_bound: {self.diameter_bound} is below the graph's diameter {g.diameter}")
+        self._check_window(self.diameter_bound or g.diameter)
+
+    def check_before_trials(self) -> None:
+        """Refuse what every trial would fail on, before trial 0 builds anything:
+        a graph file's faults (check_graph), then a demand above capacity."""
+        if isinstance(self.graph, FileGraphSpec):
+            self.check_graph(self.graph.digraph)
         if isinstance(self.initial, applications.SchedulingInstance):
             self.initial.check_capacity(ConfigError, f"initial.{self.initial.KIND}: ")
 
@@ -478,7 +490,7 @@ def build_trial_instance(cfg: ExperimentConfig, trial: int) -> RunConfig:
         )
     else:
         g = cfg.graph.digraph
-        cfg._check_lengths(g.n)
+    cfg.check_graph(g)
     y0, z0 = cfg.initial.values(g.n, np.random.default_rng([trial_seed, _INIT_STREAM]))
     return RunConfig(
         graph=g, y0=tuple(y0), z0=tuple(z0), seed=trial_seed, diameter_bound=cfg.diameter_bound,
@@ -519,8 +531,7 @@ def _trial_max_steps(cfg: ExperimentConfig, bound: Optional[int]) -> int:
 def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> tuple[Optional[dict], Optional[int]]:
     """One trial's closed-form bound table, under its delay model and in
     the vote windows it runs, and its completion bound (both None without
-    an epsilon).  Sets run_cfg.max_steps to the trial's step cap, which
-    must hold one vote window."""
+    an epsilon).  Sets run_cfg.max_steps to the trial's step cap."""
     block = bound = None
     if cfg.epsilon is not None:
         block = bounds.bounds_report(
@@ -530,7 +541,6 @@ def _trial_bounds(cfg: ExperimentConfig, run_cfg: RunConfig) -> tuple[Optional[d
         # the table has a delayed half exactly when the trial runs delays
         bound = block.get("completion_step_bound_delayed", block["completion_step_bound"])
     run_cfg.max_steps = _trial_max_steps(cfg, bound)
-    cfg.check_window(cfg.diameter_bound or run_cfg.graph.diameter, run_cfg.max_steps)
     return block, bound
 
 
@@ -587,7 +597,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     A trial that raises fails the whole run with a TrialError naming the
     trial index and seed, on the serial and the pool path alike.
     """
-    cfg.check_capacity()
+    cfg.check_before_trials()
     payloads = [(cfg, t) for t in range(cfg.trials)]
     if workers <= 1 or cfg.trials == 1:
         return [_trial_worker(p) for p in payloads]
@@ -702,18 +712,10 @@ def write_artifacts(
 
 
 def bounds_report(cfg: ExperimentConfig) -> dict:
-    """Trial 0's bound table, the one its completion_bound is read from.
-
-    A diameter_bound below trial 0's diameter is refused: its windows
-    are too short for the visit floor the bound counts on.  So is a step
-    cap below one vote window, as trial 0's run would refuse it.
-    """
-    cfg.check_capacity()
-    run_cfg = build_trial_instance(cfg, 0)
-    diameter = run_cfg.graph.diameter
-    if cfg.diameter_bound is not None and cfg.diameter_bound < diameter:
-        raise ConfigError(f"diameter_bound: {cfg.diameter_bound} is below trial 0's diameter {diameter}")
-    return _trial_bounds(cfg, run_cfg)[0]
+    """Trial 0's bound table, the one its completion_bound is read from,
+    refused on whatever trial 0's run would be refused on."""
+    cfg.check_before_trials()
+    return _trial_bounds(cfg, build_trial_instance(cfg, 0))[0]
 
 
 def run_experiment(

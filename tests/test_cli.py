@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -41,6 +42,20 @@ def write_scheduling_instance(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+# a 3-ring edge-list file (D = 2), and configs on it that every trial would fail,
+# each with the one error line that `qcs run` and `qcs bounds` print
+RING_FILE = "3 3\n0 1\n1 2\n2 0\n"
+RING_FAULTS = {
+    "generic_lengths": ({"initial": {"generic": {"alpha": [1, 2], "rho": [3, 4, 5]}}},
+                        "initial.generic.alpha: 2 values for a graph with 3 nodes"),
+    "per_node_pmf_rows": ({"mode": "async", "delay": {"max_delay": 2, "per_node_pmf": [[0.5, 0.5]] * 2}},
+                          "delay.per_node_pmf: 2 rows for a graph with 3 nodes"),
+    "diameter_bound_below_d": ({"diameter_bound": 1}, "diameter_bound: 1 is below the graph's diameter 2"),
+    "window_over_max_steps": ({"mode": "async", "delay": {"max_delay": 3}, "max_steps": 5},
+                              "delay.max_delay: one vote window of 6 steps exceeds the step cap of 5"),
+}
 
 
 class TestRunCommand:
@@ -257,7 +272,7 @@ class TestCleanErrors:
     @pytest.mark.parametrize("workloads", [[300, 300, 300], [3, 3, 3]])
     def test_unequal_scheduling_columns_on_a_graph_file_exit_2_before_any_trial(self, tmp_path, monkeypatch,
                                                                                capsys, argv, workloads):
-        # n is known only once a trial loads the file, so neither lengths check has run
+        # the file's n is known before trial 0, so the lengths are checked before capacity is summed
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ring.txt").write_text("3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
         nodes = {"workloads": workloads, "occupied": [0, 0], "capacity": [100, 300]}
@@ -270,7 +285,28 @@ class TestCleanErrors:
         monkeypatch.setattr(experiments, "build_trial_instance", refuse)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: initial.scheduling: workloads, occupied, capacity: lengths differ\n"
+        assert err == "error: initial.scheduling.occupied: 2 values for a graph with 3 nodes\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--workers", "1"], ["run", "--workers", "2"], ["bounds", "--epsilon", "0.1"]]
+    )
+    @pytest.mark.parametrize("fault", sorted(RING_FAULTS))
+    def test_a_graph_file_fault_exits_2_before_any_trial_or_pool(self, tmp_path, monkeypatch, capsys, argv, fault):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ring.txt").write_text(RING_FILE, encoding="utf-8")
+        override, message = RING_FAULTS[fault]
+        config = {"mode": "sync", "graph": {"file": "ring.txt"},
+                  "initial": {"explicit": {"y0": [3, 4, 5], "z0": [1, 1, 1]}}, "trials": 4, **override}
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a trial or a pool")
+
+        for module, name in ((experiments, "_trial_worker"), (experiments, "build_trial_instance"),
+                             (concurrent.futures, "ProcessPoolExecutor")):
+            monkeypatch.setattr(module, name, refuse)
+        assert main([argv[0], "--config", "cfg.json", *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_instance_without_a_node_list_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -327,8 +363,12 @@ class TestBoundsCommand:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "b"
         assert main(["bounds", "--config", str(tmp_path / "cfg.json"), "--epsilon", "0.1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: diameter_bound: 1 is below trial 0's diameter 3\n"
+        message = "diameter_bound: 1 is below the graph's diameter 3"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "bounds.json").exists()
+        # a run meets the same rule in trial 0, whose error names it
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == f"error: trial 0 (seed 0) failed: ConfigError: {message}\n"
 
     def test_step_cap_below_one_window_exits_2(self, tmp_path, capsys):
         # trial 0 draws a diameter-3 graph, so a sync run refuses 2 steps;

@@ -493,10 +493,8 @@ class TestTrialBuilding:
 
     def test_diameter_bound_below_sampled_diameter_names_both(self):
         cfg = parse_config({**MINIMAL, "diameter_bound": 1})
-        g = build_trial_instance(cfg, 0).graph
-        if g.diameter > 1:
-            with pytest.raises(ValueError, match="diameter_bound=1"):
-                run_one_trial(cfg, 0)
+        with pytest.raises(ConfigError, match=r"^diameter_bound: 1 is below the graph's diameter 3$"):
+            build_trial_instance(cfg, 0)
 
     def test_initial_length_must_match_graph(self, tmp_path):
         # a random graph's n is known when the config is built
@@ -732,12 +730,15 @@ class TestRunners:
         from qcs.experiments import bounds_report
 
         cfg = parse_config({**MINIMAL, "diameter_bound": 1, "epsilon": 0.1})
-        assert build_trial_instance(cfg, 0).graph.diameter == 3
-        with pytest.raises(ConfigError, match=r"^diameter_bound: 1 is below trial 0's diameter 3$"):
+        assert build_trial_instance(parse_config(MINIMAL), 0).graph.diameter == 3
+        message = "diameter_bound: 1 is below the graph's diameter 3"
+        with pytest.raises(ConfigError) as refused:
             bounds_report(cfg)
-        # the trial itself still fails in the engine, with its own message
-        with pytest.raises(TrialError, match=r"trial 0 .*diameter_bound=1 is below the true diameter 3"):
+        assert str(refused.value) == message
+        # the trial fails on the same rule, with the same text
+        with pytest.raises(TrialError) as failed:
             run_experiment(cfg)
+        assert failed.value.reason == f"ConfigError: {message}"
         assert "completion_step_bound" in bounds_report(parse_config({**MINIMAL, "diameter_bound": 3, "epsilon": 0.1}))
 
     def test_bounds_block_reports_only_the_delays_trials_run(self):
@@ -820,7 +821,8 @@ class TestTrialFailures:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_trial_is_named(self, workers):
         cfg = parse_config(self.BAD_TRIAL)
-        with pytest.raises(TrialError, match=r"trial 2 \(seed 12\).*diameter_bound=3") as info:
+        with pytest.raises(TrialError, match=r"^trial 2 \(seed 12\) failed: ConfigError: diameter_bound: 3 is "
+                                             r"below the graph's diameter 4$") as info:
             run_trials(cfg, workers=workers)
         assert (info.value.trial, info.value.seed) == (2, 12)
 
@@ -837,7 +839,8 @@ class TestTrialFailures:
                 "seed": 40,
             }
         )
-        with pytest.raises(TrialError, match=r"trial 0 \(seed 40\).*ConfigError.*3 values"):
+        # the file is read before trial 0, so no trial fails on it
+        with pytest.raises(ConfigError, match=r"^initial.explicit.y0: 3 values for a graph with 5 nodes$"):
             run_experiment(cfg, workers=workers)
 
 

@@ -7,6 +7,8 @@ that stops firing, or fires with another message, shows.
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from qcs import (
     protocol,
     run_one_trial,
     run_sync,
+    run_trials,
 )
 
 from qcs.cli import load_scheduling_instance
@@ -56,6 +59,19 @@ def config(**override):
 # delay pmfs under which the maximum delay B = 3 is never drawn
 NEVER_MAX = {"max_delay": 3, "pmf": [0.5, 0.5, 0.0]}
 NEVER_MAX_AT_3 = {"max_delay": 3, "per_node_pmf": [[0.2, 0.3, 0.5]] * 3 + [[0.5, 0.5, 0.0]] * 7}
+
+
+def on_ring_file(**override):
+    """Run, on a 3-ring edge-list file (D = 2), the 3-node config with `override`
+    over two workers: a refusal before trial 0 is a ConfigError, not a TrialError."""
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ring.txt"
+            ring(3).save(path)
+            explicit = {"explicit": {"y0": [3, 4, 5], "z0": [1, 1, 1]}}
+            run_trials(parse_config({**MINIMAL, "graph": {"file": str(path)}, "initial": explicit,
+                                     "trials": 4, **override}), workers=2)
+    return call
 
 
 def engine(y0=(1, 2, 3, 4), z0=(1, 1, 1, 1), max_delay=1, **fields):
@@ -155,6 +171,16 @@ REFUSALS = {
         "delay.max_delay: one vote window of 120000 steps exceeds the step cap of 100000"),
     "config.sync_window_over_trial_cap": (lambda: run_one_trial(parse_config({**MINIMAL, "max_steps": 2}), 0),
                                           ConfigError, "max_steps: one vote window of 3 steps exceeds the step cap of 2"),
+    "config.file_generic_lengths": (on_ring_file(initial={"generic": {"alpha": [1, 2], "rho": [3, 4, 5]}}),
+                                    ConfigError, "initial.generic.alpha: 2 values for a graph with 3 nodes"),
+    "config.file_per_node_pmf_rows": (on_ring_file(mode="async", delay={"max_delay": 2,
+                                                                        "per_node_pmf": [[0.5, 0.5]] * 2}),
+                                      ConfigError, "delay.per_node_pmf: 2 rows for a graph with 3 nodes"),
+    "config.file_diameter_bound_below_d": (on_ring_file(diameter_bound=1), ConfigError,
+                                           "diameter_bound: 1 is below the graph's diameter 2"),
+    "config.file_window_over_max_steps": (on_ring_file(mode="async", delay={"max_delay": 3}, max_steps=5),
+                                          ConfigError,
+                                          "delay.max_delay: one vote window of 6 steps exceeds the step cap of 5"),
     "config.pmf_beside_per_node_pmf": (
         config(mode="async", delay={**NEVER_MAX_AT_3, "pmf": [0.2, 0.3, 0.5]}), ConfigError,
         "delay: give pmf or per_node_pmf, not both"),
